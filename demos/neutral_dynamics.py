@@ -13,7 +13,7 @@ import numpy as np
 from straingrid import (ConnectivityMatrix, FullModel, FullState,
                         IntegratorConfig, PatchParams, ScaleParams,
                         StrainPerturbations, extract_frequencies,
-                        left_eigenvector, neutral_equilibrium, simulate_full)
+                        neutral_equilibrium, simulate_full)
 
 
 def product_residual(state, eq, z):
@@ -30,7 +30,6 @@ def main():
                       scale=ScaleParams(eps=0.0, d=0.0),
                       connectivity=ConnectivityMatrix(entries=np.zeros((1, 1))))
     eq = neutral_equilibrium(patch)
-    omega = left_eigenvector(eq)
     print(f"endemic equilibrium: S*={eq.S_star}, I*={eq.I_star}, D*={eq.D_star}")
 
     rng = np.random.default_rng(1)
@@ -47,7 +46,7 @@ def main():
     print(f"\n{'t':>6}  {'residual':>12}  frequencies")
     for t, y in zip(traj.times, traj.states):
         state = FullState.unravel(y, 1, 3)
-        z = extract_frequencies(state, [omega]).z[0]
+        z = extract_frequencies(state, model.background).z[0]
         res = product_residual(state, eq, z)
         print(f"{t:6.1f}  {res:12.3e}  {np.round(z, 6)}")
 

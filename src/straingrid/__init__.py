@@ -5,15 +5,17 @@ __version__ = "0.1.0"
 
 from .connectivity import (ConnectivityReport, renormalize_to_density,
                            validate_connectivity, volume_matrix)
-from .errors import (ConfigError, ExtinctPatch, NumericalBlowup,
-                     StiffnessFailure, StrainGridError, SubcriticalPatch)
+from .errors import (ConfigError, ConfigParseError, ExtinctPatch,
+                     NumericalBlowup, StiffnessFailure, StrainGridError,
+                     SubcriticalPatch)
 from .fullsim import (FullModel, extract_frequencies, init_on_manifold,
                       rhs_full, simulate_full, transmissible_load)
 from .ode import IntegratorConfig, Trajectory, integrate
-from .reduction import (FitnessStructure, LeftEigenvector, MigrationMatrix,
-                        NeutralEquilibrium, drift_matrix, fitness_matrix,
-                        fitness_structure, left_eigenvector, migration_matrix,
-                        neutral_equilibrium, speed_and_weights)
+from .reduction import (Background, FitnessStructure, LeftEigenvector,
+                        MigrationMatrix, NeutralEquilibrium, drift_matrix,
+                        fitness_matrix, fitness_structure, left_eigenvector,
+                        migration_matrix, neutral_equilibrium,
+                        speed_and_weights)
 from .replicator import (ReplicatorSetup, rhs_replicator,
                          rhs_replicator_advection, setup_from_model,
                          simulate_replicator)
@@ -23,9 +25,10 @@ from .validate import (ReductionReport, convergence_study, default_tau_horizon,
                        neutral_limit_check, reduction_error)
 
 __all__ = [
-    "ConfigError", "ConnectivityMatrix", "ConnectivityReport",
-    "ExtinctPatch", "FitnessStructure", "FrequencyState", "FullModel",
-    "FullState", "IntegratorConfig", "LeftEigenvector", "MigrationMatrix",
+    "Background", "ConfigError", "ConfigParseError", "ConnectivityMatrix",
+    "ConnectivityReport", "ExtinctPatch", "FitnessStructure", "FrequencyState",
+    "FullModel", "FullState", "IntegratorConfig", "LeftEigenvector",
+    "MigrationMatrix",
     "NeutralEquilibrium", "NumericalBlowup", "PatchParams",
     "ReductionReport", "ReplicatorSetup", "ScaleParams", "StiffnessFailure",
     "StrainGridError", "StrainPerturbations", "SubcriticalPatch",

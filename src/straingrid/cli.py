@@ -25,16 +25,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import (build_model, collect_issues, config_hash,
-                     initial_frequencies, integrator_settings, load_config)
-from .errors import ConfigError, StrainGridError
+from .config import (FREQUENCY_GENERATOR, build_model, collect_issues,
+                     config_hash, initial_frequencies, integrator_settings,
+                     load_config)
+from .errors import ConfigError, ConfigParseError, StrainGridError
 from .fullsim import FullState, init_on_manifold, simulate_full
 from .ode import IntegratorConfig
-from .reduction import (drift_matrix, fitness_structure, left_eigenvector,
-                        migration_matrix, neutral_equilibrium)
 from .replicator import setup_from_model, simulate_replicator
 from .validate import convergence_study, default_tau_horizon
 
@@ -80,7 +77,7 @@ def _write_manifest(outdir: Path, doc: dict, command: str, outputs: list[str],
         "command": command,
         "config_hash": config_hash(doc),
         "seed": doc.get("init", {}).get("seed"),
-        "frequency_generator": "dirichlet-pcg64-v1" if "seed" in doc.get("init", {}) else None,
+        "frequency_generator": FREQUENCY_GENERATOR if "seed" in doc.get("init", {}) else None,
         "wall_time_s": round(wall_time, 3),
         "outputs": sorted(outputs),
     }
@@ -91,8 +88,6 @@ def _integrator_config(doc: dict, default_t_end: float) -> IntegratorConfig:
     settings = integrator_settings(doc)
     t_end = settings.pop("t_end", default_t_end)
     settings.setdefault("monitor_period", t_end / 200)
-    settings.setdefault("rel_tol", 1e-8)
-    settings.setdefault("abs_tol", 1e-10)
     return IntegratorConfig(t_end=t_end, **settings)
 
 
@@ -113,42 +108,26 @@ def cmd_validate(args) -> int:
 # ------------------------------------------------------- equilibria/fitness
 
 def cmd_equilibria(args) -> int:
-    doc = load_config(args.config)
-    model = build_model(doc)
-    out = []
-    for idx, params in enumerate(model.patches):
-        eq = neutral_equilibrium(params)
-        om = left_eigenvector(eq)
-        out.append({
-            "patch": idx,
-            "S_star": eq.S_star, "I_star": eq.I_star,
-            "D_star": eq.D_star, "T_star": eq.T_star,
-            "phi": om.phi, "psi": om.psi,
-            "drift_matrix": drift_matrix(eq, params).tolist(),
-        })
+    bg = build_model(load_config(args.config)).background
+    out = [{"patch": idx,
+            "S_star": bg.S_star[idx], "I_star": bg.I_star[idx],
+            "D_star": bg.D_star[idx], "T_star": bg.T_star[idx],
+            "phi": bg.phi[idx], "psi": bg.psi[idx],
+            "drift_matrix": bg.drift[idx].tolist()}
+           for idx in range(len(bg.S_star))]
     print(json.dumps(_sig15({"patches": out}), indent=2))
     return EXIT_OK
 
 
 def cmd_fitness(args) -> int:
-    doc = load_config(args.config)
-    model = build_model(doc)
-    eqs = [neutral_equilibrium(p) for p in model.patches]
-    omegas = [left_eigenvector(eq) for eq in eqs]
-    patches = []
-    for idx, (eq, params) in enumerate(zip(eqs, model.patches)):
-        fs = fitness_structure(eq, params, model.pert, idx)
-        patches.append({
-            "patch": idx,
-            "Theta": fs.Theta,
-            "theta": fs.theta.tolist(),
-            "Lambda": fs.Lambda.tolist(),
-        })
-    mig = migration_matrix(model.connectivity, eqs, omegas)
+    bg = build_model(load_config(args.config)).background
+    patches = [{"patch": idx, "Theta": bg.Theta[idx],
+                "theta": bg.theta[idx].tolist(), "Lambda": bg.Lambdas[idx].tolist()}
+               for idx in range(len(bg.Theta))]
     doc_out = {
         "patches": patches,
-        "migration_matrix": mig.entries.tolist(),
-        "advection": mig.advection.tolist(),
+        "migration_matrix": bg.migration.entries.tolist(),
+        "advection": bg.migration.advection.tolist(),
     }
     print(json.dumps(_sig15(doc_out), indent=2))
     return EXIT_OK
@@ -185,17 +164,13 @@ def _reduced_csv(traj, P, N) -> str:
 
 def run_simulation(doc: dict, mode: str, outdir: Path, command: str) -> list[str]:
     """Shared by cmd_simulate and the sweep workers."""
-    issues = collect_issues(doc)
-    if issues:
-        raise ConfigError("; ".join(issues))
     model = build_model(doc)
     P, N = model.n_patches, model.n_strains
     z0 = initial_frequencies(doc, P, N)
-    eqs = [neutral_equilibrium(p) for p in model.patches]
     start = time.perf_counter()
     cfg = _integrator_config(doc, default_t_end=200.0)
     if mode == "full":
-        traj = simulate_full(model, init_on_manifold(z0, eqs), cfg)
+        traj = simulate_full(model, init_on_manifold(z0, model.background), cfg)
         csv_text = _full_csv(traj, P, N)
         name = "trajectory_full.csv"
     else:
@@ -264,15 +239,11 @@ def _loglog_svg(eps_values, errors, slope) -> str:
 
 def cmd_compare(args) -> int:
     doc = load_config(args.config)
-    issues = collect_issues(doc)
-    if issues:
-        print("invalid config: " + "; ".join(issues), file=sys.stderr)
-        return EXIT_DOMAIN
+    model = build_model(doc)
     eps_list = args.eps
     if len(eps_list) < 3:
         print("compare needs at least 3 eps values", file=sys.stderr)
         return EXIT_USAGE
-    model = build_model(doc)
     z0 = initial_frequencies(doc, model.n_patches, model.n_strains)
     T = args.tau_end if args.tau_end else default_tau_horizon(setup_from_model(model))
     window = (0.1 * T, T)
@@ -424,10 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if "parse" in str(exc) else EXIT_DOMAIN
-    except FileNotFoundError as exc:
+    except (ConfigParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StrainGridError as exc:

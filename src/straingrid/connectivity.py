@@ -41,6 +41,13 @@ class ConnectivityReport:
         return (f"metzler={mark(self.metzler)} irreducible={mark(self.irreducible)} "
                 f"row_sum_zero={mark(self.row_sum_zero)}")
 
+    def failures(self) -> list[str]:
+        """One message per failed property."""
+        checks = ((self.metzler, "Metzler violation (negative off-diagonal)"),
+                  (self.irreducible, "not irreducible (patch graph disconnected)"),
+                  (self.row_sum_zero, "row sums are not zero"))
+        return [message for ok, message in checks if not ok]
+
 
 def _is_irreducible(pattern: np.ndarray) -> bool:
     """Strong connectivity of the directed graph of positive off-diagonals,

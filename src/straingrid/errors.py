@@ -9,6 +9,18 @@ class ConfigError(StrainGridError):
     """Invalid configuration document or parameter set."""
 
 
+class ConfigParseError(ConfigError):
+    """The configuration file is not valid JSON."""
+
+
+class InvalidConnectivity(ConfigError):
+    """A coupling matrix fails a structural property; `report` says which."""
+
+    def __init__(self, report):
+        super().__init__(f"invalid connectivity matrix: {report}")
+        self.report = report
+
+
 class SubcriticalPatch(StrainGridError):
     """A patch with beta <= r + gamma: the disease dies out locally and
     the endemic equilibrium (hence the whole reduction) is undefined."""

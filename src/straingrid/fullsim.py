@@ -2,20 +2,21 @@
 
 Assembles the physical strain-specific parameters from the baseline
 rates and the eps-scaled trait deviations, provides the right-hand side
-of the full model, slow-manifold initialization, frequency extraction
-through the left kernel eigenvectors, and a simulation driver with mass
-and negativity monitors.
+of the full model on the flat state (S, I.ravel(), D.ravel()), slow-manifold
+initialization, frequency extraction through the left kernel
+eigenvectors, and a simulation driver with mass and negativity monitors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ConfigError, ExtinctPatch
 from .ode import IntegratorConfig, Trajectory, integrate
-from .reduction import LeftEigenvector, NeutralEquilibrium
+from .reduction import Background, build_background
 from .types import (ConnectivityMatrix, FrequencyState, FullState, PatchParams,
                     ScaleParams, StrainPerturbations)
 
@@ -29,23 +30,18 @@ class FullModel:
     """Physical parameterization of the full system.
 
     Strain-specific rates are baseline + eps * deviation; the migration
-    rate is delta = eps * d.
+    rate is delta = eps * d. __post_init__ assembles them into read-only
+    attributes, not fields: r (P,), beta_i, gamma_i (P, N), gamma_ij, k_ij
+    and prob_first = P^{(i,j)->i} = 1/2 + eps*w (P, N, N).
     """
 
     patches: tuple[PatchParams, ...]
     pert: StrainPerturbations
     scale: ScaleParams
     connectivity: ConnectivityMatrix
-    # assembled arrays, all shaped (P, ...):
-    beta_i: np.ndarray = None      # (P, N)
-    gamma_i: np.ndarray = None     # (P, N)
-    gamma_ij: np.ndarray = None    # (P, N, N)
-    k_ij: np.ndarray = None        # (P, N, N)
-    prob_first: np.ndarray = None  # (P, N, N): P^{(i,j)->i} = 1/2 + eps*w
 
     def __post_init__(self):
         P = len(self.patches)
-        N = self.pert.n_strains
         if self.pert.n_patches != P:
             raise ConfigError(f"perturbations cover {self.pert.n_patches} patches, model has {P}")
         if self.connectivity.n_patches != P:
@@ -55,6 +51,7 @@ class FullModel:
         gamma = np.array([p.gamma for p in self.patches])[:, None]
         k = np.array([p.k for p in self.patches])[:, None, None]
 
+        object.__setattr__(self, "r", np.array([p.r for p in self.patches]))
         object.__setattr__(self, "beta_i", beta + eps * self.pert.b)
         object.__setattr__(self, "gamma_i", gamma + eps * self.pert.nu)
         object.__setattr__(self, "gamma_ij", gamma[..., None] + eps * self.pert.c_pair)
@@ -66,7 +63,8 @@ class FullModel:
             raise ConfigError("assembled strain rates leave the admissible range; reduce eps")
         if np.any(self.prob_first < 0) or np.any(self.prob_first > 1):
             raise ConfigError("transmission probabilities leave [0,1]; reduce eps or |w|")
-        for a in (self.beta_i, self.gamma_i, self.gamma_ij, self.k_ij, self.prob_first):
+        for a in (self.r, self.beta_i, self.gamma_i, self.gamma_ij, self.k_ij,
+                  self.prob_first):
             a.setflags(write=False)
 
     @property
@@ -77,15 +75,16 @@ class FullModel:
     def n_strains(self) -> int:
         return self.pert.n_strains
 
-    @property
-    def r(self) -> np.ndarray:
-        return np.array([p.r for p in self.patches])
+    @cached_property
+    def background(self) -> Background:
+        """The eps-independent reduction objects, built on first use."""
+        return build_background(self.patches, self.pert, self.connectivity)
 
     def with_eps(self, eps: float) -> "FullModel":
-        """Same patches, deviations and connectivity at a different eps."""
-        return FullModel(patches=self.patches, pert=self.pert,
-                         scale=self.scale.with_eps(eps),
-                         connectivity=self.connectivity)
+        """Same model at a different eps; the background carries over."""
+        model = replace(self, scale=self.scale.with_eps(eps))
+        object.__setattr__(model, "background", self.background)
+        return model
 
 
 def transmissible_load(model: FullModel, I: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -98,15 +97,13 @@ def transmissible_load(model: FullModel, I: np.ndarray, D: np.ndarray) -> np.nda
     return I + np.einsum("pij,pij->pi", pf, D) + np.einsum("pji,pji->pi", 1.0 - pf, D)
 
 
-def rhs_full(state: FullState, model: FullModel) -> FullState:
-    """Time derivative of the full system (pure function)."""
-    S, I, D = state.S, state.I, state.D
-    dS, dI, dD = _rhs_arrays(model, S, I, D)
-    return FullState(S=dS, I=dI, D=dD)
-
-
-def _rhs_arrays(model: FullModel, S, I, D):
-    r = model.r
+def rhs_full(t: float, y: np.ndarray, model: FullModel) -> np.ndarray:
+    """Time derivative of the full system at the flat state y (pure; the
+    system is autonomous, so t is unused)."""
+    P, N = model.n_patches, model.n_strains
+    S = y[:P]
+    I = y[P:P + P * N].reshape(P, N)
+    D = y[P + P * N:].reshape(P, N, N)
     J = transmissible_load(model, I, D)            # (P, N)
     infection = model.beta_i * J * S[:, None]      # (P, N)
     # co-colonization influx into D[p, i, j]: susceptible-to-j of i-singles
@@ -114,41 +111,34 @@ def _rhs_arrays(model: FullModel, S, I, D):
     delta = model.scale.delta
     Dmat = model.connectivity.entries
 
-    dS = (r * (1.0 - S)
+    dS = (model.r * (1.0 - S)
           + np.einsum("pi,pi->p", model.gamma_i, I)
           + np.einsum("pij,pij->p", model.gamma_ij, D)
           - infection.sum(axis=1))
-    dI = infection - (r[:, None] + model.gamma_i) * I - co.sum(axis=2)
-    dD = co - (r[:, None, None] + model.gamma_ij) * D
+    dI = infection - (model.r[:, None] + model.gamma_i) * I - co.sum(axis=2)
+    dD = co - (model.r[:, None, None] + model.gamma_ij) * D
     if delta != 0.0:
         dS = dS + delta * (Dmat @ S)
         dI = dI + delta * (Dmat @ I)
         dD = dD + delta * np.einsum("pk,kij->pij", Dmat, D)
-    return dS, dI, dD
+    return np.concatenate([dS, dI.ravel(), dD.ravel()])
 
 
-def init_on_manifold(z0: FrequencyState,
-                     eqs: list[NeutralEquilibrium]) -> FullState:
+def init_on_manifold(z0: FrequencyState, background: Background) -> FullState:
     """State on the slow manifold: S = S*, I^i = I* z^i, D^{ij} = D* z^i z^j.
 
     Requires z0 on the simplex product (defect <= 1e-12).
     """
-    if z0.simplex_defect() > 1e-12 or z0.min_entry() < -1e-12:
-        raise ConfigError("initial frequencies are off the simplex product")
+    z0.require_simplex()
     z = z0.z
-    P = z.shape[0]
-    if len(eqs) != P:
+    if z.shape[0] != background.S_star.shape[0]:
         raise ConfigError("need one equilibrium per patch")
-    S = np.array([eq.S_star for eq in eqs])
-    Istar = np.array([eq.I_star for eq in eqs])
-    Dstar = np.array([eq.D_star for eq in eqs])
-    I = Istar[:, None] * z
-    D = Dstar[:, None, None] * z[:, :, None] * z[:, None, :]
-    return FullState(S=S, I=I, D=D)
+    I = background.I_star[:, None] * z
+    D = background.D_star[:, None, None] * z[:, :, None] * z[:, None, :]
+    return FullState(S=background.S_star, I=I, D=D)
 
 
-def extract_frequencies(state: FullState,
-                        omegas: list[LeftEigenvector]) -> FrequencyState:
+def extract_frequencies(state: FullState, background: Background) -> FrequencyState:
     """Project the state on the slow kernel coordinates and renormalize.
 
     u[p, i] = phi_p I^i + psi_p D^i with D^i the symmetrized pair load;
@@ -157,9 +147,7 @@ def extract_frequencies(state: FullState,
     """
     I, D = state.I, state.D
     Dsym = 0.5 * (D.sum(axis=2) + D.sum(axis=1))   # D^i = 1/2 sum_j (D^ij + D^ji)
-    phi = np.array([om.phi for om in omegas])
-    psi = np.array([om.psi for om in omegas])
-    u = phi[:, None] * I + psi[:, None] * Dsym
+    u = background.phi[:, None] * I + background.psi[:, None] * Dsym
     total = u.sum(axis=1)
     if np.any(total < EXTINCTION_THRESHOLD):
         dead = int(np.argmin(total))
@@ -175,23 +163,9 @@ def mass_defect_monitor(P: int, N: int):
     return monitor
 
 
-def min_entry_monitor(P: int, N: int):
-    def monitor(y):
-        return float(np.min(y))
-    return monitor
-
-
 def simulate_full(model: FullModel, y0: FullState,
                   cfg: IntegratorConfig) -> Trajectory:
     """Integrate the full system with mass and negativity monitors."""
-    P, N = model.n_patches, model.n_strains
-
-    def rhs(t, y):
-        S = y[:P]
-        I = y[P:P + P * N].reshape(P, N)
-        D = y[P + P * N:].reshape(P, N, N)
-        dS, dI, dD = _rhs_arrays(model, S, I, D)
-        return np.concatenate([dS, dI.ravel(), dD.ravel()])
-
-    monitors = [mass_defect_monitor(P, N), min_entry_monitor(P, N)]
-    return integrate(rhs, y0.ravel(), cfg, monitors=monitors)
+    monitors = [mass_defect_monitor(model.n_patches, model.n_strains), np.min]
+    return integrate(partial(rhs_full, model=model), y0.ravel(), cfg,
+                     monitors=monitors)

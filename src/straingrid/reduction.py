@@ -5,7 +5,7 @@ single-strain system, the 2x2 drift matrix whose kernel carries the slow
 strain frequencies, its normalized positive left eigenvector, the speed
 of the slow dynamics with its five trait weights, the pairwise invasion
 fitness matrix, and the cross-patch migration matrix with its advection
-coefficients.
+coefficients; `build_background` stacks them into one eps-independent record.
 
 All formulas are explicit; no numerical eigensolver is involved (tests
 cross-check the eigenvector against a numerical left-kernel solve).
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SubcriticalPatch
-from .types import ConnectivityMatrix, PatchParams, StrainPerturbations
+from .types import (ConnectivityMatrix, PatchParams, StrainPerturbations,
+                    _frozen)
 
 
 @dataclass(frozen=True)
@@ -201,3 +202,44 @@ def migration_matrix(D: ConnectivityMatrix, eqs: list[NeutralEquilibrium],
     np.fill_diagonal(M, 0.0)
     np.fill_diagonal(M, -M.sum(axis=1))
     return MigrationMatrix(entries=M, advection=nu)
+
+
+@dataclass(frozen=True)
+class Background:
+    """The eps-independent reduction objects of all patches: row p of each
+    array is the per-patch closed form of patch p."""
+
+    S_star: np.ndarray           # (P,)
+    I_star: np.ndarray           # (P,)
+    D_star: np.ndarray           # (P,)
+    T_star: np.ndarray           # (P,)
+    phi: np.ndarray              # (P,)
+    psi: np.ndarray              # (P,)
+    drift: np.ndarray            # (P, 2, 2)
+    Theta: np.ndarray            # (P,)
+    theta: np.ndarray            # (P, 5)
+    Lambdas: np.ndarray          # (P, N, N)
+    migration: MigrationMatrix
+
+
+def build_background(patches: tuple[PatchParams, ...], pert: StrainPerturbations,
+                     connectivity: ConnectivityMatrix) -> Background:
+    """Evaluate every per-patch closed form once and stack the results.
+    Raises SubcriticalPatch when some patch has no endemic equilibrium."""
+    eqs = [neutral_equilibrium(p) for p in patches]
+    omegas = [left_eigenvector(eq) for eq in eqs]
+    structs = [fitness_structure(eq, p, pert, i)
+               for i, (eq, p) in enumerate(zip(eqs, patches))]
+    return Background(
+        S_star=_frozen([eq.S_star for eq in eqs]),
+        I_star=_frozen([eq.I_star for eq in eqs]),
+        D_star=_frozen([eq.D_star for eq in eqs]),
+        T_star=_frozen([eq.T_star for eq in eqs]),
+        phi=_frozen([om.phi for om in omegas]),
+        psi=_frozen([om.psi for om in omegas]),
+        drift=_frozen([drift_matrix(eq, p) for eq, p in zip(eqs, patches)]),
+        Theta=_frozen([fs.Theta for fs in structs]),
+        theta=_frozen([fs.theta for fs in structs]),
+        Lambdas=_frozen([fs.Lambda for fs in structs]),
+        migration=migration_matrix(connectivity, eqs, omegas),
+    )

@@ -1,22 +1,22 @@
 """Reduced spatial replicator system on the product of P simplices.
 
 Two algebraically identical right-hand sides are provided: the compact
-form coupling patches through the reweighted migration matrix, and the
-diffusion-plus-advection form that splits the coupling into the raw
-connectivity and heterogeneity corrections. The driver integrates in the
-slow time variable tau with simplex monitors.
+form coupling patches through the reweighted migration matrix, which the
+driver integrates in the slow time variable tau with simplex monitors,
+and the diffusion-plus-advection form that splits the coupling into the
+raw connectivity and heterogeneity corrections, kept as its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
 from .ode import IntegratorConfig, Trajectory, integrate
-from .reduction import (MigrationMatrix, fitness_structure, left_eigenvector,
-                        migration_matrix, neutral_equilibrium)
+from .reduction import MigrationMatrix
 from .types import ConnectivityMatrix, FrequencyState
 
 
@@ -45,16 +45,9 @@ class ReplicatorSetup:
 def setup_from_model(model) -> ReplicatorSetup:
     """Derive the reduced system from a FullModel's patches, deviations
     and connectivity. Independent of eps by construction."""
-    eqs = [neutral_equilibrium(p) for p in model.patches]
-    omegas = [left_eigenvector(eq) for eq in eqs]
-    structs = [fitness_structure(eq, p, model.pert, i)
-               for i, (eq, p) in enumerate(zip(eqs, model.patches))]
-    return ReplicatorSetup(
-        Theta=np.array([s.Theta for s in structs]),
-        Lambdas=np.array([s.Lambda for s in structs]),
-        migration=migration_matrix(model.connectivity, eqs, omegas),
-        d=model.scale.d,
-    )
+    bg = model.background
+    return ReplicatorSetup(Theta=bg.Theta, Lambdas=bg.Lambdas,
+                           migration=bg.migration, d=model.scale.d)
 
 
 def _reaction(z: np.ndarray, Theta: np.ndarray, Lambdas: np.ndarray) -> np.ndarray:
@@ -63,19 +56,21 @@ def _reaction(z: np.ndarray, Theta: np.ndarray, Lambdas: np.ndarray) -> np.ndarr
     return Theta[:, None] * z * (Az - mean[:, None])
 
 
-def rhs_replicator(z: FrequencyState, setup: ReplicatorSetup) -> np.ndarray:
-    """Compact form: reaction + d * (M z^i)_p. Rows of the output sum to
-    zero whenever z is on the simplex product."""
-    dz = _reaction(z.z, setup.Theta, setup.Lambdas)
+def rhs_replicator(tau: float, y: np.ndarray, setup: ReplicatorSetup) -> np.ndarray:
+    """Compact form at the flat state y = z.ravel(): reaction + d * (M z^i)_p.
+    Each patch's derivatives sum to zero on the simplex; tau is unused."""
+    z = y.reshape(setup.n_patches, setup.n_strains)
+    dz = _reaction(z, setup.Theta, setup.Lambdas)
     if setup.d != 0.0:
-        dz = dz + setup.d * (setup.migration.entries @ z.z)
-    return dz
+        dz = dz + setup.d * (setup.migration.entries @ z)
+    return dz.ravel()
 
 
 def rhs_replicator_advection(z: FrequencyState, setup: ReplicatorSetup,
                              D: ConnectivityMatrix) -> np.ndarray:
     """Diffusion-advection form: reaction + d (D z^i)_p
-    + d sum_k d_pk nu_pk (z_k^i - z_p^i). Identical to rhs_replicator."""
+    + d sum_k d_pk nu_pk (z_k^i - z_p^i). Identical to rhs_replicator,
+    shaped (P, N)."""
     zz = z.z
     dz = _reaction(zz, setup.Theta, setup.Lambdas)
     if setup.d != 0.0:
@@ -99,15 +94,7 @@ def simulate_replicator(setup: ReplicatorSetup, z0: FrequencyState,
     P, N = setup.n_patches, setup.n_strains
     if z0.z.shape != (P, N):
         raise ConfigError(f"z0 has shape {z0.z.shape}, setup expects {(P, N)}")
-    Theta, Lambdas, d = setup.Theta, setup.Lambdas, setup.d
-    M = setup.migration.entries
-
-    def rhs(tau, y):
-        z = y.reshape(P, N)
-        dz = _reaction(z, Theta, Lambdas)
-        if d != 0.0:
-            dz = dz + d * (M @ z)
-        return dz.ravel()
-
-    monitors = [simplex_defect_monitor(P, N), lambda y: float(np.min(y))]
-    return integrate(rhs, z0.z.ravel(), cfg, monitors=monitors)
+    z0.require_simplex()
+    monitors = [simplex_defect_monitor(P, N), np.min]
+    return integrate(partial(rhs_replicator, setup=setup), z0.z.ravel(), cfg,
+                     monitors=monitors)

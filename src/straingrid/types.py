@@ -15,11 +15,11 @@ frozen), so instances can be shared freely across parallel workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidConnectivity
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -145,7 +145,7 @@ class ConnectivityMatrix:
         object.__setattr__(self, "entries", _frozen(self.entries))
         report = validate_connectivity(self.entries)
         if not report.all_pass:
-            raise ConfigError(f"invalid connectivity matrix: {report}")
+            raise InvalidConnectivity(report)
 
     @property
     def n_patches(self) -> int:
@@ -240,3 +240,8 @@ class FrequencyState:
         return (self.min_entry() >= -tol
                 and self.z.max() <= 1.0 + tol
                 and self.simplex_defect() <= tol)
+
+    def require_simplex(self):
+        """Raise ConfigError unless every row lies on the simplex, up to 1e-12."""
+        if not (self.simplex_defect() <= 1e-12 and self.min_entry() >= -1e-12):
+            raise ConfigError("initial frequencies are off the simplex product")

@@ -10,7 +10,7 @@ fully neutral, migration-free system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import ConfigError
 from .fullsim import (FullModel, extract_frequencies, init_on_manifold,
                       simulate_full)
 from .ode import IntegratorConfig
-from .reduction import left_eigenvector, neutral_equilibrium
 from .replicator import setup_from_model, simulate_replicator
 from .types import FrequencyState, FullState
 
@@ -27,6 +26,8 @@ from .types import FrequencyState, FullState
 # pollute the fitted eps-rate.
 VALIDATION_REL_TOL = 1e-10
 VALIDATION_ABS_TOL = 1e-12
+# Sampling intervals per validation run.
+VALIDATION_SAMPLES = 200
 
 # Below this sup error the configuration is effectively neutral and a
 # convergence order is meaningless.
@@ -72,24 +73,21 @@ def default_tau_horizon(setup) -> float:
     return 10.0 / (theta_max * lam_max)
 
 
-def _validation_cfg(t_end: float, n_samples: int = 200) -> IntegratorConfig:
+def _validation_cfg(t_end: float) -> IntegratorConfig:
     return IntegratorConfig(rel_tol=VALIDATION_REL_TOL, abs_tol=VALIDATION_ABS_TOL,
-                            t_end=t_end, monitor_period=t_end / n_samples,
+                            t_end=t_end, monitor_period=t_end / VALIDATION_SAMPLES,
                             initial_step=min(1e-4, t_end / 1000))
 
 
 def reduction_error(model: FullModel, z0: FrequencyState, eps: float,
-                    tau_window: tuple[float, float],
-                    rel_tol: float = VALIDATION_REL_TOL,
-                    abs_tol: float = VALIDATION_ABS_TOL,
-                    n_grid: int = 200,
-                    return_aggregate: bool = False):
+                    tau_window: tuple[float, float]) -> tuple[float, float]:
     """Sup-norm frequency gap between full and reduced dynamics.
 
     The full system runs at the given eps from the slow-manifold state of
     z0 over t in [0, T/eps]; the replicator runs from z0 over tau in
     [0, T]. Both are sampled on a common tau-grid restricted to
-    [tau0, T]. Optionally also returns sup_p |S_p - S_p*| on the window.
+    [tau0, T]. Returns (error, aggregate) with aggregate the sup over
+    the window of max_p |S_p - S_p*|.
     """
     tau0, T = tau_window
     if not (0 <= tau0 < T):
@@ -98,45 +96,30 @@ def reduction_error(model: FullModel, z0: FrequencyState, eps: float,
         raise ConfigError("reduction error requires eps > 0")
     model = model.with_eps(eps)
     P, N = model.n_patches, model.n_strains
-    eqs = [neutral_equilibrium(p) for p in model.patches]
-    omegas = [left_eigenvector(eq) for eq in eqs]
-    setup = setup_from_model(model)
+    bg = model.background
 
-    tau_grid = np.linspace(0.0, T, n_grid + 1)
+    tau_grid = np.linspace(0.0, T, VALIDATION_SAMPLES + 1)
     window = tau_grid >= tau0
 
-    full_cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=T / eps,
-                                monitor_period=(T / eps) / n_grid,
-                                initial_step=min(1e-4, T / eps / 1000))
-    red_cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=T,
-                               monitor_period=T / n_grid,
-                               initial_step=min(1e-4, T / 1000))
-
-    y0 = init_on_manifold(z0, eqs)
-    full_traj = simulate_full(model, y0, full_cfg)
-    red_traj = simulate_replicator(setup, z0, red_cfg)
+    full_traj = simulate_full(model, init_on_manifold(z0, bg), _validation_cfg(T / eps))
+    red_traj = simulate_replicator(setup_from_model(model), z0, _validation_cfg(T))
 
     full_states = full_traj.at(tau_grid / eps)
     red_states = red_traj.at(tau_grid)
 
-    S_star = np.array([eq.S_star for eq in eqs])
     err = 0.0
     agg = 0.0
     for idx in np.nonzero(window)[0]:
         state = FullState.unravel(full_states[idx], P, N)
-        z_full = extract_frequencies(state, omegas).z
+        z_full = extract_frequencies(state, bg).z
         z_red = red_states[idx].reshape(P, N)
         err = max(err, float(np.max(np.abs(z_full - z_red))))
-        agg = max(agg, float(np.max(np.abs(state.S - S_star))))
-    if return_aggregate:
-        return err, agg
-    return err
+        agg = max(agg, float(np.max(np.abs(state.S - bg.S_star))))
+    return err, agg
 
 
 def convergence_study(model: FullModel, z0: FrequencyState, eps_list,
-                      tau_window: tuple[float, float],
-                      rel_tol: float = VALIDATION_REL_TOL,
-                      abs_tol: float = VALIDATION_ABS_TOL) -> ReductionReport:
+                      tau_window: tuple[float, float]) -> ReductionReport:
     """Run reduction_error per eps and fit the log-log convergence order."""
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
@@ -146,9 +129,7 @@ def convergence_study(model: FullModel, z0: FrequencyState, eps_list,
 
     errors, aggs = [], []
     for eps in eps_list:
-        err, agg = reduction_error(model, z0, eps, tau_window,
-                                   rel_tol=rel_tol, abs_tol=abs_tol,
-                                   return_aggregate=True)
+        err, agg = reduction_error(model, z0, eps, tau_window)
         errors.append(err)
         aggs.append(agg)
 
@@ -163,29 +144,17 @@ def convergence_study(model: FullModel, z0: FrequencyState, eps_list,
 
 
 def neutral_limit_check(model: FullModel, y0: FullState,
-                        t_end: float = 200.0,
-                        rel_tol: float = VALIDATION_REL_TOL,
-                        abs_tol: float = VALIDATION_ABS_TOL) -> float:
+                        t_end: float = 200.0) -> float:
     """Residual of the product structure S = S*, I^i = I* z^i,
     D^{ij} = D* z^i z^j at t_end, with z extracted from the final state.
 
     Meaningful for the neutral, migration-free system (the caller builds
     the model with zero deviations and d = 0)."""
     P, N = model.n_patches, model.n_strains
-    eqs = [neutral_equilibrium(p) for p in model.patches]
-    omegas = [left_eigenvector(eq) for eq in eqs]
+    bg = model.background
 
-    cfg = _validation_cfg(t_end)
-    traj = simulate_full(model, y0, cfg)
+    traj = simulate_full(model, y0, _validation_cfg(t_end))
     state = FullState.unravel(traj.final_state(), P, N)
-    z = extract_frequencies(state, omegas).z
-
-    S_star = np.array([eq.S_star for eq in eqs])
-    I_star = np.array([eq.I_star for eq in eqs])
-    D_star = np.array([eq.D_star for eq in eqs])
-
-    res_S = float(np.max(np.abs(state.S - S_star)))
-    res_I = float(np.max(np.abs(state.I - I_star[:, None] * z)))
-    prod = D_star[:, None, None] * z[:, :, None] * z[:, None, :]
-    res_D = float(np.max(np.abs(state.D - prod)))
-    return res_S + res_I + res_D
+    target = init_on_manifold(extract_frequencies(state, bg), bg)
+    return sum(float(np.max(np.abs(got - want))) for got, want in
+               ((state.S, target.S), (state.I, target.I), (state.D, target.D)))

@@ -142,9 +142,8 @@ def test_criterion_04_mass_conservation():
         model = FullModel(patches=(WORKED, SECOND), pert=pert,
                           scale=ScaleParams(eps=0.05, d=1.0),
                           connectivity=TWO_PATCH)
-        eqs = [neutral_equilibrium(p) for p in model.patches]
         z0 = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
-        y0 = init_on_manifold(z0, eqs)
+        y0 = init_on_manifold(z0, model.background)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10, t_end=400.0,
                                monitor_period=2.0)
         traj = simulate_full(model, y0, cfg)
@@ -227,7 +226,7 @@ def test_criterion_07_replicator_oracle():
                 migration=MigrationMatrix(entries=M, advection=nu),
                 d=rng.uniform(0.1, 2.0))
             z = FrequencyState(z=rng.dirichlet(np.ones(N), size=P))
-            a = rhs_replicator(z, setup)
+            a = rhs_replicator(0.0, z.z.ravel(), setup).reshape(P, N)
             b = rhs_replicator_advection(z, setup, conn)
             assert np.max(np.abs(a - b)) < 1e-13
 
@@ -259,7 +258,7 @@ def test_criterion_09_decoupling():
                           connectivity=TWO_PATCH)
         z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
         window = (0.3, 3.0)
-        joint = reduction_error(model, FrequencyState(z=z0), 0.05, window)
+        joint, _ = reduction_error(model, FrequencyState(z=z0), 0.05, window)
 
         single_conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
         per_patch = []
@@ -272,7 +271,7 @@ def test_criterion_09_decoupling():
                                scale=ScaleParams(eps=0.05, d=0.0),
                                connectivity=single_conn)
             per_patch.append(reduction_error(
-                single, FrequencyState(z=z0[p:p + 1]), 0.05, window))
+                single, FrequencyState(z=z0[p:p + 1]), 0.05, window)[0])
         assert abs(joint - max(per_patch)) < 1e-9
 
 

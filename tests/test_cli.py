@@ -2,10 +2,14 @@
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import straingrid.cli
+import straingrid.connectivity
+import straingrid.reduction
 from straingrid.cli import main
 
 WORKED_DOC = {
@@ -182,3 +186,89 @@ def test_sweep_parallelism_invariant(tmp_path, capsys):
         a = (out1 / run / "trajectory_reduced.csv").read_bytes()
         b = (out4 / run / "trajectory_reduced.csv").read_bytes()
         assert a == b
+
+
+def with_section(section, value):
+    """WORKED_DOC with one section replaced."""
+    doc = json.loads(json.dumps(WORKED_DOC))
+    doc[section] = value
+    return doc
+
+
+def test_off_simplex_z0_rejected_by_validate_and_reduced_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, with_section("init", {"z0": [[2.0, -1.0], [0.5, 0.5]]}))
+    assert main(["validate", cfg]) == 1
+    assert "off the simplex" in capsys.readouterr().out
+    for mode in ("reduced", "full"):
+        out = tmp_path / mode
+        assert main(["simulate", cfg, "--mode", mode, "--out", str(out)]) == 1
+        assert "off the simplex" in capsys.readouterr().err
+        assert not (out / f"trajectory_{mode}.csv").exists()
+
+
+@pytest.mark.parametrize("where, section, value", [
+    pytest.param(where, where.split(".")[0], value, id=where)
+    for where, value in [
+        ("strains.N", {"N": "abc"}),
+        ("strains.b", {"N": 2, "b": [["x", 0.0], [0.5, -0.5]]}),
+        ("init.seed", {"seed": "abc"}),
+        ("integration.t_end", {"t_end": "abc"}),
+    ]])
+def test_wrong_value_types_are_itemized_issues(tmp_path, capsys, where, section, value):
+    cfg = write_config(tmp_path, with_section(section, value))
+    assert main(["validate", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID: 1 issue(s)" in out and where in out
+    assert main(["simulate", cfg, "--mode", "reduced",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert where in capsys.readouterr().err
+
+
+def test_unknown_integration_keys_share_one_exit_code(tmp_path, capsys):
+    codes = set()
+    for key in ("parse_me", "t_end_typo"):
+        cfg = write_config(tmp_path, with_section("integration", {key: 1}))
+        assert main(["validate", cfg]) == 1
+        assert "unknown integration settings" in capsys.readouterr().out
+        codes.add(main(["simulate", cfg, "--mode", "reduced",
+                        "--out", str(tmp_path / key)]))
+    assert codes == {1}
+
+
+def count_calls(monkeypatch, counts, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    counts = Counter()
+    for name in ("neutral_equilibrium", "left_eigenvector", "fitness_structure",
+                 "migration_matrix"):
+        count_calls(monkeypatch, counts, straingrid.reduction, name)
+    count_calls(monkeypatch, counts, straingrid.cli, "build_model")
+    count_calls(monkeypatch, counts, straingrid.connectivity, "validate_connectivity")
+    return counts
+
+
+def test_compare_builds_model_and_background_once(tmp_path, capsys, call_counts):
+    cfg = write_config(tmp_path, WORKED_DOC)
+    assert main(["compare", cfg, "--eps", "0.08,0.04,0.02", "--tau-end", "0.5",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    P = len(WORKED_DOC["patches"])
+    assert call_counts == {"neutral_equilibrium": P, "left_eigenvector": P,
+                           "fitness_structure": P, "migration_matrix": 1,
+                           "build_model": 1, "validate_connectivity": 1}
+
+
+def test_simulate_builds_model_once(tmp_path, capsys, call_counts):
+    cfg = write_config(tmp_path, WORKED_DOC)
+    assert main(["simulate", cfg, "--mode", "full",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert call_counts["build_model"] == 1
+    assert call_counts["validate_connectivity"] == 1
+    assert call_counts["neutral_equilibrium"] == len(WORKED_DOC["patches"])

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from straingrid import ConfigError
+from straingrid import ConfigError, ConfigParseError
 from straingrid.config import (build_connectivity, build_model, collect_issues,
                                config_hash, initial_frequencies,
                                integrator_settings, load_config)
@@ -34,7 +34,7 @@ def write_doc(tmp_path, doc, name="config.json"):
 def test_load_config_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigParseError):
         load_config(str(path))
 
 
@@ -115,6 +115,26 @@ def test_collect_issues_names_metzler_violation():
     doc["connectivity"]["matrix"] = [[0.0, -1.0], [1.0, 0.0]]
     issues = collect_issues(doc)
     assert any("Metzler" in item for item in issues)
+
+
+def test_build_model_raises_the_itemized_issues():
+    doc = base_doc()
+    doc["patches"][1]["beta"] = 1.0
+    doc["connectivity"]["matrix"] = [[0.0, -1.0], [1.0, 0.0]]
+    issues = collect_issues(doc)
+    assert len(issues) == 4
+    with pytest.raises(ConfigError) as info:
+        build_model(doc)
+    assert str(info.value) == "; ".join(issues)
+
+
+def test_collect_issues_checks_init_and_integration():
+    doc = base_doc()
+    doc["init"]["z0"] = [[0.3, 0.7]]
+    assert collect_issues(doc) == ["init.z0 must have shape (2, 2), got (1, 2)"]
+    doc = base_doc()
+    doc["integration"] = {"t_end": -1.0}
+    assert collect_issues(doc) == ["t_end must be positive"]
 
 
 def test_initial_frequencies_explicit():

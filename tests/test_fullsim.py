@@ -8,9 +8,8 @@ from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
                         FrequencyState, FullModel, FullState,
                         IntegratorConfig, PatchParams, ScaleParams,
                         StrainPerturbations, extract_frequencies,
-                        init_on_manifold, left_eigenvector,
-                        neutral_equilibrium, rhs_full, simulate_full,
-                        transmissible_load)
+                        init_on_manifold, neutral_equilibrium, rhs_full,
+                        simulate_full, transmissible_load)
 
 from conftest import random_supercritical_patch
 
@@ -86,6 +85,16 @@ def test_with_eps_preserves_structure(worked_patch):
     assert other.scale.eps == 0.05
     assert other.scale.d == 2.0
     assert other.patches == model.patches
+    assert other.background is model.background
+
+
+def test_model_arrays_stay_out_of_init_eq_and_repr(worked_patch):
+    model = neutral_model([worked_patch], N=2, eps=0.1)
+    assert np.array_equal(model.r, [1.0])
+    assert "beta_i" not in repr(model) and "background" not in repr(model)
+    with pytest.raises(TypeError):
+        FullModel(patches=model.patches, pert=model.pert, scale=model.scale,
+                  connectivity=model.connectivity, r=model.r)
 
 
 # ------------------------------------------------------------- rhs identities
@@ -93,18 +102,17 @@ def test_with_eps_preserves_structure(worked_patch):
 def test_disease_free_state_stationary(worked_patch, second_patch):
     model = neutral_model([worked_patch, second_patch], N=2, d=1.0, eps=0.0)
     state = FullState(S=np.ones(2), I=np.zeros((2, 2)), D=np.zeros((2, 2, 2)))
-    deriv = rhs_full(state, model)
-    assert np.max(np.abs(deriv.ravel())) < 1e-15
+    deriv = rhs_full(0.0, state.ravel(), model)
+    assert np.max(np.abs(deriv)) < 1e-15
 
 
 def test_neutral_manifold_stationary(worked_patch, second_patch):
     rng = np.random.default_rng(5)
     model = neutral_model([worked_patch, second_patch], N=3, d=0.0, eps=0.0)
-    eqs = [neutral_equilibrium(p) for p in model.patches]
     z = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
-    state = init_on_manifold(z, eqs)
-    deriv = rhs_full(state, model)
-    assert np.max(np.abs(deriv.ravel())) < 1e-14
+    state = init_on_manifold(z, model.background)
+    deriv = rhs_full(0.0, state.ravel(), model)
+    assert np.max(np.abs(deriv)) < 1e-14
 
 
 def test_transmissible_load_neutral_split(worked_patch):
@@ -126,7 +134,7 @@ def test_mass_derivative_identity():
     for _ in range(10):
         model = random_model(rng, P=3, N=2, eps=0.03)
         state = random_state(rng, 3, 2)
-        deriv = rhs_full(state, model)
+        deriv = FullState.unravel(rhs_full(0.0, state.ravel(), model), 3, 2)
         got = deriv.S + deriv.I.sum(axis=1) + deriv.D.sum(axis=(1, 2))
         mass = state.patch_mass()
         expected = model.r * (1.0 - mass) \
@@ -137,62 +145,60 @@ def test_mass_derivative_identity():
 # ------------------------------------------------- manifold init / extraction
 
 def test_init_on_manifold_worked_values(worked_patch):
-    eqs = [neutral_equilibrium(worked_patch)]
+    bg = neutral_model([worked_patch], N=4).background
     z = FrequencyState(z=np.full((1, 4), 0.25))
-    state = init_on_manifold(z, eqs)
+    state = init_on_manifold(z, bg)
     assert np.allclose(state.I, 0.25 / 4)
     assert np.allclose(state.D, 0.25 / 16)
     assert state.patch_mass()[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_init_single_strain_is_endemic_point(worked_patch):
-    eqs = [neutral_equilibrium(worked_patch)]
-    state = init_on_manifold(FrequencyState(z=np.ones((1, 1))), eqs)
+    bg = neutral_model([worked_patch], N=1).background
+    state = init_on_manifold(FrequencyState(z=np.ones((1, 1))), bg)
     assert state.S[0] == 0.5
     assert state.I[0, 0] == 0.25
     assert state.D[0, 0, 0] == 0.25
 
 
 def test_init_rejects_off_simplex(worked_patch):
-    eqs = [neutral_equilibrium(worked_patch)]
+    bg = neutral_model([worked_patch], N=2).background
     with pytest.raises(ConfigError):
-        init_on_manifold(FrequencyState(z=np.array([[0.3, 0.6]])), eqs)
+        init_on_manifold(FrequencyState(z=np.array([[0.3, 0.6]])), bg)
 
 
 def test_extract_inverts_init(worked_patch, second_patch):
     rng = np.random.default_rng(17)
-    eqs = [neutral_equilibrium(worked_patch), neutral_equilibrium(second_patch)]
-    omegas = [left_eigenvector(eq) for eq in eqs]
+    bg = neutral_model([worked_patch, second_patch], N=3).background
     z0 = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
-    state = init_on_manifold(z0, eqs)
-    z = extract_frequencies(state, omegas)
+    state = init_on_manifold(z0, bg)
+    z = extract_frequencies(state, bg)
     assert np.max(np.abs(z.z - z0.z)) < 1e-14
 
 
 def test_extract_single_strain_is_one(worked_patch):
-    eqs = [neutral_equilibrium(worked_patch)]
-    omegas = [left_eigenvector(eq) for eq in eqs]
+    bg = neutral_model([worked_patch], N=1).background
     state = FullState(S=np.array([0.9]), I=np.array([[0.05]]),
                       D=np.array([[[0.05]]]))
-    z = extract_frequencies(state, omegas)
+    z = extract_frequencies(state, bg)
     assert z.z[0, 0] == 1.0
 
 
 def test_extract_rows_sum_to_one(worked_patch):
     rng = np.random.default_rng(19)
-    omegas = [left_eigenvector(neutral_equilibrium(worked_patch))] * 2
+    bg = neutral_model([worked_patch] * 2, N=3).background
     for _ in range(20):
         state = random_state(rng, 2, 3)
-        z = extract_frequencies(state, omegas)
+        z = extract_frequencies(state, bg)
         assert np.max(np.abs(z.z.sum(axis=1) - 1.0)) < 1e-14
 
 
 def test_extract_extinct_patch(worked_patch):
-    omegas = [left_eigenvector(neutral_equilibrium(worked_patch))]
+    bg = neutral_model([worked_patch], N=2).background
     state = FullState(S=np.array([1.0]), I=np.zeros((1, 2)),
                       D=np.zeros((1, 2, 2)))
     with pytest.raises(ExtinctPatch):
-        extract_frequencies(state, omegas)
+        extract_frequencies(state, bg)
 
 
 # ------------------------------------------------------------------ dynamics
@@ -225,9 +231,8 @@ def test_mass_and_negativity_monitors(worked_patch, second_patch,
     model = FullModel(patches=patches, pert=pert,
                       scale=ScaleParams(eps=0.05, d=1.0),
                       connectivity=two_patch_conn)
-    eqs = [neutral_equilibrium(p) for p in patches]
     y0 = init_on_manifold(FrequencyState(z=np.array([[0.3, 0.7], [0.6, 0.4]])),
-                          eqs)
+                          model.background)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=100.0,
                            monitor_period=5.0)
     traj = simulate_full(model, y0, cfg)

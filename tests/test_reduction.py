@@ -18,8 +18,8 @@ from straingrid import (ConfigError, ConnectivityMatrix, FrequencyState,
                         StrainPerturbations, SubcriticalPatch, drift_matrix,
                         fitness_matrix, fitness_structure, init_on_manifold,
                         left_eigenvector, migration_matrix,
-                        neutral_equilibrium, speed_and_weights)
-from straingrid.fullsim import _rhs_arrays
+                        neutral_equilibrium, rhs_full, speed_and_weights)
+from straingrid.reduction import build_background
 
 from conftest import random_supercritical_patch
 
@@ -215,31 +215,26 @@ def _slow_rate_oracle(patch, pert, zvec):
     """
     N = len(zvec)
     conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
-    eqs = [neutral_equilibrium(patch)]
-
-    def flat_rhs(model, y):
-        S, I = y[:1], y[1:1 + N].reshape(1, N)
-        D = y[1 + N:].reshape(1, N, N)
-        dS, dI, dD = _rhs_arrays(model, S, I, D)
-        return np.concatenate([dS, dI.ravel(), dD.ravel()])
-
-    def manifold(z):
-        return init_on_manifold(FrequencyState(z=np.array([z])), eqs).ravel()
 
     m0 = FullModel(patches=(patch,), pert=StrainPerturbations.zeros(1, N),
                    scale=ScaleParams(eps=0.0, d=0.0), connectivity=conn)
+
+    def manifold(z):
+        return init_on_manifold(FrequencyState(z=np.array([z])),
+                                m0.background).ravel()
+
     h = 1e-6
     mp = FullModel(patches=(patch,), pert=pert,
                    scale=ScaleParams(eps=h, d=0.0), connectivity=conn)
     y = manifold(np.asarray(zvec))
-    F1 = (flat_rhs(mp, y) - flat_rhs(m0, y)) / h
+    F1 = (rhs_full(0.0, y, mp) - rhs_full(0.0, y, m0)) / h
 
     n = y.size
     A = np.zeros((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1e-7
-        A[:, j] = (flat_rhs(m0, y + e) - flat_rhs(m0, y - e)) / 2e-7
+        A[:, j] = (rhs_full(0.0, y + e, m0) - rhs_full(0.0, y - e, m0)) / 2e-7
 
     tangents = []
     for i in range(1, N):
@@ -340,3 +335,45 @@ def test_migration_length_mismatch(worked_patch, two_patch_conn):
     eq = neutral_equilibrium(worked_patch)
     with pytest.raises(ConfigError):
         migration_matrix(two_patch_conn, [eq], [left_eigenvector(eq)])
+
+
+# ------------------------------------------------------------- background
+
+def test_background_stacks_the_per_patch_forms():
+    """The stacked record holds exactly what the per-patch closed forms
+    return, patch by patch."""
+    rng = np.random.default_rng(59)
+    P, N = 4, 3
+    patches = tuple(random_supercritical_patch(rng) for _ in range(P))
+    pert = StrainPerturbations(
+        b=rng.normal(size=(P, N)), nu=rng.normal(size=(P, N)),
+        c_pair=rng.normal(size=(P, N, N)), w=rng.normal(size=(P, N, N)),
+        alpha=rng.normal(size=(P, N, N)))
+    entries = rng.uniform(0.1, 2.0, size=(P, P))
+    np.fill_diagonal(entries, 0.0)
+    np.fill_diagonal(entries, -entries.sum(axis=1))
+    conn = ConnectivityMatrix(entries=entries)
+    bg = build_background(patches, pert, conn)
+
+    eqs = [neutral_equilibrium(p) for p in patches]
+    omegas = [left_eigenvector(eq) for eq in eqs]
+    for i, (eq, om, patch) in enumerate(zip(eqs, omegas, patches)):
+        fs = fitness_structure(eq, patch, pert, i)
+        assert (bg.S_star[i], bg.I_star[i], bg.D_star[i], bg.T_star[i]) \
+            == (eq.S_star, eq.I_star, eq.D_star, eq.T_star)
+        assert (bg.phi[i], bg.psi[i]) == (om.phi, om.psi)
+        assert np.array_equal(bg.drift[i], drift_matrix(eq, patch))
+        assert bg.Theta[i] == fs.Theta
+        assert np.array_equal(bg.theta[i], fs.theta)
+        assert np.array_equal(bg.Lambdas[i], fs.Lambda)
+    mig = migration_matrix(conn, eqs, omegas)
+    assert np.array_equal(bg.migration.entries, mig.entries)
+    assert np.array_equal(bg.migration.advection, mig.advection)
+    assert not bg.S_star.flags.writeable
+
+
+def test_background_rejects_subcritical_patch(worked_patch):
+    patches = (worked_patch, PatchParams(r=1.0, beta=2.0, gamma=1.0, k=1.0))
+    conn = ConnectivityMatrix(entries=np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(SubcriticalPatch):
+        build_background(patches, StrainPerturbations.zeros(2, 2), conn)

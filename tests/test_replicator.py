@@ -9,6 +9,11 @@ from straingrid import (ConfigError, ConnectivityMatrix, FrequencyState,
                         simulate_replicator)
 
 
+def replicator_derivative(z, setup):
+    """rhs_replicator at a FrequencyState, shaped (P, N)."""
+    return rhs_replicator(0.0, z.z.ravel(), setup).reshape(z.z.shape)
+
+
 def make_setup(Theta, Lambdas, conn=None, d=0.0):
     Theta = np.asarray(Theta, dtype=float)
     Lambdas = np.asarray(Lambdas, dtype=float)
@@ -46,13 +51,13 @@ def random_setup(rng, P, N, d):
 def test_neutral_uniform_is_stationary():
     setup, _ = make_setup(np.ones(3), np.zeros((3, 2, 2)), d=1.0)
     z = FrequencyState(z=np.full((3, 2), 0.5))
-    assert np.max(np.abs(rhs_replicator(z, setup))) < 1e-15
+    assert np.max(np.abs(replicator_derivative(z, setup))) < 1e-15
 
 
 def test_single_patch_pair_hand_value():
     setup, _ = make_setup([1.0], [[[0.0, 1.0], [0.0, 0.0]]])
     z = FrequencyState(z=np.array([[0.5, 0.5]]))
-    dz = rhs_replicator(z, setup)
+    dz = replicator_derivative(z, setup)
     assert dz[0, 0] == pytest.approx(0.125, abs=1e-15)
     assert dz[0, 1] == pytest.approx(-0.125, abs=1e-15)
 
@@ -63,7 +68,7 @@ def test_rows_sum_to_zero_random():
         P, N = int(rng.integers(1, 4)), int(rng.integers(2, 5))
         setup, _ = random_setup(rng, P, N, d=rng.uniform(0.0, 2.0))
         z = FrequencyState(z=rng.dirichlet(np.ones(N), size=P))
-        dz = rhs_replicator(z, setup)
+        dz = replicator_derivative(z, setup)
         assert np.max(np.abs(dz.sum(axis=1))) < 1e-14
 
 
@@ -73,7 +78,7 @@ def test_advection_form_identical_random():
         P, N = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         setup, conn = random_setup(rng, P, N, d=rng.uniform(0.1, 2.0))
         z = FrequencyState(z=rng.dirichlet(np.ones(N), size=P))
-        a = rhs_replicator(z, setup)
+        a = replicator_derivative(z, setup)
         b = rhs_replicator_advection(z, setup, conn)
         assert np.max(np.abs(a - b)) < 1e-13
 
@@ -83,7 +88,7 @@ def test_homogeneous_advection_vanishes():
     assert np.max(np.abs(setup.migration.advection)) == 0.0
     rng = np.random.default_rng(47)
     z = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
-    a = rhs_replicator(z, setup)
+    a = replicator_derivative(z, setup)
     b = rhs_replicator_advection(z, setup, conn)
     assert np.max(np.abs(a - b)) < 1e-15
 
@@ -95,7 +100,7 @@ def test_absent_strain_stays_absent():
     setup, _ = random_setup(rng, 3, 3, d=1.0)
     z = rng.dirichlet(np.ones(2), size=3)
     z = np.column_stack([z[:, 0], np.zeros(3), z[:, 1]])
-    dz = rhs_replicator(FrequencyState(z=z), setup)
+    dz = replicator_derivative(FrequencyState(z=z), setup)
     assert np.max(np.abs(dz[:, 1])) == 0.0
 
 
@@ -153,4 +158,12 @@ def test_driver_shape_mismatch():
     setup, _ = make_setup(np.ones(2), np.zeros((2, 2, 2)))
     with pytest.raises(ConfigError):
         simulate_replicator(setup, FrequencyState(z=np.full((1, 2), 0.5)),
+                            IntegratorConfig(t_end=1.0))
+
+
+@pytest.mark.parametrize("z0", [[[2.0, -1.0]], [[0.3, 0.6]]])
+def test_driver_rejects_off_simplex_start(z0):
+    setup, _ = make_setup([1.0], [[[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(ConfigError, match="off the simplex"):
+        simulate_replicator(setup, FrequencyState(z=np.array(z0)),
                             IntegratorConfig(t_end=1.0))

@@ -8,8 +8,8 @@ from straingrid import (ConfigError, ConnectivityMatrix, FrequencyState,
                         FullModel, ReductionReport, ScaleParams,
                         StrainPerturbations, convergence_study,
                         default_tau_horizon, init_on_manifold,
-                        neutral_equilibrium, neutral_limit_check,
-                        reduction_error, setup_from_model)
+                        neutral_limit_check, reduction_error,
+                        setup_from_model)
 
 
 def generic_pert():
@@ -32,8 +32,9 @@ def test_neutral_config_error_at_tolerance(worked_patch):
                       pert=StrainPerturbations.zeros(1, 2),
                       scale=ScaleParams(eps=0.05, d=0.0), connectivity=conn)
     z0 = FrequencyState(z=np.array([[0.3, 0.7]]))
-    err = reduction_error(model, z0, eps=0.05, tau_window=(0.1, 1.0))
+    err, agg = reduction_error(model, z0, eps=0.05, tau_window=(0.1, 1.0))
     assert err < 1e-8
+    assert agg < 1e-8
 
 
 def test_single_patch_error_decreases_with_eps(worked_patch):
@@ -46,7 +47,7 @@ def test_single_patch_error_decreases_with_eps(worked_patch):
                       scale=ScaleParams(eps=0.1, d=0.0), connectivity=conn)
     z0 = FrequencyState(z=np.array([[0.3, 0.7]]))
     window = (0.3, 3.0)
-    errs = [reduction_error(model, z0, eps, window) for eps in (0.1, 0.05)]
+    errs = [reduction_error(model, z0, eps, window)[0] for eps in (0.1, 0.05)]
     assert errs[1] < errs[0]
     assert 0.3 < errs[1] / errs[0] < 0.7
 
@@ -69,7 +70,8 @@ def test_error_monotone_under_window_shrink(worked_patch, second_patch,
     z0 = FrequencyState(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
     wide = reduction_error(model, z0, 0.05, (0.2, 4.0))
     narrow = reduction_error(model, z0, 0.05, (1.0, 4.0))
-    assert narrow <= wide + 1e-15
+    assert narrow[0] <= wide[0] + 1e-15
+    assert narrow[1] <= wide[1] + 1e-15
 
 
 def test_convergence_study_report(worked_patch, second_patch, two_patch_conn):
@@ -125,9 +127,8 @@ def test_neutral_limit_manifold_start(worked_patch):
     model = FullModel(patches=(worked_patch,),
                       pert=StrainPerturbations.zeros(1, 3),
                       scale=ScaleParams(eps=0.0, d=0.0), connectivity=conn)
-    eqs = [neutral_equilibrium(worked_patch)]
     z0 = FrequencyState(z=np.array([[0.2, 0.3, 0.5]]))
-    y0 = init_on_manifold(z0, eqs)
+    y0 = init_on_manifold(z0, model.background)
     residual = neutral_limit_check(model, y0, t_end=50.0)
     assert residual < 1e-8
 
