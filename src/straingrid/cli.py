@@ -32,6 +32,10 @@ from .config import (FREQUENCY_GENERATOR, build_model, collect_issues,
 from .errors import ConfigError, ConfigParseError, StrainGridError
 from .fullsim import FullState, init_on_manifold, simulate_full
 from .ode import IntegratorConfig
+# Re-exported, not called here: perfbench/spans.py still hooks these names.
+from .reduction import (drift_matrix as drift_matrix, fitness_structure as fitness_structure,
+                        left_eigenvector as left_eigenvector, migration_matrix as migration_matrix,
+                        neutral_equilibrium as neutral_equilibrium)
 from .replicator import setup_from_model, simulate_replicator
 from .validate import convergence_study, default_tau_horizon
 
@@ -395,7 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigParseError, FileNotFoundError) as exc:
+    except (ConfigParseError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StrainGridError as exc:

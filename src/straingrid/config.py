@@ -21,6 +21,8 @@ from functools import partial
 import numpy as np
 
 from .connectivity import renormalize_to_density, volume_matrix
+# Re-exported, not called here: perfbench/spans.py still hooks these names.
+from .connectivity import validate_connectivity as validate_connectivity
 from .errors import ConfigError, ConfigParseError, InvalidConnectivity
 from .fullsim import FullModel
 from .ode import IntegratorConfig
@@ -34,7 +36,7 @@ def load_config(path) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigParseError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

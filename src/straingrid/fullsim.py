@@ -81,9 +81,10 @@ class FullModel:
         return build_background(self.patches, self.pert, self.connectivity)
 
     def with_eps(self, eps: float) -> "FullModel":
-        """Same model at a different eps; the background carries over."""
+        """Same model at a different eps; a background already built carries over."""
         model = replace(self, scale=self.scale.with_eps(eps))
-        object.__setattr__(model, "background", self.background)
+        if "background" in self.__dict__:
+            object.__setattr__(model, "background", self.background)
         return model
 
 
@@ -124,18 +125,20 @@ def rhs_full(t: float, y: np.ndarray, model: FullModel) -> np.ndarray:
     return np.concatenate([dS, dI.ravel(), dD.ravel()])
 
 
-def init_on_manifold(z0: FrequencyState, background: Background) -> FullState:
-    """State on the slow manifold: S = S*, I^i = I* z^i, D^{ij} = D* z^i z^j.
-
-    Requires z0 on the simplex product (defect <= 1e-12).
-    """
-    z0.require_simplex()
-    z = z0.z
+def manifold_state(z: np.ndarray, background: Background) -> FullState:
+    """Product state S = S*, I^i = I* z^i, D^{ij} = D* z^i z^j of z (P, N),
+    unchecked: z may lie off the simplex product."""
     if z.shape[0] != background.S_star.shape[0]:
         raise ConfigError("need one equilibrium per patch")
     I = background.I_star[:, None] * z
     D = background.D_star[:, None, None] * z[:, :, None] * z[:, None, :]
     return FullState(S=background.S_star, I=I, D=D)
+
+
+def init_on_manifold(z0: FrequencyState, background: Background) -> FullState:
+    """manifold_state of z0, which must lie on the simplex product (defect <= 1e-12)."""
+    z0.require_simplex()
+    return manifold_state(z0.z, background)
 
 
 def extract_frequencies(state: FullState, background: Background) -> FrequencyState:
@@ -155,17 +158,11 @@ def extract_frequencies(state: FullState, background: Background) -> FrequencySt
     return FrequencyState(z=u / total[:, None])
 
 
-def mass_defect_monitor(P: int, N: int):
-    """max_p |Sigma_p - 1| as a flat-state functional."""
-    def monitor(y):
-        state = FullState.unravel(y, P, N)
-        return state.mass_defect()
-    return monitor
-
-
 def simulate_full(model: FullModel, y0: FullState,
                   cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the full system with mass and negativity monitors."""
-    monitors = [mass_defect_monitor(model.n_patches, model.n_strains), np.min]
+    """Integrate the full system with mass-defect (max_p |Sigma_p - 1|) and
+    min-entry monitors."""
+    P, N = model.n_patches, model.n_strains
+    monitors = [lambda y: FullState.unravel(y, P, N).mass_defect(), np.min]
     return integrate(partial(rhs_full, model=model), y0.ravel(), cfg,
                      monitors=monitors)

@@ -52,6 +52,9 @@ class IntegratorConfig:
     monitor_period: float = 0.1
 
     def __post_init__(self):
+        if np.isnan(self.max_step) or not np.all(np.isfinite(
+                [self.rel_tol, self.abs_tol, self.t_end, self.initial_step, self.monitor_period])):
+            raise ConfigError("integrator settings must be finite (max_step may be inf)")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if self.t_end <= 0:

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ConfigError
 from .ode import IntegratorConfig, Trajectory, integrate
 from .reduction import MigrationMatrix
+# Re-exported, not called here: perfbench/spans.py still hooks these names.
+from .reduction import (fitness_structure as fitness_structure,
+                        left_eigenvector as left_eigenvector, migration_matrix as migration_matrix,
+                        neutral_equilibrium as neutral_equilibrium)
 from .types import ConnectivityMatrix, FrequencyState
 
 
@@ -82,19 +86,14 @@ def rhs_replicator_advection(z: FrequencyState, setup: ReplicatorSetup,
     return dz
 
 
-def simplex_defect_monitor(P: int, N: int):
-    def monitor(y):
-        return float(np.max(np.abs(y.reshape(P, N).sum(axis=1) - 1.0)))
-    return monitor
-
-
 def simulate_replicator(setup: ReplicatorSetup, z0: FrequencyState,
                         cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the reduced system in slow time tau with simplex monitors."""
+    """Integrate the reduced system in slow time tau with simplex-defect and
+    min-entry monitors."""
     P, N = setup.n_patches, setup.n_strains
     if z0.z.shape != (P, N):
         raise ConfigError(f"z0 has shape {z0.z.shape}, setup expects {(P, N)}")
     z0.require_simplex()
-    monitors = [simplex_defect_monitor(P, N), np.min]
+    monitors = [lambda y: float(np.max(np.abs(y.reshape(P, N).sum(axis=1) - 1.0))), np.min]
     return integrate(partial(rhs_replicator, setup=setup), z0.z.ravel(), cfg,
                      monitors=monitors)

@@ -67,11 +67,8 @@ class StrainPerturbations:
     alpha: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _frozen(self.b))
-        object.__setattr__(self, "nu", _frozen(self.nu))
-        object.__setattr__(self, "c_pair", _frozen(self.c_pair))
-        object.__setattr__(self, "w", _frozen(self.w))
-        object.__setattr__(self, "alpha", _frozen(self.alpha))
+        for name in ("b", "nu", "c_pair", "w", "alpha"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         P, N = self.b.shape
         if self.nu.shape != (P, N):
             raise ConfigError(f"nu must have shape {(P, N)}, got {self.nu.shape}")
@@ -166,9 +163,8 @@ class FullState:
     D: np.ndarray   # (P, N, N)
 
     def __post_init__(self):
-        object.__setattr__(self, "S", _frozen(self.S))
-        object.__setattr__(self, "I", _frozen(self.I))
-        object.__setattr__(self, "D", _frozen(self.D))
+        for name in ("S", "I", "D"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         P = self.S.shape[0]
         N = self.I.shape[1]
         if self.I.shape != (P, N) or self.D.shape != (P, N, N):
@@ -243,5 +239,5 @@ class FrequencyState:
 
     def require_simplex(self):
         """Raise ConfigError unless every row lies on the simplex, up to 1e-12."""
-        if not (self.simplex_defect() <= 1e-12 and self.min_entry() >= -1e-12):
+        if not self.is_valid(1e-12):
             raise ConfigError("initial frequencies are off the simplex product")

@@ -224,6 +224,23 @@ def test_wrong_value_types_are_itemized_issues(tmp_path, capsys, where, section,
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+def test_non_finite_t_end_is_an_issue(tmp_path, capsys, t_end):
+    cfg = write_config(tmp_path, with_section("integration", {"t_end": t_end}))
+    assert main(["validate", cfg]) == 1
+    assert "must be finite" in capsys.readouterr().out
+    assert main(["simulate", cfg, "--mode", "reduced",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_unreadable_config_is_usage_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "Zürich"}'.encode("latin-1"))
+    assert main(["validate", str(tmp_path)]) == 2
+    assert main(["validate", str(latin1)]) == 2
+
+
 def test_unknown_integration_keys_share_one_exit_code(tmp_path, capsys):
     codes = set()
     for key in ("parse_me", "t_end_typo"):

@@ -10,6 +10,7 @@ from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
                         StrainPerturbations, extract_frequencies,
                         init_on_manifold, neutral_equilibrium, rhs_full,
                         simulate_full, transmissible_load)
+from straingrid.fullsim import manifold_state
 
 from conftest import random_supercritical_patch
 
@@ -85,7 +86,17 @@ def test_with_eps_preserves_structure(worked_patch):
     assert other.scale.eps == 0.05
     assert other.scale.d == 2.0
     assert other.patches == model.patches
-    assert other.background is model.background
+    assert "background" not in other.__dict__      # with_eps builds none
+    bg = model.background
+    assert model.with_eps(0.02).background is bg
+
+
+def test_with_eps_does_not_build_the_background(worked_patch):
+    """A subcritical patch has no background; with_eps alone must not ask
+    for one."""
+    subcritical = PatchParams(r=1.0, beta=1.5, gamma=1.0, k=1.0)
+    model = neutral_model([worked_patch, subcritical], N=2, eps=0.1)
+    assert model.with_eps(0.05).scale.eps == 0.05
 
 
 def test_model_arrays_stay_out_of_init_eq_and_repr(worked_patch):
@@ -165,6 +176,16 @@ def test_init_rejects_off_simplex(worked_patch):
     bg = neutral_model([worked_patch], N=2).background
     with pytest.raises(ConfigError):
         init_on_manifold(FrequencyState(z=np.array([[0.3, 0.6]])), bg)
+
+
+def test_manifold_state_takes_off_simplex_frequencies(worked_patch):
+    """The unchecked product behind init_on_manifold, used on extracted
+    frequencies that solver noise can push slightly below zero."""
+    bg = neutral_model([worked_patch], N=2).background
+    z = np.array([[1.0 + 1e-9, -1e-9]])
+    state = manifold_state(z, bg)
+    assert np.array_equal(state.I, bg.I_star[:, None] * z)
+    assert state.D[0, 0, 1] == bg.D_star[0] * z[0, 0] * z[0, 1]
 
 
 def test_extract_inverts_init(worked_patch, second_patch):

@@ -11,13 +11,16 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def imported_names(tree):
+    """Names bound by imports, apart from explicit re-exports (`import x as x`)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0]
+                if alias.asname != alias.name:
+                    yield alias.asname or alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                yield alias.asname or alias.name
+                if alias.asname != alias.name:
+                    yield alias.asname or alias.name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -16,6 +16,11 @@ def test_config_validation():
         IntegratorConfig(initial_step=1.0, max_step=0.5)
     with pytest.raises(ConfigError):
         IntegratorConfig(monitor_period=0.0)
+    for bad in ({"t_end": np.nan}, {"t_end": np.inf}, {"monitor_period": np.inf},
+                {"initial_step": np.nan}, {"max_step": np.nan}, {"rel_tol": np.nan}):
+        with pytest.raises(ConfigError, match="finite"):
+            IntegratorConfig(**bad)
+    assert IntegratorConfig().max_step == np.inf
 
 
 def test_zero_field_constant():

@@ -93,5 +93,9 @@ def test_frequency_state_predicates():
     bad = FrequencyState(z=np.array([[0.3, 0.6]]))
     assert bad.simplex_defect() == pytest.approx(0.1)
     assert not bad.is_valid()
+    for z in ([[0.3, 0.6]], [[np.nan, 1.0]], [[1.5, -0.5]]):
+        with pytest.raises(ConfigError, match="off the simplex"):
+            FrequencyState(z=np.array(z)).require_simplex()
+    FrequencyState(z=np.array([[0.3, 0.7]])).require_simplex()
     with pytest.raises(ConfigError):
         FrequencyState(z=np.array([0.3, 0.7]))
