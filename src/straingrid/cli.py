@@ -30,7 +30,7 @@ from .config import (FREQUENCY_GENERATOR, build_model, collect_issues,
                      config_hash, initial_frequencies, integrator_settings,
                      load_config)
 from .errors import ConfigError, ConfigParseError, StrainGridError
-from .fullsim import FullState, init_on_manifold, simulate_full
+from .fullsim import init_on_manifold, simulate_full
 from .ode import IntegratorConfig
 # Re-exported, not called here: perfbench/spans.py still hooks these names.
 from .reduction import (drift_matrix as drift_matrix, fitness_structure as fitness_structure,
@@ -139,31 +139,24 @@ def cmd_fitness(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def _full_csv(traj, P, N) -> str:
-    header = (["t", "patch", "S"] + [f"I_{i + 1}" for i in range(N)]
-              + [f"D_{i + 1}{j + 1}" for i in range(N) for j in range(N)]
-              + ["mass_defect"])
+def _csv(header: list[str], traj, P) -> str:
+    """One line `time, patch, *row p of the state, monitor 0` per sample and patch."""
     lines = [",".join(header)]
     for t, y, diag in zip(traj.times, traj.states, traj.diagnostics):
-        state = FullState.unravel(y, P, N)
-        for p in range(P):
-            row = ([_fmt(t), str(p), _fmt(state.S[p])]
-                   + [_fmt(v) for v in state.I[p]]
-                   + [_fmt(v) for v in state.D[p].ravel()]
-                   + [_fmt(diag[0])])
-            lines.append(",".join(row))
+        t_txt, mon = _fmt(t), _fmt(diag[0])
+        lines.extend(",".join([t_txt, str(p), *map(_fmt, row), mon])
+                     for p, row in enumerate(y.reshape(P, -1)))
     return "\n".join(lines) + "\n"
+
+
+def _full_csv(traj, P, N) -> str:
+    return _csv(["t", "patch", "S", *(f"I_{i + 1}" for i in range(N)),
+                 *(f"D_{i + 1}{j + 1}" for i in range(N) for j in range(N)), "mass_defect"],
+                traj, P)
 
 
 def _reduced_csv(traj, P, N) -> str:
-    header = ["tau", "patch"] + [f"z_{i + 1}" for i in range(N)] + ["simplex_defect"]
-    lines = [",".join(header)]
-    for tau, y, diag in zip(traj.times, traj.states, traj.diagnostics):
-        z = y.reshape(P, N)
-        for p in range(P):
-            row = ([_fmt(tau), str(p)] + [_fmt(v) for v in z[p]] + [_fmt(diag[0])])
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv(["tau", "patch", *(f"z_{i + 1}" for i in range(N)), "simplex_defect"], traj, P)
 
 
 def run_simulation(doc: dict, mode: str, outdir: Path, command: str) -> list[str]:
@@ -323,8 +316,11 @@ def cmd_sweep(args) -> int:
         rundir = outdir / f"run_{idx:03d}"
         tasks.append((doc, value, args.axis, args.mode, str(rundir)))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at the first submit: never more
+    # than there are tasks or CPUs.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]

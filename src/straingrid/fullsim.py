@@ -2,9 +2,11 @@
 
 Assembles the physical strain-specific parameters from the baseline
 rates and the eps-scaled trait deviations, provides the right-hand side
-of the full model on the flat state (S, I.ravel(), D.ravel()), slow-manifold
-initialization, frequency extraction through the left kernel
-eigenvectors, and a simulation driver with mass and negativity monitors.
+of the full model on the patch-major flat state (row p of
+y.reshape(P, -1) is (S_p, I_p, D_p.ravel()), see types.full_views),
+slow-manifold initialization, frequency extraction through the left
+kernel eigenvectors, and a simulation driver with mass and negativity
+monitors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import ConfigError, ExtinctPatch
 from .ode import IntegratorConfig, Trajectory, integrate
 from .reduction import Background, build_background
 from .types import (ConnectivityMatrix, FrequencyState, FullState, PatchParams,
-                    ScaleParams, StrainPerturbations)
+                    ScaleParams, StrainPerturbations, full_views, row_sum_defect)
 
 # Below this total weighted strain mass in a patch, frequencies are
 # considered undefined.
@@ -102,27 +104,24 @@ def rhs_full(t: float, y: np.ndarray, model: FullModel) -> np.ndarray:
     """Time derivative of the full system at the flat state y (pure; the
     system is autonomous, so t is unused)."""
     P, N = model.n_patches, model.n_strains
-    S = y[:P]
-    I = y[P:P + P * N].reshape(P, N)
-    D = y[P + P * N:].reshape(P, N, N)
+    S, I, D = full_views(y, P, N)
     J = transmissible_load(model, I, D)            # (P, N)
     infection = model.beta_i * J * S[:, None]      # (P, N)
     # co-colonization influx into D[p, i, j]: susceptible-to-j of i-singles
     co = model.k_ij * model.beta_i[:, :, None] * I[:, :, None] * J[:, None, :]
-    delta = model.scale.delta
-    Dmat = model.connectivity.entries
 
-    dS = (model.r * (1.0 - S)
-          + np.einsum("pi,pi->p", model.gamma_i, I)
-          + np.einsum("pij,pij->p", model.gamma_ij, D)
-          - infection.sum(axis=1))
-    dI = infection - (model.r[:, None] + model.gamma_i) * I - co.sum(axis=2)
-    dD = co - (model.r[:, None, None] + model.gamma_ij) * D
-    if delta != 0.0:
-        dS = dS + delta * (Dmat @ S)
-        dI = dI + delta * (Dmat @ I)
-        dD = dD + delta * np.einsum("pk,kij->pij", Dmat, D)
-    return np.concatenate([dS, dI.ravel(), dD.ravel()])
+    dy = np.empty_like(y)
+    dS, dI, dD = full_views(dy, P, N)
+    dS[:] = (model.r * (1.0 - S)
+             + np.einsum("pi,pi->p", model.gamma_i, I)
+             + np.einsum("pij,pij->p", model.gamma_ij, D)
+             - infection.sum(axis=1))
+    dI[:] = infection - (model.r[:, None] + model.gamma_i) * I - co.sum(axis=2)
+    dD[:] = co - (model.r[:, None, None] + model.gamma_ij) * D
+    delta = model.scale.delta
+    if delta != 0.0:   # migration acts on the patch index of every compartment at once
+        dy += delta * (model.connectivity.entries @ y.reshape(P, -1)).ravel()
+    return dy
 
 
 def manifold_state(z: np.ndarray, background: Background) -> FullState:
@@ -162,7 +161,6 @@ def simulate_full(model: FullModel, y0: FullState,
                   cfg: IntegratorConfig) -> Trajectory:
     """Integrate the full system with mass-defect (max_p |Sigma_p - 1|) and
     min-entry monitors."""
-    P, N = model.n_patches, model.n_strains
-    monitors = [lambda y: FullState.unravel(y, P, N).mass_defect(), np.min]
+    monitors = [partial(row_sum_defect, P=model.n_patches), np.min]
     return integrate(partial(rhs_full, model=model), y0.ravel(), cfg,
                      monitors=monitors)

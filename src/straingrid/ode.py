@@ -114,9 +114,10 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     t_end = cfg.t_end
 
     n_mon = len(monitors)
+    # The grid ends on t_end; an arange point a rounding error short of it
+    # would be a near-duplicate last sample.
     sample_times = np.arange(0.0, t_end, cfg.monitor_period)
-    if sample_times.size == 0 or sample_times[-1] < t_end:
-        sample_times = np.append(sample_times, t_end)
+    sample_times = np.append(sample_times[sample_times < t_end * (1.0 - 1e-12)], t_end)
     n_samples = sample_times.size
     states = np.empty((n_samples, y.size))
     diagnostics = np.empty((n_samples, n_mon))

@@ -21,7 +21,7 @@ from .reduction import MigrationMatrix
 from .reduction import (fitness_structure as fitness_structure,
                         left_eigenvector as left_eigenvector, migration_matrix as migration_matrix,
                         neutral_equilibrium as neutral_equilibrium)
-from .types import ConnectivityMatrix, FrequencyState
+from .types import ConnectivityMatrix, FrequencyState, row_sum_defect
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,6 @@ def simulate_replicator(setup: ReplicatorSetup, z0: FrequencyState,
     if z0.z.shape != (P, N):
         raise ConfigError(f"z0 has shape {z0.z.shape}, setup expects {(P, N)}")
     z0.require_simplex()
-    monitors = [lambda y: float(np.max(np.abs(y.reshape(P, N).sum(axis=1) - 1.0))), np.min]
+    monitors = [partial(row_sum_defect, P=P), np.min]
     return integrate(partial(rhs_replicator, setup=setup), z0.z.ravel(), cfg,
                      monitors=monitors)

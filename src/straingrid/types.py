@@ -9,8 +9,13 @@ frozen), so instances can be shared freely across parallel workers.
     parameters are assembled, so one instance serves a whole eps-sweep.
   - ScaleParams: eps and the rescaled migration intensity d.
   - ConnectivityMatrix: validated P x P patch-coupling matrix.
-  - FullState / FrequencyState: state containers with pure invariant
-    predicates usable as integration monitors.
+  - FullState / FrequencyState: state containers; FrequencyState carries
+    the simplex predicates.
+
+Both systems integrate a patch-major flat state: row p of
+y.reshape(P, -1) holds patch p's compartments, (S_p, I_p, D_p.ravel())
+for the full system and z_p for the replicator. full_views is the only
+place that slices the full layout; row_sum_defect is the monitor of both.
 """
 
 from __future__ import annotations
@@ -183,27 +188,25 @@ class FullState:
         """Sigma_p = S_p + sum_i I_p^i + sum_ij D_p^{ij}."""
         return self.S + self.I.sum(axis=1) + self.D.sum(axis=(1, 2))
 
-    def mass_defect(self) -> float:
-        return float(np.max(np.abs(self.patch_mass() - 1.0)))
-
-    def min_entry(self) -> float:
-        return float(min(self.S.min(), self.I.min(), self.D.min()))
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        """Pure predicate: inside [0,1] and unit patch mass, up to tol."""
-        return (self.min_entry() >= -tol
-                and max(self.S.max(), self.I.max(), self.D.max()) <= 1.0 + tol
-                and self.mass_defect() <= tol)
-
     def ravel(self) -> np.ndarray:
-        return np.concatenate([self.S, self.I.ravel(), self.D.ravel()])
+        return np.column_stack([self.S, self.I, self.D.reshape(self.n_patches, -1)]).ravel()
 
     @classmethod
     def unravel(cls, y: np.ndarray, P: int, N: int) -> "FullState":
-        S = y[:P]
-        I = y[P:P + P * N].reshape(P, N)
-        D = y[P + P * N:].reshape(P, N, N)
+        S, I, D = full_views(y, P, N)
         return cls(S=S, I=I, D=D)
+
+
+def full_views(y: np.ndarray, P: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S (P,), I (P, N), D (P, N, N)) views, not copies, of the flat full state y."""
+    Y = y.reshape(P, 1 + N + N * N)
+    return Y[:, 0], Y[:, 1:1 + N], Y[:, 1 + N:].reshape(P, N, N)
+
+
+def row_sum_defect(y: np.ndarray, P: int) -> float:
+    """max_p |sum of row p - 1| of a flat state: the full system's mass
+    defect and the replicator's simplex defect."""
+    return float(np.max(np.abs(y.reshape(P, -1).sum(axis=1) - 1.0)))
 
 
 @dataclass(frozen=True)

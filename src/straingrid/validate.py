@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StrainGridError
 from .fullsim import (FullModel, extract_frequencies, init_on_manifold,
                       manifold_state, simulate_full)
 from .ode import IntegratorConfig
@@ -88,9 +88,10 @@ def reduction_error(model: FullModel, z0: FrequencyState, eps: float,
 
     The full system runs at the given eps from the slow-manifold state of
     z0 over t in [0, T/eps]; the replicator runs from z0 over tau in
-    [0, T]. Both are sampled on a common tau-grid restricted to
-    [tau0, T]. Returns (error, aggregate) with aggregate the sup over
-    the window of max_p |S_p - S_p*|.
+    [0, T]. Both take VALIDATION_SAMPLES equal steps of their span, so
+    sample i of each run is at tau = i T / VALIDATION_SAMPLES; the gap is
+    taken over the samples in [tau0, T]. Returns (error, aggregate) with
+    aggregate the sup over the window of max_p |S_p - S_p*|.
     """
     tau0, T = tau_window
     if not (0 <= tau0 < T):
@@ -101,21 +102,19 @@ def reduction_error(model: FullModel, z0: FrequencyState, eps: float,
     P, N = model.n_patches, model.n_strains
     bg = model.background
 
-    tau_grid = np.linspace(0.0, T, VALIDATION_SAMPLES + 1)
-    window = tau_grid >= tau0
-
     full_traj = simulate_full(model, init_on_manifold(z0, bg), _validation_cfg(T / eps))
     red_traj = simulate_replicator(setup_from_model(model), z0, _validation_cfg(T))
-
-    full_states = full_traj.at(tau_grid / eps)
-    red_states = red_traj.at(tau_grid)
+    if full_traj.times.size != red_traj.times.size:
+        raise StrainGridError(f"full and reduced runs have {full_traj.times.size} and "
+                              f"{red_traj.times.size} samples")
+    first = int(np.searchsorted(red_traj.times, tau0))   # first sample with tau >= tau0
 
     err = 0.0
     agg = 0.0
-    for idx in np.nonzero(window)[0]:
-        state = FullState.unravel(full_states[idx], P, N)
+    for y_full, y_red in zip(full_traj.states[first:], red_traj.states[first:]):
+        state = FullState.unravel(y_full, P, N)
         z_full = extract_frequencies(state, bg).z
-        z_red = red_states[idx].reshape(P, N)
+        z_red = y_red.reshape(P, N)
         err = max(err, float(np.max(np.abs(z_full - z_red))))
         agg = max(agg, float(np.max(np.abs(state.S - bg.S_star))))
     return err, agg

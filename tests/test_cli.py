@@ -1,7 +1,9 @@
 """Command-line tool: exit codes, output files and determinism."""
 
 import csv
+import hashlib
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -97,6 +99,39 @@ def test_simulate_reduced_neutral_constant(tmp_path, capsys):
     assert all(float(row["z_1"]) == 0.5 for row in rows)
 
 
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_simulate_writes_201_samples_per_patch(tmp_path, capsys, mode):
+    """t_end = 57 once gave a near-duplicate last sample (202 rows per patch)."""
+    cfg = write_config(tmp_path, with_section("integration", {"t_end": 57.0}))
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--mode", mode, "--out", str(out)]) == 0
+    with open(out / f"trajectory_{mode}.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(WORKED_DOC["patches"]) * 201
+    assert float(rows[-1][0]) == 57.0 and float(rows[-3][0]) < 57.0 - 0.25
+
+
+# SHA-256 of the worked config's artifacts; the patch-major state layout
+# must leave them byte for byte as they were before it.
+GOLDEN_SHA256 = {
+    "reduced": "9a87ccd57e721708db705806c2fcb41103e153f827f178551971e31e34166101",
+    "equilibria": "b8a718c7396344c9e826db211c508189a6b5de91492be08bdae438a32ee61a72",
+    "fitness": "14084c2d26429b36e80a95cb54174e65f4431a09b55cc74f8318cc965f83eaff",
+}
+
+
+def test_worked_config_artifacts_are_golden(tmp_path, capsys):
+    cfg = write_config(tmp_path, WORKED_DOC)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--mode", "reduced", "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = {"reduced": (out / "trajectory_reduced.csv").read_bytes()}
+    for command in ("equilibria", "fitness"):
+        assert main([command, cfg]) == 0
+        got[command] = capsys.readouterr().out.encode()
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_SHA256
+
+
 def test_simulate_full_single_strain_endemic(tmp_path, capsys):
     doc = {
         "patches": [{"r": 1.0, "beta": 4.0, "gamma": 1.0, "k": 1.0}],
@@ -186,6 +221,36 @@ def test_sweep_parallelism_invariant(tmp_path, capsys):
         a = (out1 / run / "trajectory_reduced.csv").read_bytes()
         b = (out4 / run / "trajectory_reduced.csv").read_bytes()
         assert a == b
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(5000, 8, 3), (5000, 2, 2), (2, 8, 2),
+                                                 (5000, 1, None)])
+def test_sweep_caps_workers(tmp_path, capsys, monkeypatch, jobs, cpus, workers):
+    monkeypatch.setattr(straingrid.cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = write_config(tmp_path, WORKED_DOC)
+    assert main(["sweep", cfg, "--axis", "scale.d", "--values", "0.0,0.5,1.0",
+                 "--jobs", str(jobs), "--out", str(tmp_path / "s")]) == 0
+    assert InlinePool.sizes == ([] if workers is None else [workers])
 
 
 def with_section(section, value):

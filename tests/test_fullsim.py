@@ -1,6 +1,8 @@
 """Full co-colonization system: right-hand side identities, manifold
 initialization, frequency extraction and simulation behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,27 @@ def test_mass_derivative_identity():
         expected = model.r * (1.0 - mass) \
             + model.scale.delta * (model.connectivity.entries @ mass)
         assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def test_migration_is_one_product_on_the_patch_index(worked_patch, second_patch):
+    """The migration part of rhs_full equals delta * (A S, A I, A D)
+    taken compartment by compartment."""
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        pert = StrainPerturbations(
+            b=rng.normal(size=(4, 3)), nu=rng.normal(size=(4, 3)),
+            c_pair=rng.normal(size=(4, 3, 3)), w=rng.normal(size=(4, 3, 3)),
+            alpha=rng.normal(size=(4, 3, 3)))
+        model = replace(neutral_model([worked_patch, second_patch] * 2, N=3, d=1.0, eps=0.03),
+                        pert=pert)
+        local = replace(model, scale=ScaleParams(eps=0.03, d=0.0))
+        state = random_state(rng, 4, 3)
+        got = FullState.unravel(rhs_full(0.0, state.ravel(), model)
+                                - rhs_full(0.0, state.ravel(), local), 4, 3)
+        A, delta = model.connectivity.entries, model.scale.delta
+        for part, want in ((got.S, A @ state.S), (got.I, A @ state.I),
+                           (got.D, np.einsum("pk,kij->pij", A, state.D))):
+            assert np.max(np.abs(part - delta * want)) < 1e-15
 
 
 # ------------------------------------------------- manifold init / extraction

@@ -1,11 +1,14 @@
-"""Source hygiene: every package module uses each name it imports."""
+"""Source hygiene: every package module uses each name it imports, and
+every name the benchmark's tracer hooks still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "straingrid"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "straingrid"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -29,3 +32,15 @@ def test_module_uses_every_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_benchmark_hooks_resolve():
+    """perfbench/spans.py wraps these module-level names; a refactor that
+    drops one would leave the traced benchmark run silently incomplete."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    sites = [(module, attribute) for module, attribute, _ in spans.CALL_SITES + spans.INTEGRATE_SITES]
+    missing = [f"{m}.{a}" for m, a in sites if spans._resolve(m, a) is None]
+    assert sites and not missing, f"hooked names that no longer resolve: {missing}"

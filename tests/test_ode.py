@@ -31,6 +31,16 @@ def test_zero_field_constant():
     assert np.all(np.diff(traj.times) > 0)
 
 
+def test_sample_grid_has_no_near_duplicate_end():
+    """arange(0, 57, 57/200) ends a rounding error short of 57; the grid
+    still has 201 samples ending on t_end."""
+    cfg = IntegratorConfig(t_end=57.0, monitor_period=57.0 / 200)
+    traj = integrate(lambda t, y: np.zeros_like(y), np.array([1.0]), cfg)
+    assert traj.times.size == 201
+    assert traj.times[-1] == 57.0
+    assert np.all(np.diff(traj.times) > 0.5 * cfg.monitor_period)
+
+
 def test_exponential_decay():
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=1.0,
                            monitor_period=0.1)

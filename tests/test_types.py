@@ -5,6 +5,7 @@ import pytest
 
 from straingrid import (ConfigError, FrequencyState, FullState, PatchParams,
                         ScaleParams, StrainPerturbations)
+from straingrid.types import full_views, row_sum_defect
 
 
 def test_patch_params_validation():
@@ -69,16 +70,30 @@ def test_full_state_mass_and_roundtrip():
     assert np.array_equal(back.D, D)
 
 
-def test_full_state_validity_predicate():
-    good = FullState(S=np.array([0.5]), I=np.array([[0.25]]),
-                     D=np.array([[[0.25]]]))
-    assert good.is_valid()
-    off_mass = FullState(S=np.array([0.6]), I=np.array([[0.25]]),
-                         D=np.array([[[0.25]]]))
-    assert not off_mass.is_valid()
-    negative = FullState(S=np.array([0.75]), I=np.array([[0.5]]),
-                         D=np.array([[[-0.25]]]))
-    assert not negative.is_valid()
+def test_full_state_ravel_is_patch_major():
+    rng = np.random.default_rng(1)
+    P, N = 3, 2
+    state = FullState(S=rng.uniform(size=P), I=rng.uniform(size=(P, N)),
+                      D=rng.uniform(size=(P, N, N)))
+    y = state.ravel()
+    rows = y.reshape(P, 1 + N + N * N)
+    for p in range(P):
+        assert np.array_equal(rows[p], [state.S[p], *state.I[p], *state.D[p].ravel()])
+    views = full_views(y, P, N)
+    assert all(np.shares_memory(view, y) for view in views)
+    for view, part in zip(views, (state.S, state.I, state.D)):
+        assert np.array_equal(view, part)
+
+
+def test_row_sum_defect_is_the_mass_defect():
+    rng = np.random.default_rng(2)
+    P, N = 4, 3
+    state = FullState(S=rng.uniform(0.1, 0.4, size=P), I=rng.uniform(0.0, 0.1, size=(P, N)),
+                      D=rng.uniform(0.0, 0.05, size=(P, N, N)))
+    expected = np.max(np.abs(state.patch_mass() - 1.0))
+    assert row_sum_defect(state.ravel(), P) == pytest.approx(expected, abs=1e-15)
+    z = FrequencyState(z=np.array([[0.3, 0.6], [0.5, 0.5]]))
+    assert row_sum_defect(z.z.ravel(), 2) == z.simplex_defect()
 
 
 def test_full_state_shape_mismatch():
