@@ -10,16 +10,18 @@ residual decay while the extracted frequencies freeze.
 
 import numpy as np
 
-from straingrid import (ConnectivityMatrix, FullModel, FullState,
-                        IntegratorConfig, PatchParams, ScaleParams,
-                        StrainPerturbations, extract_frequencies,
+from straingrid import (ConnectivityMatrix, FullModel, IntegratorConfig,
+                        PatchParams, ScaleParams, StrainPerturbations,
+                        extract_frequencies, full_state,
                         neutral_equilibrium, simulate_full)
+from straingrid.types import full_views
 
 
-def product_residual(state, eq, z):
-    res_S = abs(state.S[0] - eq.S_star)
-    res_I = np.max(np.abs(state.I[0] - eq.I_star * z))
-    res_D = np.max(np.abs(state.D[0] - eq.D_star * np.outer(z, z)))
+def product_residual(y, eq, z):
+    S, I, D = full_views(y, 1, z.size)
+    res_S = abs(S[0] - eq.S_star)
+    res_I = np.max(np.abs(I[0] - eq.I_star * z))
+    res_D = np.max(np.abs(D[0] - eq.D_star * np.outer(z, z)))
     return res_S + res_I + res_D
 
 
@@ -37,7 +39,7 @@ def main():
     I0 = rng.uniform(0.05, 0.3, size=(1, 3))
     D0 = rng.uniform(0.01, 0.1, size=(1, 3, 3))
     scale = (1.0 - S0) / (I0.sum() + D0.sum())
-    y0 = FullState(S=S0, I=I0 * scale, D=D0 * scale)
+    y0 = full_state(S0, I0 * scale, D0 * scale)
 
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=80.0,
                            monitor_period=8.0)
@@ -45,9 +47,8 @@ def main():
 
     print(f"\n{'t':>6}  {'residual':>12}  frequencies")
     for t, y in zip(traj.times, traj.states):
-        state = FullState.unravel(y, 1, 3)
-        z = extract_frequencies(state, model.background).z[0]
-        res = product_residual(state, eq, z)
+        z = extract_frequencies(y, model.background)[0]
+        res = product_residual(y, eq, z)
         print(f"{t:6.1f}  {res:12.3e}  {np.round(z, 6)}")
 
     print("\nThe residual decays exponentially; the frequencies stop moving "

@@ -12,10 +12,9 @@ over a long horizon at tight tolerances).
 
 import numpy as np
 
-from straingrid import (ConnectivityMatrix, FrequencyState, FullModel,
-                        PatchParams, ScaleParams, StrainPerturbations,
-                        convergence_study, default_tau_horizon,
-                        setup_from_model)
+from straingrid import (ConnectivityMatrix, FullModel, PatchParams,
+                        ScaleParams, StrainPerturbations, convergence_study,
+                        default_tau_horizon, setup_from_model)
 
 
 def main():
@@ -40,7 +39,7 @@ def main():
     print(np.round(setup.migration.entries, 6))
 
     T = default_tau_horizon(setup)
-    z0 = FrequencyState(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
+    z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
     eps_values = [0.05, 0.025, 0.0125]
     print(f"\ntau horizon T = {T:.3f}; comparing on tau in [{0.1 * T:.3f}, {T:.3f}]")
 

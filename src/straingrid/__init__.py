@@ -19,25 +19,24 @@ from .reduction import (Background, FitnessStructure, LeftEigenvector,
 from .replicator import (ReplicatorSetup, rhs_replicator,
                          rhs_replicator_advection, setup_from_model,
                          simulate_replicator)
-from .types import (ConnectivityMatrix, FrequencyState, FullState,
-                    PatchParams, ScaleParams, StrainPerturbations)
+from .types import (ConnectivityMatrix, PatchParams, ScaleParams,
+                    StrainPerturbations, full_state, require_simplex)
 from .validate import (ReductionReport, convergence_study, default_tau_horizon,
                        neutral_limit_check, reduction_error)
 
 __all__ = [
     "Background", "ConfigError", "ConfigParseError", "ConnectivityMatrix",
-    "ConnectivityReport", "ExtinctPatch", "FitnessStructure", "FrequencyState",
-    "FullModel", "FullState", "IntegratorConfig", "LeftEigenvector",
-    "MigrationMatrix",
+    "ConnectivityReport", "ExtinctPatch", "FitnessStructure",
+    "FullModel", "IntegratorConfig", "LeftEigenvector", "MigrationMatrix",
     "NeutralEquilibrium", "NumericalBlowup", "PatchParams",
     "ReductionReport", "ReplicatorSetup", "ScaleParams", "StiffnessFailure",
     "StrainGridError", "StrainPerturbations", "SubcriticalPatch",
     "Trajectory", "convergence_study", "default_tau_horizon",
     "drift_matrix", "extract_frequencies", "fitness_matrix",
-    "fitness_structure", "init_on_manifold", "integrate", "left_eigenvector",
-    "migration_matrix", "neutral_equilibrium", "neutral_limit_check",
-    "reduction_error", "renormalize_to_density", "rhs_full",
-    "rhs_replicator", "rhs_replicator_advection", "setup_from_model",
-    "simulate_full", "simulate_replicator", "speed_and_weights",
+    "fitness_structure", "full_state", "init_on_manifold", "integrate",
+    "left_eigenvector", "migration_matrix", "neutral_equilibrium",
+    "neutral_limit_check", "reduction_error", "renormalize_to_density",
+    "require_simplex", "rhs_full", "rhs_replicator", "rhs_replicator_advection",
+    "setup_from_model", "simulate_full", "simulate_replicator", "speed_and_weights",
     "transmissible_load", "validate_connectivity", "volume_matrix",
 ]

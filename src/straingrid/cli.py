@@ -242,7 +242,7 @@ def cmd_compare(args) -> int:
         print("compare needs at least 3 eps values", file=sys.stderr)
         return EXIT_USAGE
     z0 = initial_frequencies(doc, model.n_patches, model.n_strains)
-    T = args.tau_end if args.tau_end else default_tau_horizon(setup_from_model(model))
+    T = args.tau_end if args.tau_end is not None else default_tau_horizon(setup_from_model(model))
     window = (0.1 * T, T)
 
     start = time.perf_counter()

@@ -26,8 +26,8 @@ from .connectivity import validate_connectivity as validate_connectivity
 from .errors import ConfigError, ConfigParseError, InvalidConnectivity
 from .fullsim import FullModel
 from .ode import IntegratorConfig
-from .types import (ConnectivityMatrix, FrequencyState, PatchParams,
-                    ScaleParams, StrainPerturbations)
+from .types import (ConnectivityMatrix, PatchParams, ScaleParams,
+                    StrainPerturbations, require_simplex)
 
 FREQUENCY_GENERATOR = "dirichlet-pcg64-v1"
 
@@ -191,21 +191,19 @@ def build_model(doc: dict) -> FullModel:
     return model
 
 
-def initial_frequencies(doc: dict, P: int, N: int) -> FrequencyState:
-    """Initial simplex frequencies: explicit z0, seeded Dirichlet draw,
-    or uniform when the init section is absent."""
+def initial_frequencies(doc: dict, P: int, N: int) -> np.ndarray:
+    """Initial simplex frequencies (P, N): explicit z0, seeded Dirichlet
+    draw, or uniform when the init section is absent."""
     init = _section(doc, "init")
     if "z0" in init:
         z = _parsed("init.z0", init["z0"])
         if z.shape != (P, N):
             raise ConfigError(f"init.z0 must have shape {(P, N)}, got {z.shape}")
-        z0 = FrequencyState(z=z)
-        z0.require_simplex()
-        return z0
+        return require_simplex(z)
     if "seed" in init:
         rng = _parsed("init.seed", init["seed"], lambda s: np.random.default_rng(int(s)))
-        return FrequencyState(z=rng.dirichlet(np.ones(N), size=P))
-    return FrequencyState(z=np.full((P, N), 1.0 / N))
+        return rng.dirichlet(np.ones(N), size=P)
+    return np.full((P, N), 1.0 / N)
 
 
 def integrator_settings(doc: dict) -> dict:

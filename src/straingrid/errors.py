@@ -31,7 +31,8 @@ class ExtinctPatch(StrainGridError):
 
 
 class StiffnessFailure(StrainGridError):
-    """The adaptive integrator's step size underflowed."""
+    """The adaptive integrator's step size underflowed or its step budget
+    ran out."""
 
 
 class NumericalBlowup(StrainGridError):

@@ -6,7 +6,9 @@ of the full model on the patch-major flat state (row p of
 y.reshape(P, -1) is (S_p, I_p, D_p.ravel()), see types.full_views),
 slow-manifold initialization, frequency extraction through the left
 kernel eigenvectors, and a simulation driver with mass and negativity
-monitors.
+monitors. States are plain arrays: the flat full state, and (P, N)
+frequencies; extract_frequencies maps a stack of flat states (..., dim)
+to frequencies (..., P, N) in one call.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .errors import ConfigError, ExtinctPatch
 from .ode import IntegratorConfig, Trajectory, integrate
 from .reduction import Background, build_background
-from .types import (ConnectivityMatrix, FrequencyState, FullState, PatchParams,
-                    ScaleParams, StrainPerturbations, full_views, row_sum_defect)
+from .types import (ConnectivityMatrix, PatchParams, ScaleParams, StrainPerturbations,
+                    full_state, full_views, require_simplex, row_sum_defect)
 
 # Below this total weighted strain mass in a patch, frequencies are
 # considered undefined.
@@ -124,43 +126,47 @@ def rhs_full(t: float, y: np.ndarray, model: FullModel) -> np.ndarray:
     return dy
 
 
-def manifold_state(z: np.ndarray, background: Background) -> FullState:
-    """Product state S = S*, I^i = I* z^i, D^{ij} = D* z^i z^j of z (P, N),
-    unchecked: z may lie off the simplex product."""
+def manifold_state(z: np.ndarray, background: Background) -> np.ndarray:
+    """Flat product state S = S*, I^i = I* z^i, D^{ij} = D* z^i z^j of
+    z (P, N), unchecked: z may lie off the simplex product."""
     if z.shape[0] != background.S_star.shape[0]:
         raise ConfigError("need one equilibrium per patch")
     I = background.I_star[:, None] * z
     D = background.D_star[:, None, None] * z[:, :, None] * z[:, None, :]
-    return FullState(S=background.S_star, I=I, D=D)
+    return full_state(background.S_star, I, D)
 
 
-def init_on_manifold(z0: FrequencyState, background: Background) -> FullState:
+def init_on_manifold(z0: np.ndarray, background: Background) -> np.ndarray:
     """manifold_state of z0, which must lie on the simplex product (defect <= 1e-12)."""
-    z0.require_simplex()
-    return manifold_state(z0.z, background)
+    return manifold_state(require_simplex(z0), background)
 
 
-def extract_frequencies(state: FullState, background: Background) -> FrequencyState:
-    """Project the state on the slow kernel coordinates and renormalize.
+def extract_frequencies(y: np.ndarray, background: Background) -> np.ndarray:
+    """Frequencies (..., P, N) of the flat full states y (..., dim): project
+    on the slow kernel coordinates and renormalize.
 
     u[p, i] = phi_p I^i + psi_p D^i with D^i the symmetrized pair load;
-    the output rows are renormalized to the simplex so the result is a
-    valid frequency state even off the attractor.
+    the rows are renormalized to the simplex so the result is a valid
+    frequency state even off the attractor.
     """
-    I, D = state.I, state.D
-    Dsym = 0.5 * (D.sum(axis=2) + D.sum(axis=1))   # D^i = 1/2 sum_j (D^ij + D^ji)
+    P, N = background.Lambdas.shape[:2]
+    _, I, D = full_views(y, P, N)
+    Dsym = 0.5 * (D.sum(axis=-1) + D.sum(axis=-2))   # D^i = 1/2 sum_j (D^ij + D^ji)
     u = background.phi[:, None] * I + background.psi[:, None] * Dsym
-    total = u.sum(axis=1)
+    total = u.sum(axis=-1)
     if np.any(total < EXTINCTION_THRESHOLD):
-        dead = int(np.argmin(total))
+        dead = int(np.argmin(total)) % P
         raise ExtinctPatch(f"no strain mass left in patch {dead}")
-    return FrequencyState(z=u / total[:, None])
+    return u / total[..., None]
 
 
-def simulate_full(model: FullModel, y0: FullState,
+def simulate_full(model: FullModel, y0: np.ndarray,
                   cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the full system with mass-defect (max_p |Sigma_p - 1|) and
-    min-entry monitors."""
-    monitors = [partial(row_sum_defect, P=model.n_patches), np.min]
-    return integrate(partial(rhs_full, model=model), y0.ravel(), cfg,
-                     monitors=monitors)
+    """Integrate the full system from the flat state y0 with mass-defect
+    (max_p |Sigma_p - 1|) and min-entry monitors."""
+    P, N = model.n_patches, model.n_strains
+    dim = P * (1 + N + N * N)
+    if np.shape(y0) != (dim,):
+        raise ConfigError(f"y0 has shape {np.shape(y0)}, the model expects {(dim,)}")
+    monitors = [partial(row_sum_defect, P=P), np.min]
+    return integrate(partial(rhs_full, model=model), y0, cfg, monitors=monitors)

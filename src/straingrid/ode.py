@@ -41,6 +41,12 @@ _PI_BETA = 0.4 / _ORDER
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
+# Budgets of one run: attempted steps (the six runs of a 30x30 compare
+# attempt about 600 in all) and values in the sample table (2**27 float64
+# values are 1 GiB).
+MAX_STEPS = 10**6
+MAX_SAMPLE_VALUES = 2**27
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -104,14 +110,20 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     """Integrate y' = rhs(t, y) from t=0 to cfg.t_end.
 
     Local error per step is kept below abs_tol + rel_tol * |y|. Raises
-    StiffnessFailure on step underflow and NumericalBlowup on non-finite
-    right-hand sides.
+    StiffnessFailure on step underflow or past MAX_STEPS attempted steps,
+    NumericalBlowup on non-finite right-hand sides, and ConfigError when
+    the sample table would exceed MAX_SAMPLE_VALUES.
     """
     y = np.array(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ConfigError("initial state has non-finite entries")
     t = 0.0
     t_end = cfg.t_end
+    if t_end / cfg.max_step > MAX_STEPS:
+        raise StiffnessFailure(f"t_end / max_step exceeds the budget of {MAX_STEPS} steps")
+    if (t_end / cfg.monitor_period + 2) * y.size > MAX_SAMPLE_VALUES:
+        raise ConfigError(f"{t_end / cfg.monitor_period:.3g} samples of {y.size} values "
+                          f"exceed the budget of {MAX_SAMPLE_VALUES} values")
 
     n_mon = len(monitors)
     # The grid ends on t_end; an arange point a rounding error short of it
@@ -143,10 +155,14 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     if not np.all(np.isfinite(K[0])):
         raise NumericalBlowup(f"non-finite right-hand side at t={t}")
 
+    steps = 0
     while t < t_end:
         h = min(h, t_end - t)
         if h < 1e-14 * t_end:
             raise StiffnessFailure(f"step size underflow at t={t} (h={h})")
+        steps += 1
+        if steps > MAX_STEPS:
+            raise StiffnessFailure(f"step budget of {MAX_STEPS} steps exhausted at t={t}")
 
         for s in range(1, 7):
             K[s] = rhs(t + _C[s] * h, y + h * (_A[s] @ K[:s]))

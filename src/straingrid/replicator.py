@@ -5,6 +5,8 @@ form coupling patches through the reweighted migration matrix, which the
 driver integrates in the slow time variable tau with simplex monitors,
 and the diffusion-plus-advection form that splits the coupling into the
 raw connectivity and heterogeneity corrections, kept as its reference.
+Frequencies are plain (P, N) arrays; the integrated state is their
+ravel.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .reduction import MigrationMatrix
 from .reduction import (fitness_structure as fitness_structure,
                         left_eigenvector as left_eigenvector, migration_matrix as migration_matrix,
                         neutral_equilibrium as neutral_equilibrium)
-from .types import ConnectivityMatrix, FrequencyState, row_sum_defect
+from .types import ConnectivityMatrix, require_simplex, row_sum_defect
 
 
 @dataclass(frozen=True)
@@ -70,30 +72,28 @@ def rhs_replicator(tau: float, y: np.ndarray, setup: ReplicatorSetup) -> np.ndar
     return dz.ravel()
 
 
-def rhs_replicator_advection(z: FrequencyState, setup: ReplicatorSetup,
+def rhs_replicator_advection(z: np.ndarray, setup: ReplicatorSetup,
                              D: ConnectivityMatrix) -> np.ndarray:
-    """Diffusion-advection form: reaction + d (D z^i)_p
-    + d sum_k d_pk nu_pk (z_k^i - z_p^i). Identical to rhs_replicator,
-    shaped (P, N)."""
-    zz = z.z
-    dz = _reaction(zz, setup.Theta, setup.Lambdas)
+    """Diffusion-advection form at the frequencies z (P, N): reaction
+    + d (D z^i)_p + d sum_k d_pk nu_pk (z_k^i - z_p^i). Identical to
+    rhs_replicator, shaped (P, N)."""
+    dz = _reaction(z, setup.Theta, setup.Lambdas)
     if setup.d != 0.0:
         dmat = D.entries
         nu = setup.migration.advection
-        diff = dmat @ zz
-        adv = np.einsum("pk,pki->pi", dmat * nu, zz[None, :, :] - zz[:, None, :])
+        diff = dmat @ z
+        adv = np.einsum("pk,pki->pi", dmat * nu, z[None, :, :] - z[:, None, :])
         dz = dz + setup.d * (diff + adv)
     return dz
 
 
-def simulate_replicator(setup: ReplicatorSetup, z0: FrequencyState,
+def simulate_replicator(setup: ReplicatorSetup, z0: np.ndarray,
                         cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the reduced system in slow time tau with simplex-defect and
-    min-entry monitors."""
+    """Integrate the reduced system in slow time tau from the frequencies
+    z0 (P, N) with simplex-defect and min-entry monitors."""
     P, N = setup.n_patches, setup.n_strains
-    if z0.z.shape != (P, N):
-        raise ConfigError(f"z0 has shape {z0.z.shape}, setup expects {(P, N)}")
-    z0.require_simplex()
+    if np.shape(z0) != (P, N):
+        raise ConfigError(f"z0 has shape {np.shape(z0)}, setup expects {(P, N)}")
     monitors = [partial(row_sum_defect, P=P), np.min]
-    return integrate(partial(rhs_replicator, setup=setup), z0.z.ravel(), cfg,
+    return integrate(partial(rhs_replicator, setup=setup), require_simplex(z0).ravel(), cfg,
                      monitors=monitors)

@@ -1,7 +1,8 @@
 """Core domain types.
 
-Everything here is immutable after construction (arrays are copied and
-frozen), so instances can be shared freely across parallel workers.
+The parameter records are immutable after construction (arrays are
+copied and frozen), so instances can be shared freely across parallel
+workers.
 
   - PatchParams: per-patch baseline epidemiological rates.
   - StrainPerturbations: unscaled trait deviations of the N strains.
@@ -9,13 +10,13 @@ frozen), so instances can be shared freely across parallel workers.
     parameters are assembled, so one instance serves a whole eps-sweep.
   - ScaleParams: eps and the rescaled migration intensity d.
   - ConnectivityMatrix: validated P x P patch-coupling matrix.
-  - FullState / FrequencyState: state containers; FrequencyState carries
-    the simplex predicates.
 
-Both systems integrate a patch-major flat state: row p of
-y.reshape(P, -1) holds patch p's compartments, (S_p, I_p, D_p.ravel())
-for the full system and z_p for the replicator. full_views is the only
-place that slices the full layout; row_sum_defect is the monitor of both.
+States are plain arrays. Both systems integrate a patch-major flat state:
+row p of y.reshape(P, -1) holds patch p's compartments, (S_p, I_p,
+D_p.ravel()) for the full system and z_p for the replicator, whose
+frequencies are a (P, N) array. full_state is the only packer and
+full_views the only slicer of the full layout; require_simplex guards
+frequencies and row_sum_defect is the monitor of both systems.
 """
 
 from __future__ import annotations
@@ -154,53 +155,24 @@ class ConnectivityMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class FullState:
-    """Proportions (S_p, I_p^i, D_p^{ij}) of the full co-colonization model.
-
-    D[p, i, j] is the proportion co-infected first by i then by j; the
-    ordered pair matters because the transmission probabilities are
-    asymmetric in the acquisition order.
-    """
-
-    S: np.ndarray   # (P,)
-    I: np.ndarray   # (P, N)
-    D: np.ndarray   # (P, N, N)
-
-    def __post_init__(self):
-        for name in ("S", "I", "D"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        P = self.S.shape[0]
-        N = self.I.shape[1]
-        if self.I.shape != (P, N) or self.D.shape != (P, N, N):
-            raise ConfigError(
-                f"inconsistent state shapes S={self.S.shape} I={self.I.shape} D={self.D.shape}")
-
-    @property
-    def n_patches(self) -> int:
-        return self.S.shape[0]
-
-    @property
-    def n_strains(self) -> int:
-        return self.I.shape[1]
-
-    def patch_mass(self) -> np.ndarray:
-        """Sigma_p = S_p + sum_i I_p^i + sum_ij D_p^{ij}."""
-        return self.S + self.I.sum(axis=1) + self.D.sum(axis=(1, 2))
-
-    def ravel(self) -> np.ndarray:
-        return np.column_stack([self.S, self.I, self.D.reshape(self.n_patches, -1)]).ravel()
-
-    @classmethod
-    def unravel(cls, y: np.ndarray, P: int, N: int) -> "FullState":
-        S, I, D = full_views(y, P, N)
-        return cls(S=S, I=I, D=D)
+def full_state(S, I, D) -> np.ndarray:
+    """The flat patch-major full state of S (P,), I (P, N) and D (P, N, N),
+    D[p, i, j] being the proportion co-infected first by i then by j."""
+    S, I, D = (np.asarray(a, dtype=float) for a in (S, I, D))
+    if I.ndim != 2 or S.shape != I.shape[:1] or D.shape != I.shape + I.shape[1:]:
+        raise ConfigError(f"inconsistent state shapes S={S.shape} I={I.shape} D={D.shape}")
+    P, N = I.shape
+    y = np.empty(P * (1 + N + N * N))
+    for view, part in zip(full_views(y, P, N), (S, I, D)):
+        view[...] = part
+    return y
 
 
 def full_views(y: np.ndarray, P: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S (P,), I (P, N), D (P, N, N)) views, not copies, of the flat full state y."""
-    Y = y.reshape(P, 1 + N + N * N)
-    return Y[:, 0], Y[:, 1:1 + N], Y[:, 1 + N:].reshape(P, N, N)
+    """(S (..., P), I (..., P, N), D (..., P, N, N)) views, not copies, of the
+    flat full state y (..., P(1+N+N^2)); leading axes index samples."""
+    Y = y.reshape(*y.shape[:-1], P, 1 + N + N * N)
+    return Y[..., 0], Y[..., 1:1 + N], Y[..., 1 + N:].reshape(*Y.shape[:-1], N, N)
 
 
 def row_sum_defect(y: np.ndarray, P: int) -> float:
@@ -209,38 +181,13 @@ def row_sum_defect(y: np.ndarray, P: int) -> float:
     return float(np.max(np.abs(y.reshape(P, -1).sum(axis=1) - 1.0)))
 
 
-@dataclass(frozen=True)
-class FrequencyState:
-    """Strain frequencies z[p, i] on the product of P simplices."""
-
-    z: np.ndarray   # (P, N)
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", _frozen(self.z))
-        if self.z.ndim != 2:
-            raise ConfigError(f"z must be 2-d (patch, strain), got shape {self.z.shape}")
-
-    @property
-    def n_patches(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def n_strains(self) -> int:
-        return self.z.shape[1]
-
-    def simplex_defect(self) -> float:
-        return float(np.max(np.abs(self.z.sum(axis=1) - 1.0)))
-
-    def min_entry(self) -> float:
-        return float(self.z.min())
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        """Pure predicate: on the simplex product, up to tol."""
-        return (self.min_entry() >= -tol
-                and self.z.max() <= 1.0 + tol
-                and self.simplex_defect() <= tol)
-
-    def require_simplex(self):
-        """Raise ConfigError unless every row lies on the simplex, up to 1e-12."""
-        if not self.is_valid(1e-12):
-            raise ConfigError("initial frequencies are off the simplex product")
+def require_simplex(z) -> np.ndarray:
+    """A float copy of the frequencies z (P, N); ConfigError unless every row
+    lies on the simplex, up to 1e-12 (NaN entries fail)."""
+    z = np.array(z, dtype=float)
+    if z.ndim != 2:
+        raise ConfigError(f"z must be 2-d (patch, strain), got shape {z.shape}")
+    if not (z.min() >= -1e-12 and z.max() <= 1.0 + 1e-12
+            and row_sum_defect(z, z.shape[0]) <= 1e-12):
+        raise ConfigError("initial frequencies are off the simplex product")
+    return z

@@ -22,7 +22,7 @@ from .ode import IntegratorConfig
 from .reduction import (left_eigenvector as left_eigenvector,
                         neutral_equilibrium as neutral_equilibrium)
 from .replicator import setup_from_model, simulate_replicator
-from .types import FrequencyState, FullState
+from .types import full_views
 
 # Validation runs resolve the fast scale; tolerances sit well below the
 # smallest expected reduction error so discretization noise cannot
@@ -82,7 +82,7 @@ def _validation_cfg(t_end: float) -> IntegratorConfig:
                             initial_step=min(1e-4, t_end / 1000))
 
 
-def reduction_error(model: FullModel, z0: FrequencyState, eps: float,
+def reduction_error(model: FullModel, z0: np.ndarray, eps: float,
                     tau_window: tuple[float, float]) -> tuple[float, float]:
     """Sup-norm frequency gap between full and reduced dynamics.
 
@@ -109,18 +109,14 @@ def reduction_error(model: FullModel, z0: FrequencyState, eps: float,
                               f"{red_traj.times.size} samples")
     first = int(np.searchsorted(red_traj.times, tau0))   # first sample with tau >= tau0
 
-    err = 0.0
-    agg = 0.0
-    for y_full, y_red in zip(full_traj.states[first:], red_traj.states[first:]):
-        state = FullState.unravel(y_full, P, N)
-        z_full = extract_frequencies(state, bg).z
-        z_red = y_red.reshape(P, N)
-        err = max(err, float(np.max(np.abs(z_full - z_red))))
-        agg = max(agg, float(np.max(np.abs(state.S - bg.S_star))))
+    y_full = full_traj.states[first:]
+    z_full = extract_frequencies(y_full, bg)
+    err = float(np.max(np.abs(z_full - red_traj.states[first:].reshape(-1, P, N))))
+    agg = float(np.max(np.abs(full_views(y_full, P, N)[0] - bg.S_star)))
     return err, agg
 
 
-def convergence_study(model: FullModel, z0: FrequencyState, eps_list,
+def convergence_study(model: FullModel, z0: np.ndarray, eps_list,
                       tau_window: tuple[float, float]) -> ReductionReport:
     """Run reduction_error per eps and fit the log-log convergence order."""
     eps_list = [float(e) for e in eps_list]
@@ -142,7 +138,7 @@ def convergence_study(model: FullModel, z0: FrequencyState, eps_list,
                            aggregate_deviations=aggs)
 
 
-def neutral_limit_check(model: FullModel, y0: FullState,
+def neutral_limit_check(model: FullModel, y0: np.ndarray,
                         t_end: float = 200.0) -> float:
     """Residual of the product structure S = S*, I^i = I* z^i,
     D^{ij} = D* z^i z^j at t_end, with z extracted from the final state.
@@ -152,8 +148,7 @@ def neutral_limit_check(model: FullModel, y0: FullState,
     P, N = model.n_patches, model.n_strains
     bg = model.background
 
-    traj = simulate_full(model, y0, _validation_cfg(t_end))
-    state = FullState.unravel(traj.final_state(), P, N)
-    target = manifold_state(extract_frequencies(state, bg).z, bg)
+    y = simulate_full(model, y0, _validation_cfg(t_end)).final_state()
+    target = manifold_state(extract_frequencies(y, bg), bg)
     return sum(float(np.max(np.abs(got - want))) for got, want in
-               ((state.S, target.S), (state.I, target.I), (state.D, target.D)))
+               zip(full_views(y, P, N), full_views(target, P, N)))

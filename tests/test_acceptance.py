@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from straingrid import (ConnectivityMatrix, FrequencyState, FullModel,
-                        FullState, IntegratorConfig, MigrationMatrix,
-                        PatchParams, ReplicatorSetup, ScaleParams,
-                        StrainPerturbations, convergence_study, drift_matrix,
-                        fitness_structure, init_on_manifold, left_eigenvector,
+from straingrid import (ConnectivityMatrix, FullModel, IntegratorConfig,
+                        MigrationMatrix, PatchParams, ReplicatorSetup,
+                        ScaleParams, StrainPerturbations, convergence_study,
+                        drift_matrix, fitness_structure, full_state,
+                        init_on_manifold, left_eigenvector,
                         migration_matrix, neutral_equilibrium,
                         neutral_limit_check, reduction_error,
                         renormalize_to_density, rhs_replicator,
@@ -142,7 +142,7 @@ def test_criterion_04_mass_conservation():
         model = FullModel(patches=(WORKED, SECOND), pert=pert,
                           scale=ScaleParams(eps=0.05, d=1.0),
                           connectivity=TWO_PATCH)
-        z0 = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
+        z0 = rng.dirichlet(np.ones(3), size=2)
         y0 = init_on_manifold(z0, model.background)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10, t_end=400.0,
                                monitor_period=2.0)
@@ -164,7 +164,7 @@ def test_criterion_05_neutral_limit_product_structure():
         I = rng.uniform(0.05, 0.3, size=(1, 3))
         D = rng.uniform(0.01, 0.1, size=(1, 3, 3))
         rest = (1.0 - S) / (I.sum() + D.sum())
-        y0 = FullState(S=S, I=I * rest, D=D * rest)
+        y0 = full_state(S, I * rest, D * rest)
         residual = neutral_limit_check(model, y0, t_end=200.0)
         assert residual < 1e-6
         assert time.perf_counter() - start < 10.0
@@ -192,7 +192,7 @@ def test_criterion_07_replicator_oracle():
         setup = ReplicatorSetup(Theta=np.array([2.0]),
                                 Lambdas=np.array([[[0.0, 0.5], [-0.5, 0.0]]]),
                                 migration=mig, d=0.0)
-        z0 = FrequencyState(z=np.array([[0.1, 0.9]]))
+        z0 = np.array([[0.1, 0.9]])
         # cap the step so the linear dense output resolves the sampled
         # sup-norm below the 1e-6 band
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=5.0,
@@ -225,8 +225,8 @@ def test_criterion_07_replicator_oracle():
                 Theta=rng.uniform(0.5, 3.0, size=P), Lambdas=Lambdas,
                 migration=MigrationMatrix(entries=M, advection=nu),
                 d=rng.uniform(0.1, 2.0))
-            z = FrequencyState(z=rng.dirichlet(np.ones(N), size=P))
-            a = rhs_replicator(0.0, z.z.ravel(), setup).reshape(P, N)
+            z = rng.dirichlet(np.ones(N), size=P)
+            a = rhs_replicator(0.0, z.ravel(), setup).reshape(P, N)
             b = rhs_replicator_advection(z, setup, conn)
             assert np.max(np.abs(a - b)) < 1e-13
 
@@ -238,7 +238,7 @@ def test_criterion_08_reduction_theorem():
                           pert=generic_two_strain_pert(),
                           scale=ScaleParams(eps=0.05, d=1.0),
                           connectivity=TWO_PATCH)
-        z0 = FrequencyState(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
+        z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
         T = 8.75
         report = convergence_study(model, z0, [0.05, 0.025, 0.0125],
                                    (0.1 * T, T))
@@ -258,7 +258,7 @@ def test_criterion_09_decoupling():
                           connectivity=TWO_PATCH)
         z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
         window = (0.3, 3.0)
-        joint, _ = reduction_error(model, FrequencyState(z=z0), 0.05, window)
+        joint, _ = reduction_error(model, z0, 0.05, window)
 
         single_conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
         per_patch = []
@@ -271,7 +271,7 @@ def test_criterion_09_decoupling():
                                scale=ScaleParams(eps=0.05, d=0.0),
                                connectivity=single_conn)
             per_patch.append(reduction_error(
-                single, FrequencyState(z=z0[p:p + 1]), 0.05, window)[0])
+                single, z0[p:p + 1], 0.05, window)[0])
         assert abs(joint - max(per_patch)) < 1e-9
 
 

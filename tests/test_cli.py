@@ -11,6 +11,7 @@ import pytest
 
 import straingrid.cli
 import straingrid.connectivity
+import straingrid.ode
 import straingrid.reduction
 from straingrid.cli import main
 
@@ -111,21 +112,31 @@ def test_simulate_writes_201_samples_per_patch(tmp_path, capsys, mode):
     assert float(rows[-1][0]) == 57.0 and float(rows[-3][0]) < 57.0 - 0.25
 
 
-# SHA-256 of the worked config's artifacts; the patch-major state layout
-# must leave them byte for byte as they were before it.
+# SHA-256 of the worked config's artifacts; changes to how states are
+# stored and passed must leave them byte for byte as they are.
 GOLDEN_SHA256 = {
+    "full": "41ca98fbf66263733e3941675e9fc2a15e2010b65c04965d481d850ee25258b1",
     "reduced": "9a87ccd57e721708db705806c2fcb41103e153f827f178551971e31e34166101",
     "equilibria": "b8a718c7396344c9e826db211c508189a6b5de91492be08bdae438a32ee61a72",
     "fitness": "14084c2d26429b36e80a95cb54174e65f4431a09b55cc74f8318cc965f83eaff",
+    "reduction_errors.csv": "9a75b4ac971b8d9ff6a331d7ffdb93ac06fa02eabde38428b06dc1a0e0828562",
+    "reduction_report.json": "38092ed3ac5a76c978b5bd8f8f87156471ffd96bf0ce9c1e3386a2dcd085c3d4",
 }
 
 
 def test_worked_config_artifacts_are_golden(tmp_path, capsys):
     cfg = write_config(tmp_path, WORKED_DOC)
-    out = tmp_path / "out"
-    assert main(["simulate", cfg, "--mode", "reduced", "--out", str(out)]) == 0
+    got = {}
+    for mode in ("full", "reduced"):
+        out = tmp_path / mode
+        assert main(["simulate", cfg, "--mode", mode, "--out", str(out)]) == 0
+        got[mode] = (out / f"trajectory_{mode}.csv").read_bytes()
+    out = tmp_path / "cmp"
+    assert main(["compare", cfg, "--eps", "0.2,0.1,0.05", "--tau-end", "0.5",
+                 "--out", str(out)]) == 0
+    for name in ("reduction_errors.csv", "reduction_report.json"):
+        got[name] = (out / name).read_bytes()
     capsys.readouterr()
-    got = {"reduced": (out / "trajectory_reduced.csv").read_bytes()}
     for command in ("equilibria", "fitness"):
         assert main([command, cfg]) == 0
         got[command] = capsys.readouterr().out.encode()
@@ -178,6 +189,16 @@ def test_compare_outputs(tmp_path, capsys):
     assert (out / "reduction_errors.csv").exists()
     svg = (out / "reduction_loglog.svg").read_text()
     assert svg.startswith("<svg")
+
+
+@pytest.mark.parametrize("tau_end", ["0", "-1"])
+def test_compare_rejects_an_empty_tau_window(tmp_path, capsys, tau_end):
+    cfg = write_config(tmp_path, WORKED_DOC)
+    out = tmp_path / "cmp"
+    assert main(["compare", cfg, "--eps", "0.2,0.1,0.05", f"--tau-end={tau_end}",
+                 "--out", str(out)]) == 1
+    assert "invalid tau window" in capsys.readouterr().err
+    assert not (out / "reduction_report.json").exists()
 
 
 def test_sweep_with_failing_row(tmp_path, capsys):
@@ -297,6 +318,29 @@ def test_non_finite_t_end_is_an_issue(tmp_path, capsys, t_end):
     assert main(["simulate", cfg, "--mode", "reduced",
                  "--out", str(tmp_path / "out")]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_step_budget_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(straingrid.ode, "MAX_STEPS", 5)
+    tiny_steps = write_config(tmp_path, with_section(
+        "integration", {"t_end": 5.0, "max_step": 1e-12, "initial_step": 1e-12}), "tiny.json")
+    assert main(["validate", tiny_steps]) == 0
+    capsys.readouterr()
+    for cfg, mode in ((tiny_steps, "reduced"), (write_config(tmp_path, WORKED_DOC), "full")):
+        out = tmp_path / mode
+        assert main(["simulate", cfg, "--mode", mode, "--out", str(out)]) == 1
+        assert "budget of 5 steps" in capsys.readouterr().err
+        assert not (out / f"trajectory_{mode}.csv").exists()
+
+
+def test_sample_table_budget_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, with_section(
+        "integration", {"t_end": 1e300, "monitor_period": 1e-300}))
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    for mode in ("reduced", "full"):
+        assert main(["simulate", cfg, "--mode", mode, "--out", str(tmp_path / mode)]) == 1
+        assert "exceed the budget" in capsys.readouterr().err
 
 
 def test_unreadable_config_is_usage_error(tmp_path, capsys):

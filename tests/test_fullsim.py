@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
-                        FrequencyState, FullModel, FullState,
-                        IntegratorConfig, PatchParams, ScaleParams,
-                        StrainPerturbations, extract_frequencies,
+                        FullModel, IntegratorConfig, PatchParams, ScaleParams,
+                        StrainPerturbations, extract_frequencies, full_state,
                         init_on_manifold, neutral_equilibrium, rhs_full,
                         simulate_full, transmissible_load)
 from straingrid.fullsim import manifold_state
+from straingrid.types import full_views
 
 from conftest import random_supercritical_patch
 
@@ -42,13 +42,13 @@ def random_model(rng, P, N, eps):
 
 
 def random_state(rng, P, N):
-    """Random interior state with unit patch mass."""
+    """Random interior flat state with unit patch mass."""
     S = rng.uniform(0.2, 0.5, size=P)
     I = rng.uniform(0.1, 1.0, size=(P, N))
     D = rng.uniform(0.1, 1.0, size=(P, N, N))
     rest = 1.0 - S
     scale = rest / (I.sum(axis=1) + D.sum(axis=(1, 2)))
-    return FullState(S=S, I=I * scale[:, None], D=D * scale[:, None, None])
+    return full_state(S, I * scale[:, None], D * scale[:, None, None])
 
 
 # ----------------------------------------------------------- model assembly
@@ -114,17 +114,15 @@ def test_model_arrays_stay_out_of_init_eq_and_repr(worked_patch):
 
 def test_disease_free_state_stationary(worked_patch, second_patch):
     model = neutral_model([worked_patch, second_patch], N=2, d=1.0, eps=0.0)
-    state = FullState(S=np.ones(2), I=np.zeros((2, 2)), D=np.zeros((2, 2, 2)))
-    deriv = rhs_full(0.0, state.ravel(), model)
+    deriv = rhs_full(0.0, full_state(np.ones(2), np.zeros((2, 2)), np.zeros((2, 2, 2))), model)
     assert np.max(np.abs(deriv)) < 1e-15
 
 
 def test_neutral_manifold_stationary(worked_patch, second_patch):
     rng = np.random.default_rng(5)
     model = neutral_model([worked_patch, second_patch], N=3, d=0.0, eps=0.0)
-    z = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
-    state = init_on_manifold(z, model.background)
-    deriv = rhs_full(0.0, state.ravel(), model)
+    z = rng.dirichlet(np.ones(3), size=2)
+    deriv = rhs_full(0.0, init_on_manifold(z, model.background), model)
     assert np.max(np.abs(deriv)) < 1e-14
 
 
@@ -133,11 +131,11 @@ def test_transmissible_load_neutral_split(worked_patch):
     load, and the total load is conserved."""
     rng = np.random.default_rng(9)
     model = neutral_model([worked_patch], N=3, eps=0.0)
-    state = random_state(rng, 1, 3)
-    J = transmissible_load(model, state.I, state.D)
-    expected = state.I + 0.5 * (state.D.sum(axis=2) + state.D.sum(axis=1))
+    _, I, D = full_views(random_state(rng, 1, 3), 1, 3)
+    J = transmissible_load(model, I, D)
+    expected = I + 0.5 * (D.sum(axis=2) + D.sum(axis=1))
     assert np.allclose(J, expected, atol=1e-15)
-    assert J.sum() == pytest.approx(state.I.sum() + state.D.sum(), abs=1e-14)
+    assert J.sum() == pytest.approx(I.sum() + D.sum(), abs=1e-14)
 
 
 def test_mass_derivative_identity():
@@ -146,10 +144,11 @@ def test_mass_derivative_identity():
     rng = np.random.default_rng(13)
     for _ in range(10):
         model = random_model(rng, P=3, N=2, eps=0.03)
-        state = random_state(rng, 3, 2)
-        deriv = FullState.unravel(rhs_full(0.0, state.ravel(), model), 3, 2)
-        got = deriv.S + deriv.I.sum(axis=1) + deriv.D.sum(axis=(1, 2))
-        mass = state.patch_mass()
+        y = random_state(rng, 3, 2)
+        dS, dI, dD = full_views(rhs_full(0.0, y, model), 3, 2)
+        got = dS + dI.sum(axis=1) + dD.sum(axis=(1, 2))
+        S, I, D = full_views(y, 3, 2)
+        mass = S + I.sum(axis=1) + D.sum(axis=(1, 2))
         expected = model.r * (1.0 - mass) \
             + model.scale.delta * (model.connectivity.entries @ mass)
         assert np.max(np.abs(got - expected)) < 1e-13
@@ -167,12 +166,11 @@ def test_migration_is_one_product_on_the_patch_index(worked_patch, second_patch)
         model = replace(neutral_model([worked_patch, second_patch] * 2, N=3, d=1.0, eps=0.03),
                         pert=pert)
         local = replace(model, scale=ScaleParams(eps=0.03, d=0.0))
-        state = random_state(rng, 4, 3)
-        got = FullState.unravel(rhs_full(0.0, state.ravel(), model)
-                                - rhs_full(0.0, state.ravel(), local), 4, 3)
+        y = random_state(rng, 4, 3)
+        got = full_views(rhs_full(0.0, y, model) - rhs_full(0.0, y, local), 4, 3)
+        S, I, D = full_views(y, 4, 3)
         A, delta = model.connectivity.entries, model.scale.delta
-        for part, want in ((got.S, A @ state.S), (got.I, A @ state.I),
-                           (got.D, np.einsum("pk,kij->pij", A, state.D))):
+        for part, want in zip(got, (A @ S, A @ I, np.einsum("pk,kij->pij", A, D))):
             assert np.max(np.abs(part - delta * want)) < 1e-15
 
 
@@ -180,25 +178,24 @@ def test_migration_is_one_product_on_the_patch_index(worked_patch, second_patch)
 
 def test_init_on_manifold_worked_values(worked_patch):
     bg = neutral_model([worked_patch], N=4).background
-    z = FrequencyState(z=np.full((1, 4), 0.25))
-    state = init_on_manifold(z, bg)
-    assert np.allclose(state.I, 0.25 / 4)
-    assert np.allclose(state.D, 0.25 / 16)
-    assert state.patch_mass()[0] == pytest.approx(1.0, abs=1e-15)
+    S, I, D = full_views(init_on_manifold(np.full((1, 4), 0.25), bg), 1, 4)
+    assert np.allclose(I, 0.25 / 4)
+    assert np.allclose(D, 0.25 / 16)
+    assert (S + I.sum(axis=1) + D.sum(axis=(1, 2)))[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_init_single_strain_is_endemic_point(worked_patch):
     bg = neutral_model([worked_patch], N=1).background
-    state = init_on_manifold(FrequencyState(z=np.ones((1, 1))), bg)
-    assert state.S[0] == 0.5
-    assert state.I[0, 0] == 0.25
-    assert state.D[0, 0, 0] == 0.25
+    S, I, D = full_views(init_on_manifold(np.ones((1, 1)), bg), 1, 1)
+    assert S[0] == 0.5
+    assert I[0, 0] == 0.25
+    assert D[0, 0, 0] == 0.25
 
 
 def test_init_rejects_off_simplex(worked_patch):
     bg = neutral_model([worked_patch], N=2).background
     with pytest.raises(ConfigError):
-        init_on_manifold(FrequencyState(z=np.array([[0.3, 0.6]])), bg)
+        init_on_manifold(np.array([[0.3, 0.6]]), bg)
 
 
 def test_manifold_state_takes_off_simplex_frequencies(worked_patch):
@@ -206,46 +203,71 @@ def test_manifold_state_takes_off_simplex_frequencies(worked_patch):
     frequencies that solver noise can push slightly below zero."""
     bg = neutral_model([worked_patch], N=2).background
     z = np.array([[1.0 + 1e-9, -1e-9]])
-    state = manifold_state(z, bg)
-    assert np.array_equal(state.I, bg.I_star[:, None] * z)
-    assert state.D[0, 0, 1] == bg.D_star[0] * z[0, 0] * z[0, 1]
+    _, I, D = full_views(manifold_state(z, bg), 1, 2)
+    assert np.array_equal(I, bg.I_star[:, None] * z)
+    assert D[0, 0, 1] == bg.D_star[0] * z[0, 0] * z[0, 1]
 
 
 def test_extract_inverts_init(worked_patch, second_patch):
     rng = np.random.default_rng(17)
     bg = neutral_model([worked_patch, second_patch], N=3).background
-    z0 = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
-    state = init_on_manifold(z0, bg)
-    z = extract_frequencies(state, bg)
-    assert np.max(np.abs(z.z - z0.z)) < 1e-14
+    z0 = rng.dirichlet(np.ones(3), size=2)
+    z = extract_frequencies(init_on_manifold(z0, bg), bg)
+    assert np.max(np.abs(z - z0)) < 1e-14
 
 
 def test_extract_single_strain_is_one(worked_patch):
     bg = neutral_model([worked_patch], N=1).background
-    state = FullState(S=np.array([0.9]), I=np.array([[0.05]]),
-                      D=np.array([[[0.05]]]))
-    z = extract_frequencies(state, bg)
-    assert z.z[0, 0] == 1.0
+    z = extract_frequencies(full_state([0.9], [[0.05]], [[[0.05]]]), bg)
+    assert z[0, 0] == 1.0
 
 
 def test_extract_rows_sum_to_one(worked_patch):
     rng = np.random.default_rng(19)
     bg = neutral_model([worked_patch] * 2, N=3).background
     for _ in range(20):
-        state = random_state(rng, 2, 3)
-        z = extract_frequencies(state, bg)
-        assert np.max(np.abs(z.z.sum(axis=1) - 1.0)) < 1e-14
+        z = extract_frequencies(random_state(rng, 2, 3), bg)
+        assert np.max(np.abs(z.sum(axis=1) - 1.0)) < 1e-14
 
 
 def test_extract_extinct_patch(worked_patch):
     bg = neutral_model([worked_patch], N=2).background
-    state = FullState(S=np.array([1.0]), I=np.zeros((1, 2)),
-                      D=np.zeros((1, 2, 2)))
     with pytest.raises(ExtinctPatch):
-        extract_frequencies(state, bg)
+        extract_frequencies(full_state([1.0], np.zeros((1, 2)), np.zeros((1, 2, 2))), bg)
+
+
+def test_extract_stack_equals_per_state_extraction(worked_patch, second_patch):
+    """One call on a stack of states gives each state's extraction bit for bit."""
+    rng = np.random.default_rng(23)
+    for P, N in ((2, 3), (3, 30)):
+        bg = neutral_model([worked_patch, second_patch, worked_patch][:P], N=N).background
+        states = np.array([random_state(rng, P, N) for _ in range(6)]).reshape(2, 3, -1)
+        stacked = extract_frequencies(states, bg)
+        assert stacked.shape == (2, 3, P, N)
+        for a in range(2):
+            for b in range(3):
+                assert np.array_equal(stacked[a, b], extract_frequencies(states[a, b], bg))
+
+
+def test_extract_stack_names_the_extinct_patch(worked_patch):
+    rng = np.random.default_rng(29)
+    bg = neutral_model([worked_patch] * 3, N=2).background
+    states = np.array([random_state(rng, 3, 2) for _ in range(4)])
+    _, I, D = full_views(states[2], 3, 2)
+    I[1], D[1] = 0.0, 0.0
+    with pytest.raises(ExtinctPatch, match="patch 1"):
+        extract_frequencies(states, bg)
 
 
 # ------------------------------------------------------------------ dynamics
+
+def test_simulate_full_rejects_wrongly_sized_state(worked_patch):
+    model = neutral_model([worked_patch], N=2)
+    y0 = init_on_manifold(np.array([[0.3, 0.7]]), model.background)
+    cfg = IntegratorConfig(t_end=1.0, monitor_period=0.5)
+    for bad in (y0[:-1], np.append(y0, 0.0), y0.reshape(1, -1)):
+        with pytest.raises(ConfigError, match="y0 has shape"):
+            simulate_full(model, bad, cfg)
 
 def test_single_strain_converges_to_endemic_point(worked_patch):
     rng = np.random.default_rng(21)
@@ -253,15 +275,15 @@ def test_single_strain_converges_to_endemic_point(worked_patch):
     S0 = rng.uniform(0.2, 0.6)
     I0 = rng.uniform(0.05, 0.3)
     D0 = rng.uniform(0.01, min(0.3, 1.0 - S0 - I0))
-    y0 = FullState(S=np.array([S0]), I=np.array([[I0]]), D=np.array([[[D0]]]))
+    y0 = full_state([S0], [[I0]], [[[D0]]])
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=200.0,
                            monitor_period=10.0)
     traj = simulate_full(model, y0, cfg)
     eq = neutral_equilibrium(worked_patch)
-    final = FullState.unravel(traj.final_state(), 1, 1)
-    assert abs(final.S[0] - eq.S_star) < 1e-6
-    assert abs(final.I[0, 0] - eq.I_star) < 1e-6
-    assert abs(final.D[0, 0, 0] - eq.D_star) < 1e-6
+    S, I, D = full_views(traj.final_state(), 1, 1)
+    assert abs(S[0] - eq.S_star) < 1e-6
+    assert abs(I[0, 0] - eq.I_star) < 1e-6
+    assert abs(D[0, 0, 0] - eq.D_star) < 1e-6
 
 
 def test_mass_and_negativity_monitors(worked_patch, second_patch,
@@ -275,8 +297,7 @@ def test_mass_and_negativity_monitors(worked_patch, second_patch,
     model = FullModel(patches=patches, pert=pert,
                       scale=ScaleParams(eps=0.05, d=1.0),
                       connectivity=two_patch_conn)
-    y0 = init_on_manifold(FrequencyState(z=np.array([[0.3, 0.7], [0.6, 0.4]])),
-                          model.background)
+    y0 = init_on_manifold(np.array([[0.3, 0.7], [0.6, 0.4]]), model.background)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=100.0,
                            monitor_period=5.0)
     traj = simulate_full(model, y0, cfg)

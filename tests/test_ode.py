@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import straingrid.ode
 from straingrid import (ConfigError, IntegratorConfig, NumericalBlowup,
                         StiffnessFailure, integrate)
 
@@ -120,3 +121,45 @@ def test_nonfinite_initial_state_rejected():
     cfg = IntegratorConfig(t_end=1.0, monitor_period=1.0)
     with pytest.raises(ConfigError):
         integrate(lambda t, y: -y, np.array([np.inf]), cfg)
+
+
+def oscillator(t, y):
+    return np.array([y[1], -y[0]])
+
+
+def test_step_budget_surfaced(monkeypatch):
+    """A run may attempt MAX_STEPS steps and no more."""
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=20.0, monitor_period=20.0)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return oscillator(t, y)
+    integrate(counted, np.array([1.0, 0.0]), cfg)
+    attempts = (len(calls) - 1) // 6      # one FSAL call, then six per attempt
+    assert attempts > 20
+    monkeypatch.setattr(straingrid.ode, "MAX_STEPS", attempts)
+    integrate(oscillator, np.array([1.0, 0.0]), cfg)
+    monkeypatch.setattr(straingrid.ode, "MAX_STEPS", attempts - 1)
+    with pytest.raises(StiffnessFailure, match="step budget"):
+        integrate(oscillator, np.array([1.0, 0.0]), cfg)
+
+
+def test_max_step_beyond_the_budget_fails_before_stepping(monkeypatch):
+    monkeypatch.setattr(straingrid.ode, "MAX_STEPS", 1000)
+    calls = []
+    cfg = IntegratorConfig(t_end=5.0, max_step=1e-3, initial_step=1e-3)
+    with pytest.raises(StiffnessFailure, match="budget"):
+        integrate(lambda t, y: calls.append(t) or -y, np.array([1.0]), cfg)
+    assert calls == []
+
+
+def test_sample_table_budget_checked_before_allocation(monkeypatch):
+    cfg = IntegratorConfig(t_end=1e300, monitor_period=1e-300)
+    with pytest.raises(ConfigError, match="budget"):
+        integrate(lambda t, y: -y, np.array([1.0]), cfg)
+    cfg = IntegratorConfig(t_end=1.0, monitor_period=0.1)
+    assert integrate(lambda t, y: -y, np.ones(3), cfg).states.shape == (11, 3)
+    monkeypatch.setattr(straingrid.ode, "MAX_SAMPLE_VALUES", 30)
+    with pytest.raises(ConfigError, match="budget"):
+        integrate(lambda t, y: -y, np.ones(3), cfg)

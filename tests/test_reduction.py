@@ -13,12 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from straingrid import (ConfigError, ConnectivityMatrix, FrequencyState,
-                        FullModel, PatchParams, ScaleParams,
-                        StrainPerturbations, SubcriticalPatch, drift_matrix,
-                        fitness_matrix, fitness_structure, init_on_manifold,
-                        left_eigenvector, migration_matrix,
-                        neutral_equilibrium, rhs_full, speed_and_weights)
+from straingrid import (ConfigError, ConnectivityMatrix, FullModel,
+                        PatchParams, ScaleParams, StrainPerturbations,
+                        SubcriticalPatch, drift_matrix, fitness_matrix,
+                        fitness_structure, init_on_manifold, left_eigenvector,
+                        migration_matrix, neutral_equilibrium, rhs_full,
+                        speed_and_weights)
 from straingrid.reduction import build_background
 
 from conftest import random_supercritical_patch
@@ -220,8 +220,7 @@ def _slow_rate_oracle(patch, pert, zvec):
                    scale=ScaleParams(eps=0.0, d=0.0), connectivity=conn)
 
     def manifold(z):
-        return init_on_manifold(FrequencyState(z=np.array([z])),
-                                m0.background).ravel()
+        return init_on_manifold(np.array([z]), m0.background)
 
     h = 1e-6
     mp = FullModel(patches=(patch,), pert=pert,

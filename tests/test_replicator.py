@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from straingrid import (ConfigError, ConnectivityMatrix, FrequencyState,
-                        IntegratorConfig, MigrationMatrix, ReplicatorSetup,
-                        rhs_replicator, rhs_replicator_advection,
-                        simulate_replicator)
+from straingrid import (ConfigError, ConnectivityMatrix, IntegratorConfig,
+                        MigrationMatrix, ReplicatorSetup, rhs_replicator,
+                        rhs_replicator_advection, simulate_replicator)
 
 
 def replicator_derivative(z, setup):
-    """rhs_replicator at a FrequencyState, shaped (P, N)."""
-    return rhs_replicator(0.0, z.z.ravel(), setup).reshape(z.z.shape)
+    """rhs_replicator at the frequencies z (P, N), shaped (P, N)."""
+    return rhs_replicator(0.0, z.ravel(), setup).reshape(z.shape)
 
 
 def make_setup(Theta, Lambdas, conn=None, d=0.0):
@@ -50,13 +49,13 @@ def random_setup(rng, P, N, d):
 
 def test_neutral_uniform_is_stationary():
     setup, _ = make_setup(np.ones(3), np.zeros((3, 2, 2)), d=1.0)
-    z = FrequencyState(z=np.full((3, 2), 0.5))
+    z = np.full((3, 2), 0.5)
     assert np.max(np.abs(replicator_derivative(z, setup))) < 1e-15
 
 
 def test_single_patch_pair_hand_value():
     setup, _ = make_setup([1.0], [[[0.0, 1.0], [0.0, 0.0]]])
-    z = FrequencyState(z=np.array([[0.5, 0.5]]))
+    z = np.array([[0.5, 0.5]])
     dz = replicator_derivative(z, setup)
     assert dz[0, 0] == pytest.approx(0.125, abs=1e-15)
     assert dz[0, 1] == pytest.approx(-0.125, abs=1e-15)
@@ -67,7 +66,7 @@ def test_rows_sum_to_zero_random():
     for _ in range(20):
         P, N = int(rng.integers(1, 4)), int(rng.integers(2, 5))
         setup, _ = random_setup(rng, P, N, d=rng.uniform(0.0, 2.0))
-        z = FrequencyState(z=rng.dirichlet(np.ones(N), size=P))
+        z = rng.dirichlet(np.ones(N), size=P)
         dz = replicator_derivative(z, setup)
         assert np.max(np.abs(dz.sum(axis=1))) < 1e-14
 
@@ -77,7 +76,7 @@ def test_advection_form_identical_random():
     for _ in range(100):
         P, N = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         setup, conn = random_setup(rng, P, N, d=rng.uniform(0.1, 2.0))
-        z = FrequencyState(z=rng.dirichlet(np.ones(N), size=P))
+        z = rng.dirichlet(np.ones(N), size=P)
         a = replicator_derivative(z, setup)
         b = rhs_replicator_advection(z, setup, conn)
         assert np.max(np.abs(a - b)) < 1e-13
@@ -87,7 +86,7 @@ def test_homogeneous_advection_vanishes():
     setup, conn = make_setup(np.ones(2), np.zeros((2, 3, 3)), d=1.5)
     assert np.max(np.abs(setup.migration.advection)) == 0.0
     rng = np.random.default_rng(47)
-    z = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
+    z = rng.dirichlet(np.ones(3), size=2)
     a = replicator_derivative(z, setup)
     b = rhs_replicator_advection(z, setup, conn)
     assert np.max(np.abs(a - b)) < 1e-15
@@ -100,14 +99,14 @@ def test_absent_strain_stays_absent():
     setup, _ = random_setup(rng, 3, 3, d=1.0)
     z = rng.dirichlet(np.ones(2), size=3)
     z = np.column_stack([z[:, 0], np.zeros(3), z[:, 1]])
-    dz = replicator_derivative(FrequencyState(z=z), setup)
+    dz = replicator_derivative(z, setup)
     assert np.max(np.abs(dz[:, 1])) == 0.0
 
 
 def test_logistic_closed_form():
     """Antisymmetric two-strain fitness reduces to the logistic equation."""
     setup, _ = make_setup([2.0], [[[0.0, 0.5], [-0.5, 0.0]]])
-    z0 = FrequencyState(z=np.array([[0.1, 0.9]]))
+    z0 = np.array([[0.1, 0.9]])
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=5.0,
                            monitor_period=0.25)
     traj = simulate_replicator(setup, z0, cfg)
@@ -119,7 +118,7 @@ def test_logistic_closed_form():
 def test_neutral_migration_consensus():
     """Pure migration contracts heterogeneous frequencies to agreement."""
     setup, _ = make_setup(np.ones(3), np.zeros((3, 2, 2)), d=1.0)
-    z0 = FrequencyState(z=np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]))
+    z0 = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=30.0,
                            monitor_period=1.0)
     traj = simulate_replicator(setup, z0, cfg)
@@ -133,13 +132,13 @@ def test_decoupled_patches_match_independent_runs():
     z0 = rng.dirichlet(np.ones(2), size=3)
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, t_end=4.0,
                            monitor_period=0.5)
-    joint = simulate_replicator(setup, FrequencyState(z=z0), cfg)
+    joint = simulate_replicator(setup, z0, cfg)
     for p in range(3):
         single = ReplicatorSetup(
             Theta=setup.Theta[p:p + 1], Lambdas=setup.Lambdas[p:p + 1],
             migration=MigrationMatrix(entries=np.zeros((1, 1)),
                                       advection=np.zeros((1, 1))), d=0.0)
-        traj = simulate_replicator(single, FrequencyState(z=z0[p:p + 1]), cfg)
+        traj = simulate_replicator(single, z0[p:p + 1], cfg)
         got = joint.final_state().reshape(3, 2)[p]
         assert np.max(np.abs(got - traj.final_state())) < 1e-10
 
@@ -147,7 +146,7 @@ def test_decoupled_patches_match_independent_runs():
 def test_simplex_monitor_stays_small():
     rng = np.random.default_rng(61)
     setup, _ = random_setup(rng, 2, 3, d=0.5)
-    z0 = FrequencyState(z=rng.dirichlet(np.ones(3), size=2))
+    z0 = rng.dirichlet(np.ones(3), size=2)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=10.0,
                            monitor_period=0.5)
     traj = simulate_replicator(setup, z0, cfg)
@@ -156,14 +155,13 @@ def test_simplex_monitor_stays_small():
 
 def test_driver_shape_mismatch():
     setup, _ = make_setup(np.ones(2), np.zeros((2, 2, 2)))
-    with pytest.raises(ConfigError):
-        simulate_replicator(setup, FrequencyState(z=np.full((1, 2), 0.5)),
-                            IntegratorConfig(t_end=1.0))
+    for z0 in (np.full((1, 2), 0.5), np.full(4, 0.5), np.full((2, 3), 1 / 3), [[0.5, 0.5]]):
+        with pytest.raises(ConfigError, match="z0 has shape"):
+            simulate_replicator(setup, z0, IntegratorConfig(t_end=1.0))
 
 
 @pytest.mark.parametrize("z0", [[[2.0, -1.0]], [[0.3, 0.6]]])
 def test_driver_rejects_off_simplex_start(z0):
     setup, _ = make_setup([1.0], [[[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(ConfigError, match="off the simplex"):
-        simulate_replicator(setup, FrequencyState(z=np.array(z0)),
-                            IntegratorConfig(t_end=1.0))
+        simulate_replicator(setup, np.array(z0), IntegratorConfig(t_end=1.0))

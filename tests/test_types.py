@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from straingrid import (ConfigError, FrequencyState, FullState, PatchParams,
-                        ScaleParams, StrainPerturbations)
+from straingrid import (ConfigError, PatchParams, ScaleParams, StrainPerturbations,
+                        full_state, require_simplex)
 from straingrid.types import full_views, row_sum_defect
 
 
@@ -61,56 +61,71 @@ def test_full_state_mass_and_roundtrip():
     S = rng.uniform(0.1, 0.4, size=P)
     I = rng.uniform(0.0, 0.1, size=(P, N))
     D = rng.uniform(0.0, 0.02, size=(P, N, N))
-    state = FullState(S=S, I=I, D=D)
-    expected = S + I.sum(axis=1) + D.sum(axis=(1, 2))
-    assert np.allclose(state.patch_mass(), expected, atol=1e-15)
-    back = FullState.unravel(state.ravel(), P, N)
-    assert np.array_equal(back.S, S)
-    assert np.array_equal(back.I, I)
-    assert np.array_equal(back.D, D)
+    y = full_state(S, I, D)
+    assert y.shape == (P * (1 + N + N * N),)
+    back_S, back_I, back_D = full_views(y, P, N)
+    assert np.array_equal(back_S, S)
+    assert np.array_equal(back_I, I)
+    assert np.array_equal(back_D, D)
 
 
 def test_full_state_ravel_is_patch_major():
     rng = np.random.default_rng(1)
     P, N = 3, 2
-    state = FullState(S=rng.uniform(size=P), I=rng.uniform(size=(P, N)),
-                      D=rng.uniform(size=(P, N, N)))
-    y = state.ravel()
+    S, I, D = rng.uniform(size=P), rng.uniform(size=(P, N)), rng.uniform(size=(P, N, N))
+    y = full_state(S, I, D)
     rows = y.reshape(P, 1 + N + N * N)
     for p in range(P):
-        assert np.array_equal(rows[p], [state.S[p], *state.I[p], *state.D[p].ravel()])
+        assert np.array_equal(rows[p], [S[p], *I[p], *D[p].ravel()])
     views = full_views(y, P, N)
     assert all(np.shares_memory(view, y) for view in views)
-    for view, part in zip(views, (state.S, state.I, state.D)):
+    for view, part in zip(views, (S, I, D)):
         assert np.array_equal(view, part)
+
+
+def test_full_views_take_leading_sample_axes():
+    rng = np.random.default_rng(3)
+    P, N = 3, 2
+    states = rng.uniform(size=(4, 5, P * (1 + N + N * N)))
+    stacked = full_views(states, P, N)
+    assert [v.shape for v in stacked] == [(4, 5, P), (4, 5, P, N), (4, 5, P, N, N)]
+    assert all(np.shares_memory(view, states) for view in stacked)
+    for a in range(4):
+        for b in range(5):
+            for view, part in zip(stacked, full_views(states[a, b], P, N)):
+                assert np.array_equal(view[a, b], part)
 
 
 def test_row_sum_defect_is_the_mass_defect():
     rng = np.random.default_rng(2)
     P, N = 4, 3
-    state = FullState(S=rng.uniform(0.1, 0.4, size=P), I=rng.uniform(0.0, 0.1, size=(P, N)),
-                      D=rng.uniform(0.0, 0.05, size=(P, N, N)))
-    expected = np.max(np.abs(state.patch_mass() - 1.0))
-    assert row_sum_defect(state.ravel(), P) == pytest.approx(expected, abs=1e-15)
-    z = FrequencyState(z=np.array([[0.3, 0.6], [0.5, 0.5]]))
-    assert row_sum_defect(z.z.ravel(), 2) == z.simplex_defect()
+    S, I, D = (rng.uniform(0.1, 0.4, size=P), rng.uniform(0.0, 0.1, size=(P, N)),
+               rng.uniform(0.0, 0.05, size=(P, N, N)))
+    expected = np.max(np.abs(S + I.sum(axis=1) + D.sum(axis=(1, 2)) - 1.0))
+    assert row_sum_defect(full_state(S, I, D), P) == pytest.approx(expected, abs=1e-15)
+    z = np.array([[0.3, 0.6], [0.5, 0.5]])
+    assert row_sum_defect(z.ravel(), 2) == pytest.approx(0.1)
 
 
 def test_full_state_shape_mismatch():
-    with pytest.raises(ConfigError):
-        FullState(S=np.zeros(2), I=np.zeros((2, 2)), D=np.zeros((1, 2, 2)))
+    for S, I, D in ((np.zeros(2), np.zeros((2, 2)), np.zeros((1, 2, 2))),
+                    (np.zeros(3), np.zeros((2, 2)), np.zeros((2, 2, 2))),
+                    (np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2, 3))),
+                    (np.zeros(2), np.zeros(2), np.zeros((2, 2, 2))),
+                    (0.5, np.zeros((1, 1)), np.zeros((1, 1, 1)))):
+        with pytest.raises(ConfigError, match="inconsistent state shapes"):
+            full_state(S, I, D)
 
 
 def test_frequency_state_predicates():
-    z = FrequencyState(z=np.array([[0.3, 0.7], [0.5, 0.5]]))
-    assert z.simplex_defect() < 1e-15
-    assert z.is_valid()
-    bad = FrequencyState(z=np.array([[0.3, 0.6]]))
-    assert bad.simplex_defect() == pytest.approx(0.1)
-    assert not bad.is_valid()
-    for z in ([[0.3, 0.6]], [[np.nan, 1.0]], [[1.5, -0.5]]):
+    z = [[0.3, 0.7], [0.5, 0.5]]
+    checked = require_simplex(z)
+    assert checked.dtype == float and np.array_equal(checked, z)
+    given = np.array([[0.3, 0.7]])
+    assert not np.shares_memory(require_simplex(given), given)
+    assert require_simplex(np.array([[1.0 + 5e-13, -5e-13]])).shape == (1, 2)
+    for z in ([[0.3, 0.6]], [[np.nan, 1.0]], [[1.5, -0.5]], [[0.5, 0.5], [0.3, 0.6]]):
         with pytest.raises(ConfigError, match="off the simplex"):
-            FrequencyState(z=np.array(z)).require_simplex()
-    FrequencyState(z=np.array([[0.3, 0.7]])).require_simplex()
-    with pytest.raises(ConfigError):
-        FrequencyState(z=np.array([0.3, 0.7]))
+            require_simplex(np.array(z))
+    with pytest.raises(ConfigError, match="2-d"):
+        require_simplex(np.array([0.3, 0.7]))

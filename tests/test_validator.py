@@ -4,12 +4,11 @@ neutral-limit product structure."""
 import numpy as np
 import pytest
 
-from straingrid import (ConfigError, ConnectivityMatrix, FrequencyState,
-                        FullModel, ReductionReport, ScaleParams,
-                        StrainPerturbations, convergence_study,
-                        default_tau_horizon, init_on_manifold,
-                        neutral_limit_check, reduction_error,
-                        setup_from_model)
+from straingrid import (ConfigError, ConnectivityMatrix, FullModel,
+                        ReductionReport, ScaleParams, StrainPerturbations,
+                        convergence_study, default_tau_horizon,
+                        init_on_manifold, neutral_limit_check,
+                        reduction_error, setup_from_model)
 
 
 def generic_pert():
@@ -31,7 +30,7 @@ def test_neutral_config_error_at_tolerance(worked_patch):
     model = FullModel(patches=(worked_patch,),
                       pert=StrainPerturbations.zeros(1, 2),
                       scale=ScaleParams(eps=0.05, d=0.0), connectivity=conn)
-    z0 = FrequencyState(z=np.array([[0.3, 0.7]]))
+    z0 = np.array([[0.3, 0.7]])
     err, agg = reduction_error(model, z0, eps=0.05, tau_window=(0.1, 1.0))
     assert err < 1e-8
     assert agg < 1e-8
@@ -45,7 +44,7 @@ def test_single_patch_error_decreases_with_eps(worked_patch):
         alpha=np.zeros((1, 2, 2)))
     model = FullModel(patches=(worked_patch,), pert=pert,
                       scale=ScaleParams(eps=0.1, d=0.0), connectivity=conn)
-    z0 = FrequencyState(z=np.array([[0.3, 0.7]]))
+    z0 = np.array([[0.3, 0.7]])
     window = (0.3, 3.0)
     errs = [reduction_error(model, z0, eps, window)[0] for eps in (0.1, 0.05)]
     assert errs[1] < errs[0]
@@ -57,7 +56,7 @@ def test_reduction_error_input_guards(worked_patch):
     model = FullModel(patches=(worked_patch,),
                       pert=StrainPerturbations.zeros(1, 2),
                       scale=ScaleParams(eps=0.05, d=0.0), connectivity=conn)
-    z0 = FrequencyState(z=np.array([[0.3, 0.7]]))
+    z0 = np.array([[0.3, 0.7]])
     with pytest.raises(ConfigError):
         reduction_error(model, z0, eps=0.0, tau_window=(0.1, 1.0))
     with pytest.raises(ConfigError):
@@ -67,7 +66,7 @@ def test_reduction_error_input_guards(worked_patch):
 def test_error_monotone_under_window_shrink(worked_patch, second_patch,
                                             two_patch_conn):
     model = two_patch_model(worked_patch, second_patch, two_patch_conn)
-    z0 = FrequencyState(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
+    z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
     wide = reduction_error(model, z0, 0.05, (0.2, 4.0))
     narrow = reduction_error(model, z0, 0.05, (1.0, 4.0))
     assert narrow[0] <= wide[0] + 1e-15
@@ -76,7 +75,7 @@ def test_error_monotone_under_window_shrink(worked_patch, second_patch,
 
 def test_convergence_study_report(worked_patch, second_patch, two_patch_conn):
     model = two_patch_model(worked_patch, second_patch, two_patch_conn)
-    z0 = FrequencyState(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
+    z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
     report = convergence_study(model, z0, [0.08, 0.04, 0.02], (0.4, 4.0))
     assert report.slope_applicable
     assert 0.7 < report.fitted_order < 1.3
@@ -92,7 +91,7 @@ def test_convergence_study_degenerate_neutral(worked_patch):
     model = FullModel(patches=(worked_patch,),
                       pert=StrainPerturbations.zeros(1, 2),
                       scale=ScaleParams(eps=0.05, d=0.0), connectivity=conn)
-    z0 = FrequencyState(z=np.array([[0.3, 0.7]]))
+    z0 = np.array([[0.3, 0.7]])
     report = convergence_study(model, z0, [0.08, 0.04, 0.02], (0.1, 1.0))
     assert not report.slope_applicable
     assert report.as_dict()["fitted_order"] is None
@@ -101,7 +100,7 @@ def test_convergence_study_degenerate_neutral(worked_patch):
 def test_convergence_study_input_validation(worked_patch, second_patch,
                                             two_patch_conn):
     model = two_patch_model(worked_patch, second_patch, two_patch_conn)
-    z0 = FrequencyState(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
+    z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
     with pytest.raises(ConfigError):
         convergence_study(model, z0, [0.1, 0.05], (0.1, 1.0))
     with pytest.raises(ConfigError):
@@ -127,7 +126,7 @@ def test_neutral_limit_manifold_start(worked_patch):
     model = FullModel(patches=(worked_patch,),
                       pert=StrainPerturbations.zeros(1, 3),
                       scale=ScaleParams(eps=0.0, d=0.0), connectivity=conn)
-    z0 = FrequencyState(z=np.array([[0.2, 0.3, 0.5]]))
+    z0 = np.array([[0.2, 0.3, 0.5]])
     y0 = init_on_manifold(z0, model.background)
     residual = neutral_limit_check(model, y0, t_end=50.0)
     assert residual < 1e-8
