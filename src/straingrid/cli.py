@@ -346,6 +346,16 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="straingrid",
@@ -383,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--axis", required=True, help="dotted config path, e.g. scale.d")
     p.add_argument("--values", type=_float_list, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--mode", choices=("full", "reduced"), default="reduced")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -7,8 +7,11 @@ y.reshape(P, -1) is (S_p, I_p, D_p.ravel()), see types.full_views),
 slow-manifold initialization, frequency extraction through the left
 kernel eigenvectors, and a simulation driver with mass and negativity
 monitors. States are plain arrays: the flat full state, and (P, N)
-frequencies; extract_frequencies maps a stack of flat states (..., dim)
-to frequencies (..., P, N) in one call.
+frequencies. Extraction is two maps, each taking a whole stack in one
+call: slow_observables projects flat states (..., dim) on the rows
+(S_p, u_p) (..., P, 1+N), and observed_frequencies renormalizes u_p to
+frequencies (..., P, N). A run can record only the first map's rows
+(simulate_full(..., observe=...)) and normalize afterwards.
 """
 
 from __future__ import annotations
@@ -141,32 +144,49 @@ def init_on_manifold(z0: np.ndarray, background: Background) -> np.ndarray:
     return manifold_state(require_simplex(z0), background)
 
 
-def extract_frequencies(y: np.ndarray, background: Background) -> np.ndarray:
-    """Frequencies (..., P, N) of the flat full states y (..., dim): project
-    on the slow kernel coordinates and renormalize.
+def slow_observables(y: np.ndarray, background: Background) -> np.ndarray:
+    """Rows (..., P, 1+N) = (S_p, u_p) of the flat full states y (..., dim).
 
-    u[p, i] = phi_p I^i + psi_p D^i with D^i the symmetrized pair load;
-    the rows are renormalized to the simplex so the result is a valid
-    frequency state even off the attractor.
+    u[p, i] = phi_p I^i + psi_p D^i is the projection on the slow kernel
+    coordinates, with D^i = 1/2 sum_j (D^ij + D^ji) the symmetrized pair
+    load; it is all that frequency extraction reads of a state.
     """
     P, N = background.Lambdas.shape[:2]
-    _, I, D = full_views(y, P, N)
-    Dsym = 0.5 * (D.sum(axis=-1) + D.sum(axis=-2))   # D^i = 1/2 sum_j (D^ij + D^ji)
-    u = background.phi[:, None] * I + background.psi[:, None] * Dsym
+    S, I, D = full_views(y, P, N)
+    out = np.empty(S.shape + (1 + N,))
+    out[..., 0] = S
+    Dsym = 0.5 * (D.sum(axis=-1) + D.sum(axis=-2))
+    out[..., 1:] = background.phi[:, None] * I + background.psi[:, None] * Dsym
+    return out
+
+
+def observed_frequencies(obs: np.ndarray) -> np.ndarray:
+    """Frequencies (..., P, N) of slow_observables rows (..., P, 1+N).
+
+    Each u_p is renormalized to the simplex, so the result is a valid
+    frequency state even off the attractor."""
+    u = obs[..., 1:]
     total = u.sum(axis=-1)
     if np.any(total < EXTINCTION_THRESHOLD):
-        dead = int(np.argmin(total)) % P
+        dead = int(np.argmin(total)) % total.shape[-1]
         raise ExtinctPatch(f"no strain mass left in patch {dead}")
     return u / total[..., None]
 
 
-def simulate_full(model: FullModel, y0: np.ndarray,
-                  cfg: IntegratorConfig) -> Trajectory:
+def extract_frequencies(y: np.ndarray, background: Background) -> np.ndarray:
+    """Frequencies (..., P, N) of the flat full states y (..., dim)."""
+    return observed_frequencies(slow_observables(y, background))
+
+
+def simulate_full(model: FullModel, y0: np.ndarray, cfg: IntegratorConfig,
+                  observe=None) -> Trajectory:
     """Integrate the full system from the flat state y0 with mass-defect
-    (max_p |Sigma_p - 1|) and min-entry monitors."""
+    (max_p |Sigma_p - 1|) and min-entry monitors; `observe` goes to
+    ode.integrate (the sample table then holds observe(state))."""
     P, N = model.n_patches, model.n_strains
     dim = P * (1 + N + N * N)
     if np.shape(y0) != (dim,):
         raise ConfigError(f"y0 has shape {np.shape(y0)}, the model expects {(dim,)}")
     monitors = [partial(row_sum_defect, P=P), np.min]
-    return integrate(partial(rhs_full, model=model), y0, cfg, monitors=monitors)
+    return integrate(partial(rhs_full, model=model), y0, cfg, monitors=monitors,
+                     observe=observe)

@@ -3,8 +3,9 @@
 Embedded Dormand-Prince 5(4) pair with PI step-size control. Monitors
 (scalar functionals of the state) are evaluated at every accepted step;
 the trajectory records states on a uniform sampling grid via linear
-interpolation between accepted steps. Conservation defects are measured,
-never corrected: they are observables of the discrete flow.
+interpolation between accepted steps, or only an observable of each
+such state when the caller passes `observe`. Conservation defects are
+measured, never corrected: they are observables of the discrete flow.
 
 Identical inputs always produce bit-identical trajectories.
 """
@@ -29,7 +30,7 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B5 = np.append(_A[6], 0.0)   # FSAL: the last stage is taken at the solution
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
@@ -76,7 +77,8 @@ class Trajectory:
     """Sampled solution with per-sample monitor values.
 
     times: sampling grid (strictly increasing, ends at t_end).
-    states: one state row per sample.
+    states: one row per sample: the state, or observe(state) flattened
+        when integrate was given an observable.
     diagnostics: (n_samples, n_monitors) monitor values at the samples.
     monitor_max: max |monitor| over all *accepted* steps, per monitor.
     """
@@ -106,10 +108,14 @@ def _error_norm(err, y_old, y_new, cfg):
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               y0,
               cfg: IntegratorConfig,
-              monitors: Sequence[Callable[[np.ndarray], float]] = ()) -> Trajectory:
+              monitors: Sequence[Callable[[np.ndarray], float]] = (),
+              observe: Callable[[np.ndarray], np.ndarray] | None = None) -> Trajectory:
     """Integrate y' = rhs(t, y) from t=0 to cfg.t_end.
 
-    Local error per step is kept below abs_tol + rel_tol * |y|. Raises
+    Local error per step is kept below abs_tol + rel_tol * |y|. Monitors
+    see the full state. With `observe`, the sample table holds
+    observe(state).ravel() for each sampled state instead of the state,
+    and MAX_SAMPLE_VALUES counts that width, observe(y0).size. Raises
     StiffnessFailure on step underflow or past MAX_STEPS attempted steps,
     NumericalBlowup on non-finite right-hand sides, and ConfigError when
     the sample table would exceed MAX_SAMPLE_VALUES.
@@ -121,8 +127,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     t_end = cfg.t_end
     if t_end / cfg.max_step > MAX_STEPS:
         raise StiffnessFailure(f"t_end / max_step exceeds the budget of {MAX_STEPS} steps")
-    if (t_end / cfg.monitor_period + 2) * y.size > MAX_SAMPLE_VALUES:
-        raise ConfigError(f"{t_end / cfg.monitor_period:.3g} samples of {y.size} values "
+    width = y.size if observe is None else np.size(observe(y))
+    if (t_end / cfg.monitor_period + 2) * width > MAX_SAMPLE_VALUES:
+        raise ConfigError(f"{t_end / cfg.monitor_period:.3g} samples of {width} values "
                           f"exceed the budget of {MAX_SAMPLE_VALUES} values")
 
     n_mon = len(monitors)
@@ -131,12 +138,12 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     sample_times = np.arange(0.0, t_end, cfg.monitor_period)
     sample_times = np.append(sample_times[sample_times < t_end * (1.0 - 1e-12)], t_end)
     n_samples = sample_times.size
-    states = np.empty((n_samples, y.size))
+    states = np.empty((n_samples, width))
     diagnostics = np.empty((n_samples, n_mon))
     monitor_max = np.zeros(n_mon)
 
     def record(idx, state):
-        states[idx] = state
+        states[idx] = state if observe is None else np.ravel(observe(state))
         for m, mon in enumerate(monitors):
             diagnostics[idx, m] = mon(state)
 
@@ -154,6 +161,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     K[0] = rhs(t, y)
     if not np.all(np.isfinite(K[0])):
         raise NumericalBlowup(f"non-finite right-hand side at t={t}")
+    # Every stage argument is built in y_new; the last one is the step's
+    # solution y + h _B5 K.
+    y_new = np.empty_like(y)
 
     steps = 0
     while t < t_end:
@@ -165,13 +175,17 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             raise StiffnessFailure(f"step budget of {MAX_STEPS} steps exhausted at t={t}")
 
         for s in range(1, 7):
-            K[s] = rhs(t + _C[s] * h, y + h * (_A[s] @ K[:s]))
-        if not np.all(np.isfinite(K)):
-            raise NumericalBlowup(f"non-finite right-hand side at t={t}")
+            np.matmul(K.T[:, :s], _A[s], out=y_new)
+            y_new *= h
+            y_new += y
+            K[s] = rhs(t + _C[s] * h, y_new)
 
-        y_new = y + h * (_B5 @ K)
-        err = h * (_E @ K)
+        err = h * (K.T @ _E)
         norm = _error_norm(err, y, y_new, cfg)
+        # A non-finite stage reaches the error estimate (every later stage
+        # and y_new depend on it), so one scalar test replaces a scan of K.
+        if not np.isfinite(norm):
+            raise NumericalBlowup(f"non-finite right-hand side at t={t}")
 
         if norm <= 1.0:
             t_new = t + h
@@ -181,7 +195,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
                 frac = (ts - t) / h
                 record(next_sample, y + frac * (y_new - y))
                 next_sample += 1
-            y = y_new
+            y, y_new = y_new, y
             t = t_new
             eval_monitors(y)
             K[0] = K[6]  # FSAL

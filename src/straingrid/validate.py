@@ -2,8 +2,11 @@
 
 reduction_error integrates the full system and the reduced replicator
 from matched initial data and measures the sup-norm gap between the
-extracted and reduced frequencies over a slow-time window.
-convergence_study sweeps eps and fits the log-log convergence order.
+extracted and reduced frequencies over a slow-time window. The full run
+records only the slow observables (S_p, u_p) of each sample, P(1+N)
+values instead of the P(1+N+N^2) of the state.
+convergence_study checks every eps, then sweeps them and fits the
+log-log convergence order.
 neutral_limit_check verifies the product-structure attractor of the
 fully neutral, migration-free system.
 """
@@ -11,12 +14,14 @@ fully neutral, migration-free system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, StrainGridError
 from .fullsim import (FullModel, extract_frequencies, init_on_manifold,
-                      manifold_state, simulate_full)
+                      manifold_state, observed_frequencies, simulate_full,
+                      slow_observables)
 from .ode import IntegratorConfig
 # Re-exported, not called here: perfbench/spans.py still hooks these names.
 from .reduction import (left_eigenvector as left_eigenvector,
@@ -90,8 +95,9 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps: float,
     z0 over t in [0, T/eps]; the replicator runs from z0 over tau in
     [0, T]. Both take VALIDATION_SAMPLES equal steps of their span, so
     sample i of each run is at tau = i T / VALIDATION_SAMPLES; the gap is
-    taken over the samples in [tau0, T]. Returns (error, aggregate) with
-    aggregate the sup over the window of max_p |S_p - S_p*|.
+    taken over the samples in [tau0, T]. The full run records only
+    slow_observables, from which both numbers are read. Returns (error,
+    aggregate) with aggregate the sup over the window of max_p |S_p - S_p*|.
     """
     tau0, T = tau_window
     if not (0 <= tau0 < T):
@@ -102,24 +108,29 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps: float,
     P, N = model.n_patches, model.n_strains
     bg = model.background
 
-    full_traj = simulate_full(model, init_on_manifold(z0, bg), _validation_cfg(T / eps))
+    full_traj = simulate_full(model, init_on_manifold(z0, bg), _validation_cfg(T / eps),
+                              observe=partial(slow_observables, background=bg))
     red_traj = simulate_replicator(setup_from_model(model), z0, _validation_cfg(T))
     if full_traj.times.size != red_traj.times.size:
         raise StrainGridError(f"full and reduced runs have {full_traj.times.size} and "
                               f"{red_traj.times.size} samples")
     first = int(np.searchsorted(red_traj.times, tau0))   # first sample with tau >= tau0
 
-    y_full = full_traj.states[first:]
-    z_full = extract_frequencies(y_full, bg)
+    obs = full_traj.states[first:].reshape(-1, P, 1 + N)
+    z_full = observed_frequencies(obs)
     err = float(np.max(np.abs(z_full - red_traj.states[first:].reshape(-1, P, N))))
-    agg = float(np.max(np.abs(full_views(y_full, P, N)[0] - bg.S_star)))
+    agg = float(np.max(np.abs(obs[..., 0] - bg.S_star)))
     return err, agg
 
 
 def convergence_study(model: FullModel, z0: np.ndarray, eps_list,
                       tau_window: tuple[float, float]) -> ReductionReport:
-    """Run reduction_error per eps and fit the log-log convergence order."""
+    """Run reduction_error per eps and fit the log-log convergence order.
+
+    Every eps is checked before the first run."""
     eps_list = [float(e) for e in eps_list]
+    if not all(np.isfinite(e) and e > 0 for e in eps_list):
+        raise ConfigError(f"eps values must be finite and positive, got {eps_list}")
     if len(eps_list) < 3:
         raise ConfigError("need at least 3 eps values for a convergence study")
     if not all(a > b for a, b in zip(eps_list, eps_list[1:])):

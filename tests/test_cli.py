@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ import straingrid.cli
 import straingrid.connectivity
 import straingrid.ode
 import straingrid.reduction
+import straingrid.validate
 from straingrid.cli import main
 
 WORKED_DOC = {
@@ -201,6 +203,23 @@ def test_compare_rejects_an_empty_tau_window(tmp_path, capsys, tau_end):
     assert not (out / "reduction_report.json").exists()
 
 
+@pytest.mark.parametrize("eps", ["0.2,0.1,0", "inf,0.1,0.05"])
+def test_compare_checks_every_eps_before_the_first_run(tmp_path, capsys, monkeypatch, eps):
+    runs = []
+    monkeypatch.setattr(straingrid.validate, "simulate_full",
+                        lambda *args, **kwargs: runs.append(args))
+    cfg = write_config(tmp_path, WORKED_DOC)
+    out = tmp_path / "cmp"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", cfg, "--eps", eps, "--tau-end", "0.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps values must be finite and positive")
+    assert "Warning" not in err
+    assert runs == []
+    assert not out.exists()
+
+
 def test_sweep_with_failing_row(tmp_path, capsys):
     doc = json.loads(json.dumps(WORKED_DOC))
     cfg = write_config(tmp_path, doc)
@@ -272,6 +291,21 @@ def test_sweep_caps_workers(tmp_path, capsys, monkeypatch, jobs, cpus, workers):
     assert main(["sweep", cfg, "--axis", "scale.d", "--values", "0.0,0.5,1.0",
                  "--jobs", str(jobs), "--out", str(tmp_path / "s")]) == 0
     assert InlinePool.sizes == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(straingrid.cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    cfg = write_config(tmp_path, WORKED_DOC)
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", cfg, "--axis", "scale.d", "--values", "0.0,0.5",
+              f"--jobs={jobs}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert InlinePool.sizes == []
+    assert not out.exists()
 
 
 def with_section(section, value):

@@ -163,3 +163,50 @@ def test_sample_table_budget_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(straingrid.ode, "MAX_SAMPLE_VALUES", 30)
     with pytest.raises(ConfigError, match="budget"):
         integrate(lambda t, y: -y, np.ones(3), cfg)
+
+
+def test_observed_table_holds_the_observable_of_each_sample(monkeypatch):
+    """With observe, the table holds observe(state) of the states the
+    plain run samples, monitors still see the full state, and the budget
+    counts the observed width."""
+    cfg = IntegratorConfig(t_end=1.0, monitor_period=0.1)
+    y0 = np.array([1.0, 2.0, 3.0])
+    seen = []
+
+    def monitor(y):
+        seen.append(y.size)
+        return float(y[0])
+
+    def observe(y):
+        return np.array([[y.sum()], [y[2]]])
+    plain = integrate(lambda t, y: -y, y0, cfg, monitors=[monitor])
+    observed = integrate(lambda t, y: -y, y0, cfg, monitors=[monitor], observe=observe)
+    assert observed.states.shape == (11, 2)
+    assert np.array_equal(observed.states, [observe(y).ravel() for y in plain.states])
+    assert np.array_equal(observed.diagnostics, plain.diagnostics)
+    assert set(seen) == {3}
+    monkeypatch.setattr(straingrid.ode, "MAX_SAMPLE_VALUES", 30)
+    assert integrate(lambda t, y: -y, y0, cfg, observe=observe).states.shape == (11, 2)
+    with pytest.raises(ConfigError, match="budget"):
+        integrate(lambda t, y: -y, y0, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stage", range(1, 7))
+def test_non_finite_stage_stops_its_step(bad, stage):
+    """One non-finite entry returned at any stage of the third step raises
+    NumericalBlowup before a fourth step starts."""
+    cfg = IntegratorConfig(t_end=1.0, monitor_period=1.0, initial_step=1e-3)
+    bad_call = 1 + 2 * 6 + stage        # the FSAL call, two steps, then stages 1..
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        out = -y
+        if len(calls) == bad_call:
+            out[0] = bad
+        return out
+    with pytest.raises(NumericalBlowup):
+        integrate(rhs, np.array([1.0, 2.0]), cfg)
+    assert len(calls) == 1 + 3 * 6

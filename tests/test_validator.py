@@ -1,14 +1,23 @@
 """Empirical reduction checks: error metric, convergence study and the
 neutral-limit product structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from straingrid import (ConfigError, ConnectivityMatrix, FullModel,
+import straingrid.ode
+import straingrid.validate
+from straingrid import (ConfigError, ConnectivityMatrix, FullModel, PatchParams,
                         ReductionReport, ScaleParams, StrainPerturbations,
                         convergence_study, default_tau_horizon,
-                        init_on_manifold, neutral_limit_check,
-                        reduction_error, setup_from_model)
+                        extract_frequencies, init_on_manifold,
+                        neutral_limit_check, reduction_error, setup_from_model,
+                        simulate_full, simulate_replicator)
+from straingrid.types import full_views
+from straingrid.validate import VALIDATION_SAMPLES, _validation_cfg
+
+VALIDATION_ROWS = VALIDATION_SAMPLES + 1   # samples of one validation run
 
 
 def generic_pert():
@@ -73,6 +82,89 @@ def test_error_monotone_under_window_shrink(worked_patch, second_patch,
     assert narrow[1] <= wide[1] + 1e-15
 
 
+def random_model(P, N, seed):
+    """A (P, N) model whose rates stay admissible for eps <= 0.2, and a z0."""
+    rng = np.random.default_rng(seed)
+    patches = []
+    for _ in range(P):
+        r, gamma = rng.uniform(0.5, 1.5, size=2)
+        patches.append(PatchParams(r=r, beta=(r + gamma) * rng.uniform(1.5, 3.0),
+                                   gamma=gamma, k=rng.uniform(0.5, 2.0)))
+
+    def dev(*shape):
+        return rng.uniform(-1.0, 1.0, size=(P, *shape))
+    pert = StrainPerturbations(b=dev(N), nu=dev(N), c_pair=dev(N, N), w=dev(N, N),
+                               alpha=dev(N, N))
+    conn = ConnectivityMatrix(entries=np.ones((P, P)) - P * np.eye(P))
+    z0 = rng.uniform(0.5, 1.0, size=(P, N))
+    model = FullModel(patches=tuple(patches), pert=pert,
+                      scale=ScaleParams(eps=0.05, d=1.0), connectivity=conn)
+    return model, z0 / z0.sum(axis=1, keepdims=True)
+
+
+def full_state_reduction_error(model, z0, eps, tau_window):
+    """reduction_error computed from the full states of the full run."""
+    tau0, T = tau_window
+    model = model.with_eps(eps)
+    P, N = model.n_patches, model.n_strains
+    bg = model.background
+    full = simulate_full(model, init_on_manifold(z0, bg), _validation_cfg(T / eps))
+    red = simulate_replicator(setup_from_model(model), z0, _validation_cfg(T))
+    first = int(np.searchsorted(red.times, tau0))
+    y = full.states[first:]
+    assert y.shape[1] == P * (1 + N + N * N)
+    err = np.max(np.abs(extract_frequencies(y, bg) - red.states[first:].reshape(-1, P, N)))
+    agg = np.max(np.abs(full_views(y, P, N)[0] - bg.S_star))
+    return float(err), float(agg)
+
+
+@pytest.mark.parametrize("P, N", [(2, 2), (10, 10)])
+def test_reduction_error_equals_the_full_state_reference(monkeypatch, P, N):
+    """The observed run gives the full-state result bit for bit, from a
+    table of P(1+N) columns."""
+    model, z0 = random_model(P, N, seed=P)
+    tables = []
+
+    def recorded(*args, **kwargs):
+        traj = simulate_full(*args, **kwargs)
+        tables.append(traj.states)
+        return traj
+    monkeypatch.setattr(straingrid.validate, "simulate_full", recorded)
+    for eps in (0.1, 0.05):
+        assert reduction_error(model, z0, eps, (0.1, 1.0)) == \
+            full_state_reduction_error(model, z0, eps, (0.1, 1.0))
+    assert [t.shape for t in tables] == [(VALIDATION_ROWS, P * (1 + N))] * 2
+
+
+def test_sample_budget_counts_the_observed_width(monkeypatch):
+    """A budget between the observed and the full-state table sizes lets
+    reduction_error run and stops a full-state run before it steps."""
+    P, N, eps, T = 2, 2, 0.1, 1.0
+    model, z0 = random_model(P, N, seed=3)
+    rows = VALIDATION_ROWS + 1          # the check's (t_end / period + 2) rows
+    monkeypatch.setattr(straingrid.ode, "MAX_SAMPLE_VALUES",
+                        rows * P * (1 + N) + rows * P * N * N // 2)
+    reduction_error(model, z0, eps, (0.1, T))
+    model = model.with_eps(eps)
+    with pytest.raises(ConfigError, match="exceed the budget"):
+        simulate_full(model, init_on_manifold(z0, model.background), _validation_cfg(T / eps))
+
+
+def test_reduction_error_does_not_hold_the_full_state_table():
+    """The traced peak of one 10x10 call stays below the 201 x dim table
+    the full states would take."""
+    P = N = 10
+    model, z0 = random_model(P, N, seed=11)
+    model.background
+    tracemalloc.start()
+    try:
+        reduction_error(model, z0, 0.1, (0.1, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < VALIDATION_ROWS * P * (1 + N + N * N) * 8
+
+
 def test_convergence_study_report(worked_patch, second_patch, two_patch_conn):
     model = two_patch_model(worked_patch, second_patch, two_patch_conn)
     z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
@@ -105,6 +197,20 @@ def test_convergence_study_input_validation(worked_patch, second_patch,
         convergence_study(model, z0, [0.1, 0.05], (0.1, 1.0))
     with pytest.raises(ConfigError):
         convergence_study(model, z0, [0.05, 0.1, 0.2], (0.1, 1.0))
+
+
+@pytest.mark.parametrize("eps_list", [[0.2, 0.1, 0.0], [0.2, 0.1, -0.1],
+                                      [np.inf, 0.1, 0.05], [np.nan, 0.1, 0.05]])
+def test_convergence_study_checks_every_eps_first(worked_patch, second_patch,
+                                                  two_patch_conn, monkeypatch,
+                                                  eps_list):
+    runs = []
+    monkeypatch.setattr(straingrid.validate, "simulate_full",
+                        lambda *args, **kwargs: runs.append(args))
+    model = two_patch_model(worked_patch, second_patch, two_patch_conn)
+    with pytest.raises(ConfigError, match="finite and positive"):
+        convergence_study(model, np.array([[0.3, 0.7], [0.6, 0.4]]), eps_list, (0.1, 1.0))
+    assert runs == []
 
 
 def test_default_tau_horizon(worked_patch, second_patch, two_patch_conn):
