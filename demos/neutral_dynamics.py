@@ -12,16 +12,15 @@ import numpy as np
 
 from straingrid import (ConnectivityMatrix, FullModel, IntegratorConfig,
                         PatchParams, ScaleParams, StrainPerturbations,
-                        extract_frequencies, full_state,
-                        neutral_equilibrium, simulate_full)
+                        extract_frequencies, full_state, simulate_full)
 from straingrid.types import full_views
 
 
-def product_residual(y, eq, z):
+def product_residual(y, bg, z):
     S, I, D = full_views(y, 1, z.size)
-    res_S = abs(S[0] - eq.S_star)
-    res_I = np.max(np.abs(I[0] - eq.I_star * z))
-    res_D = np.max(np.abs(D[0] - eq.D_star * np.outer(z, z)))
+    res_S = abs(S[0] - bg.S_star[0])
+    res_I = np.max(np.abs(I[0] - bg.I_star[0] * z))
+    res_D = np.max(np.abs(D[0] - bg.D_star[0] * np.outer(z, z)))
     return res_S + res_I + res_D
 
 
@@ -31,8 +30,8 @@ def main():
                       pert=StrainPerturbations.zeros(1, 3),
                       scale=ScaleParams(eps=0.0, d=0.0),
                       connectivity=ConnectivityMatrix(entries=np.zeros((1, 1))))
-    eq = neutral_equilibrium(patch)
-    print(f"endemic equilibrium: S*={eq.S_star}, I*={eq.I_star}, D*={eq.D_star}")
+    bg = model.background
+    print(f"endemic equilibrium: S*={bg.S_star[0]}, I*={bg.I_star[0]}, D*={bg.D_star[0]}")
 
     rng = np.random.default_rng(1)
     S0 = np.array([0.3])
@@ -47,8 +46,8 @@ def main():
 
     print(f"\n{'t':>6}  {'residual':>12}  frequencies")
     for t, y in zip(traj.times, traj.states):
-        z = extract_frequencies(y, model.background)[0]
-        res = product_residual(y, eq, z)
+        z = extract_frequencies(y, bg)[0]
+        res = product_residual(y, bg, z)
         print(f"{t:6.1f}  {res:12.3e}  {np.round(z, 6)}")
 
     print("\nThe residual decays exponentially; the frequencies stop moving "

@@ -11,10 +11,9 @@ from .errors import (ConfigError, ConfigParseError, ExtinctPatch,
 from .fullsim import (FullModel, extract_frequencies, init_on_manifold,
                       rhs_full, simulate_full, transmissible_load)
 from .ode import IntegratorConfig, Trajectory, integrate
-from .reduction import (Background, FitnessStructure, LeftEigenvector,
-                        MigrationMatrix, NeutralEquilibrium, drift_matrix,
+from .reduction import (Background, MigrationMatrix, drift_matrix,
                         fitness_matrix, fitness_structure, left_eigenvector,
-                        migration_matrix, neutral_equilibrium,
+                        migration_matrix, neutral_equilibrium, patch_rates,
                         speed_and_weights)
 from .replicator import (ReplicatorSetup, rhs_replicator,
                          rhs_replicator_advection, setup_from_model,
@@ -26,16 +25,15 @@ from .validate import (ReductionReport, convergence_study, default_tau_horizon,
 
 __all__ = [
     "Background", "ConfigError", "ConfigParseError", "ConnectivityMatrix",
-    "ConnectivityReport", "ExtinctPatch", "FitnessStructure",
-    "FullModel", "IntegratorConfig", "LeftEigenvector", "MigrationMatrix",
-    "NeutralEquilibrium", "NumericalBlowup", "PatchParams",
+    "ConnectivityReport", "ExtinctPatch", "FullModel", "IntegratorConfig",
+    "MigrationMatrix", "NumericalBlowup", "PatchParams",
     "ReductionReport", "ReplicatorSetup", "ScaleParams", "StiffnessFailure",
     "StrainGridError", "StrainPerturbations", "SubcriticalPatch",
     "Trajectory", "convergence_study", "default_tau_horizon",
     "drift_matrix", "extract_frequencies", "fitness_matrix",
     "fitness_structure", "full_state", "init_on_manifold", "integrate",
     "left_eigenvector", "migration_matrix", "neutral_equilibrium",
-    "neutral_limit_check", "reduction_error", "renormalize_to_density",
+    "neutral_limit_check", "patch_rates", "reduction_error", "renormalize_to_density",
     "require_simplex", "rhs_full", "rhs_replicator", "rhs_replicator_advection",
     "setup_from_model", "simulate_full", "simulate_replicator", "speed_and_weights",
     "transmissible_load", "validate_connectivity", "volume_matrix",

@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StrainGridError as exc:

@@ -31,6 +31,17 @@ from .types import (ConnectivityMatrix, PatchParams, ScaleParams,
 
 FREQUENCY_GENERATOR = "dirichlet-pcg64-v1"
 
+# The keys each object of a document may hold.
+PATCH_KEYS = {"r", "beta", "gamma", "k"}
+SECTION_KEYS = {
+    "strains": {"N", "b", "nu", "c_pair", "w", "alpha"},
+    "connectivity": {"matrix", "volumes", "weights"},
+    "scale": {"eps", "d"},
+    "init": {"z0", "seed"},
+    "integration": {"rel_tol", "abs_tol", "t_end", "max_step", "initial_step",
+                    "monitor_period"},
+}
+
 
 def load_config(path) -> dict:
     with open(path) as fh:
@@ -65,9 +76,25 @@ def _parsed(what: str, value, convert=partial(np.asarray, dtype=float)):
         raise ConfigError(f"{what}: {exc}") from None
 
 
+def _integer(what: str, value) -> int:
+    """An integral number as int (2.0 passes); ConfigError for anything
+    else, bools included."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _unknown_keys(what: str, obj, allowed: set) -> list[str]:
+    """The issue naming the keys of obj outside allowed, if obj is an
+    object with any."""
+    unknown = sorted(set(obj) - allowed) if isinstance(obj, dict) else []
+    return [f"unknown {what} settings: {unknown}"] if unknown else []
+
+
 def _strain_arrays(doc: dict, P: int):
     strains = _section(doc, "strains")
-    N = _parsed("strains.N", strains.get("N", 1), int)
+    N = _integer("strains.N", strains.get("N", 1))
     if N < 1:
         raise ConfigError("strains.N must be >= 1")
 
@@ -136,15 +163,19 @@ def _connectivity(doc: dict, P: int, issues: list[str]) -> ConnectivityMatrix | 
 
 
 def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
-    """The single validation pass: the model, or the itemized issues. Patch
-    and connectivity faults are all listed; past them, only the first."""
+    """The single validation pass: the model, or the itemized issues.
+    Unknown keys, patch and connectivity faults are all listed; past them,
+    only the first."""
     raw_patches = doc.get("patches")
     if not raw_patches or not isinstance(raw_patches, list):
         return None, ["config needs a non-empty 'patches' array"]
 
-    issues: list[str] = []
+    issues = _unknown_keys("top-level", doc, {"patches", *SECTION_KEYS})
+    for name, allowed in SECTION_KEYS.items():
+        issues += _unknown_keys(name, doc.get(name), allowed)
     patches = []
     for idx, p in enumerate(raw_patches):
+        issues += [f"patch {idx}: {item}" for item in _unknown_keys("patch", p, PATCH_KEYS)]
         try:
             pp = PatchParams(r=float(p["r"]), beta=float(p["beta"]),
                              gamma=float(p["gamma"]), k=float(p["k"]))
@@ -177,8 +208,9 @@ def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
 
 def collect_issues(doc: dict) -> list[str]:
     """Itemized validation report; empty list means the config is valid.
-    Checks structure, value types, supercritical patches, connectivity,
-    admissible strain rates, initial frequencies and integration settings."""
+    Checks structure, unknown keys, value types, supercritical patches,
+    connectivity, admissible strain rates, initial frequencies and
+    integration settings."""
     return _validate(doc)[1]
 
 
@@ -201,7 +233,7 @@ def initial_frequencies(doc: dict, P: int, N: int) -> np.ndarray:
             raise ConfigError(f"init.z0 must have shape {(P, N)}, got {z.shape}")
         return require_simplex(z)
     if "seed" in init:
-        rng = _parsed("init.seed", init["seed"], lambda s: np.random.default_rng(int(s)))
+        rng = _parsed("init.seed", _integer("init.seed", init["seed"]), np.random.default_rng)
         return rng.dirichlet(np.ones(N), size=P)
     return np.full((P, N), 1.0 / N)
 
@@ -209,9 +241,7 @@ def initial_frequencies(doc: dict, P: int, N: int) -> np.ndarray:
 def integrator_settings(doc: dict) -> dict:
     """Integration overrides from the config; defaults live with the CLI."""
     integ = _section(doc, "integration")
-    allowed = {"rel_tol", "abs_tol", "t_end", "max_step", "initial_step",
-               "monitor_period"}
-    unknown = set(integ) - allowed
+    unknown = _unknown_keys("integration", integ, SECTION_KEYS["integration"])
     if unknown:
-        raise ConfigError(f"unknown integration settings: {sorted(unknown)}")
+        raise ConfigError(unknown[0])
     return {k: _parsed(f"integration.{k}", v, float) for k, v in integ.items()}

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ExtinctPatch
 from .ode import IntegratorConfig, Trajectory, integrate
-from .reduction import Background, build_background
+from .reduction import Background, build_background, patch_rates
 from .types import (ConnectivityMatrix, PatchParams, ScaleParams, StrainPerturbations,
                     full_state, full_views, require_simplex, row_sum_defect)
 
@@ -54,11 +54,10 @@ class FullModel:
         if self.connectivity.n_patches != P:
             raise ConfigError("connectivity size does not match patch count")
         eps = self.scale.eps
-        beta = np.array([p.beta for p in self.patches])[:, None]
-        gamma = np.array([p.gamma for p in self.patches])[:, None]
-        k = np.array([p.k for p in self.patches])[:, None, None]
+        r, beta, gamma, k = patch_rates(self.patches)
+        beta, gamma, k = beta[:, None], gamma[:, None], k[:, None, None]
 
-        object.__setattr__(self, "r", np.array([p.r for p in self.patches]))
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "beta_i", beta + eps * self.pert.b)
         object.__setattr__(self, "gamma_i", gamma + eps * self.pert.nu)
         object.__setattr__(self, "gamma_ij", gamma[..., None] + eps * self.pert.c_pair)

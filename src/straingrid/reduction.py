@@ -1,11 +1,14 @@
-"""Closed-form objects of the slow-fast reduction.
+"""Closed-form objects of the slow-fast reduction, each one array
+expression over all patches (a single patch is the case P = 1).
 
-Per supercritical patch: the endemic equilibrium of the aggregated
-single-strain system, the 2x2 drift matrix whose kernel carries the slow
-strain frequencies, its normalized positive left eigenvector, the speed
-of the slow dynamics with its five trait weights, the pairwise invasion
-fitness matrix, and the cross-patch migration matrix with its advection
-coefficients; `build_background` stacks them into one eps-independent record.
+`patch_rates` stacks the baseline rates rates = (r, beta, gamma, k), and
+`neutral_equilibrium` maps them to the endemic points eq = (S*, I*, D*, T*)
+of the aggregated single-strain systems, each a (P,) array. The other
+forms take these tuples: the 2x2 drift matrices whose kernels carry the
+slow strain frequencies, their positive left kernel vectors (phi, psi),
+the speeds of the slow dynamics with their five trait weights, the
+pairwise invasion fitness matrices, and the cross-patch migration matrix
+with its advection coefficients. `build_background` calls each once.
 
 All formulas are explicit; no numerical eigensolver is involved (tests
 cross-check the eigenvector against a numerical left-kernel solve).
@@ -18,45 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SubcriticalPatch
-from .types import (ConnectivityMatrix, PatchParams, StrainPerturbations,
-                    _frozen)
-
-
-@dataclass(frozen=True)
-class NeutralEquilibrium:
-    """Endemic point (S*, I*, D*) of one patch, with T* = 1 - S*."""
-
-    S_star: float
-    I_star: float
-    D_star: float
-    T_star: float
-
-    @property
-    def X_star(self) -> np.ndarray:
-        """(I*, D*), the kernel eigenvector of the drift matrix."""
-        return np.array([self.I_star, self.D_star])
-
-
-@dataclass(frozen=True)
-class LeftEigenvector:
-    """Positive left kernel vector (phi, psi) normalized against X*."""
-
-    phi: float
-    psi: float
-
-    @property
-    def omega(self) -> np.ndarray:
-        return np.array([self.phi, self.psi])
-
-
-@dataclass(frozen=True)
-class FitnessStructure:
-    """Speed Theta, trait weights theta (5-vector) and fitness matrix Lambda
-    of one patch."""
-
-    Theta: float
-    theta: np.ndarray
-    Lambda: np.ndarray
+from .types import ConnectivityMatrix, PatchParams, StrainPerturbations
 
 
 @dataclass(frozen=True)
@@ -72,128 +37,137 @@ class MigrationMatrix:
     advection: np.ndarray
 
 
-def neutral_equilibrium(params: PatchParams) -> NeutralEquilibrium:
-    """Endemic equilibrium of the aggregated single-strain patch dynamics.
+def patch_rates(patches: tuple[PatchParams, ...]) -> tuple[np.ndarray, ...]:
+    """The baseline rates (r, beta, gamma, k) of the patches, each (P,)."""
+    return tuple(np.array([getattr(p, name) for p in patches], dtype=float)
+                 for name in ("r", "beta", "gamma", "k"))
 
-    Raises SubcriticalPatch when beta <= r + gamma (the infection dies
-    out and the reduction is undefined).
+
+def neutral_equilibrium(rates) -> tuple[np.ndarray, ...]:
+    """Endemic equilibria (S*, I*, D*, T*), T* = 1 - S*, of the aggregated
+    single-strain patch dynamics.
+
+    Raises SubcriticalPatch, naming the first such patch, when
+    beta <= r + gamma (the infection dies out and the reduction is
+    undefined).
     """
-    r, beta, gamma, k = params.r, params.beta, params.gamma, params.k
-    if not params.supercritical:
+    r, beta, gamma, k = rates
+    subcritical = np.flatnonzero(~(beta > r + gamma))
+    if subcritical.size:
+        p = subcritical[0]
         raise SubcriticalPatch(
-            f"beta={beta} <= r+gamma={r + gamma}: no endemic equilibrium")
+            f"patch {p}: beta={beta[p]} <= r+gamma={r[p] + gamma[p]}: no endemic equilibrium")
     S = (r + gamma) / beta
     T = 1.0 - S
     I = beta * T * S / (r + gamma + k * beta * T)
     D = k * beta * T * I / (r + gamma)
-    return NeutralEquilibrium(S_star=S, I_star=I, D_star=D, T_star=T)
+    return S, I, D, T
 
 
-def drift_matrix(eq: NeutralEquilibrium, params: PatchParams) -> np.ndarray:
-    """2x2 matrix governing per-strain deviations near the equilibrium.
+def drift_matrix(rates, eq) -> np.ndarray:
+    """(P, 2, 2): the matrices governing per-strain deviations near the
+    equilibria.
 
-    Its kernel is spanned by X* = (I*, D*); the other eigenvalue equals
-    the (negative) trace.
+    The kernel of matrix p is spanned by X_p* = (I_p*, D_p*); its other
+    eigenvalue equals the (negative) trace.
     """
-    r, beta, gamma, k = params.r, params.beta, params.gamma, params.k
-    T, S, I = eq.T_star, eq.S_star, eq.I_star
-    return np.array([
-        [-k * beta * T, beta * S],
-        [0.5 * k * beta * (T + I), 0.5 * k * beta * I - (r + gamma)],
-    ])
+    r, beta, gamma, k = rates
+    S, I, _, T = eq
+    return np.stack([-k * beta * T, beta * S,
+                     0.5 * k * beta * (T + I), 0.5 * k * beta * I - (r + gamma)],
+                    axis=-1).reshape(-1, 2, 2)
 
 
-def left_eigenvector(eq: NeutralEquilibrium) -> LeftEigenvector:
-    """Closed-form positive left kernel vector with omega . X* = 1."""
-    T, I, D = eq.T_star, eq.I_star, eq.D_star
-    P = 2.0 * T * T - I * D
-    return LeftEigenvector(phi=(T + I) / P, psi=2.0 * T / P)
+def left_eigenvector(eq) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form positive left kernel vectors (phi, psi) with
+    omega_p . X_p* = 1, omega_p = (phi_p, psi_p)."""
+    _, I, D, T = eq
+    norm = 2.0 * T * T - I * D
+    return (T + I) / norm, 2.0 * T / norm
 
 
-def speed_and_weights(eq: NeutralEquilibrium, params: PatchParams):
-    """Speed Theta of the slow dynamics and its five trait weights.
+def speed_and_weights(rates, eq) -> tuple[np.ndarray, np.ndarray]:
+    """Speeds Theta (P,) of the slow dynamics and their trait weights
+    theta (P, 5), each row summing to 1.
 
-    Returns (Theta, theta) with theta summing to 1. The five components
-    weight, in order: transmission, single clearance, co-infection
-    clearance, transmission probability, and co-colonization
+    The five components weight, in order: transmission, single clearance,
+    co-infection clearance, transmission probability, and co-colonization
     susceptibility deviations.
     """
-    r, beta, gamma = params.r, params.beta, params.gamma
-    T, I, D = eq.T_star, eq.I_star, eq.D_star
-    P = 2.0 * T * T - I * D
-    Theta_s = np.array([
+    r, beta, gamma, _ = rates
+    _, I, D, T = eq
+    norm = 2.0 * T * T - I * D
+    Theta_s = np.stack([
         2.0 * (r + gamma) * T * T,
         gamma * I * (I + T),
         gamma * T * D,
         2.0 * (r + gamma) * T * D,
         beta * I * T,
-    ]) / P
-    Theta = float(Theta_s.sum())
-    return Theta, Theta_s / Theta
+    ], axis=-1) / norm[:, None]
+    Theta = Theta_s.sum(axis=-1)
+    return Theta, Theta_s / Theta[:, None]
 
 
-def fitness_matrix(eq: NeutralEquilibrium, params: PatchParams,
-                   pert: StrainPerturbations, theta: np.ndarray,
-                   patch: int) -> np.ndarray:
-    """Pairwise invasion fitness matrix Lambda of one patch.
+def fitness_matrix(rates, eq, pert: StrainPerturbations,
+                   theta: np.ndarray) -> np.ndarray:
+    """Pairwise invasion fitness matrices Lambda (P, N, N).
 
-    lambda[i, j] is the linearized advantage of strain i over resident j,
-    assembled from the trait deviations with the five weights theta. The
-    deviations of the baseline rates enter relative to those rates
-    (b/beta, nu/gamma, c/gamma), the dimensionless deviations (w, alpha)
-    enter directly, and the transmission deviation also shifts the
-    effective co-colonization susceptibility by (k/beta)(b_i - b_j)
-    because the co-colonization influx carries the invader's
-    transmission rate. This makes lambda dimensionless and is verified
-    against a direct numerical projection of the full dynamics onto its
-    slow manifold. The diagonal is identically zero.
+    lambda_p[i, j] is the linearized advantage of strain i over resident
+    j in patch p, assembled from the trait deviations with the five
+    weights theta[p]. The deviations of the baseline rates enter relative
+    to those rates (b/beta, nu/gamma, c/gamma), the dimensionless
+    deviations (w, alpha) enter directly, and the transmission deviation
+    also shifts the effective co-colonization susceptibility by
+    (k/beta)(b_i - b_j) because the co-colonization influx carries the
+    invader's transmission rate. This makes lambda dimensionless and is
+    verified against a direct numerical projection of the full dynamics
+    onto its slow manifold. The diagonal is identically zero.
     """
-    if theta.shape != (5,):
-        raise ConfigError(f"theta must be a 5-vector, got shape {theta.shape}")
-    beta, gamma, k = params.beta, params.gamma, params.k
-    b = pert.b[patch] / beta
-    # theta[1] and theta[2] vanish proportionally to gamma, so the
+    if theta.shape != (pert.n_patches, 5):
+        raise ConfigError(f"theta must have shape {(pert.n_patches, 5)}, got {theta.shape}")
+    _, beta, gamma, k = rates
+    _, I, D, _ = eq
+    b = pert.b / beta[:, None]
+    # theta[:, 1] and theta[:, 2] vanish proportionally to gamma, so the
     # gamma = 0 limit of theta*c/gamma is zero.
-    if gamma > 0:
-        nu = pert.nu[patch] / gamma
-        c = pert.c_pair[patch] / gamma
-    else:
-        nu = np.zeros_like(pert.nu[patch])
-        c = np.zeros_like(pert.c_pair[patch])
-    w = pert.w[patch]
-    a = pert.alpha[patch] + k * (b[:, None] - b[None, :])
-    I, D = eq.I_star, eq.D_star
-
-    lam = (theta[0] * (b[:, None] - b[None, :])
-           + theta[1] * (nu[None, :] - nu[:, None])
-           + theta[2] * (-c - c.T + 2.0 * np.diag(c)[None, :])
-           + theta[3] * (w - w.T)
-           + theta[4] * (I * (a.T - a) + D * (a.T - np.diag(a)[None, :])))
-    return lam
-
-
-def fitness_structure(eq: NeutralEquilibrium, params: PatchParams,
-                      pert: StrainPerturbations, patch: int) -> FitnessStructure:
-    """Bundle Theta, theta and Lambda for one patch."""
-    Theta, theta = speed_and_weights(eq, params)
-    lam = fitness_matrix(eq, params, pert, theta, patch)
-    return FitnessStructure(Theta=Theta, theta=theta, Lambda=lam)
+    cleared = gamma > 0
+    nu = np.divide(pert.nu, gamma[:, None], out=np.zeros_like(pert.nu),
+                   where=cleared[:, None])
+    c = np.divide(pert.c_pair, gamma[:, None, None], out=np.zeros_like(pert.c_pair),
+                  where=cleared[:, None, None])
+    w = pert.w
+    db = b[:, :, None] - b[:, None, :]               # db[p, i, j] = b_i - b_j
+    a = pert.alpha + k[:, None, None] * db
+    aT, cT = a.swapaxes(1, 2), c.swapaxes(1, 2)
+    a_jj, c_jj = (np.diagonal(x, axis1=1, axis2=2)[:, None, :] for x in (a, c))
+    t = theta.T[:, :, None, None]                    # t[m] broadcasts over (P, N, N)
+    return (t[0] * db
+            + t[1] * (nu[:, None, :] - nu[:, :, None])
+            + t[2] * (-c - cT + 2.0 * c_jj)
+            + t[3] * (w - w.swapaxes(1, 2))
+            + t[4] * (I[:, None, None] * (aT - a) + D[:, None, None] * (aT - a_jj)))
 
 
-def migration_matrix(D: ConnectivityMatrix, eqs: list[NeutralEquilibrium],
-                     omegas: list[LeftEigenvector]) -> MigrationMatrix:
+def fitness_structure(rates, eq, pert: StrainPerturbations):
+    """Theta (P,), theta (P, 5) and Lambda (P, N, N) of all patches."""
+    Theta, theta = speed_and_weights(rates, eq)
+    return Theta, theta, fitness_matrix(rates, eq, pert, theta)
+
+
+def migration_matrix(connectivity: ConnectivityMatrix, eq, omega) -> MigrationMatrix:
     """Reweight the connectivity by cross-patch equilibrium overlaps.
 
     entries[p, k] = d_pk * (phi_p I_k* + psi_p D_k*) for p != k, with the
     diagonal closing the row sums to zero. When all patches share the
     same equilibrium the overlaps are 1 and the result equals D.
     """
-    dmat = D.entries
+    dmat = connectivity.entries
     P = dmat.shape[0]
-    if len(eqs) != P or len(omegas) != P:
+    _, I, D, _ = eq
+    if np.shape(I) != (P,) or np.shape(omega[0]) != (P,):
         raise ConfigError("need one equilibrium and eigenvector per patch")
-    X = np.array([eq.X_star for eq in eqs])          # (P, 2)
-    W = np.array([om.omega for om in omegas])        # (P, 2)
+    X = np.stack([I, D], axis=1)                     # (P, 2), row k is X_k*
+    W = np.stack(omega, axis=1)                      # (P, 2), row p is omega_p
     overlap = W @ X.T                                # overlap[p, k] = omega_p . X_k*
     nu = overlap - np.diag(overlap)[:, None]         # omega_p . (X_k* - X_p*)
     np.fill_diagonal(nu, 0.0)
@@ -206,8 +180,8 @@ def migration_matrix(D: ConnectivityMatrix, eqs: list[NeutralEquilibrium],
 
 @dataclass(frozen=True)
 class Background:
-    """The eps-independent reduction objects of all patches: row p of each
-    array is the per-patch closed form of patch p."""
+    """The eps-independent reduction objects of all patches, read-only:
+    row p of each array belongs to patch p."""
 
     S_star: np.ndarray           # (P,)
     I_star: np.ndarray           # (P,)
@@ -224,22 +198,12 @@ class Background:
 
 def build_background(patches: tuple[PatchParams, ...], pert: StrainPerturbations,
                      connectivity: ConnectivityMatrix) -> Background:
-    """Evaluate every per-patch closed form once and stack the results.
-    Raises SubcriticalPatch when some patch has no endemic equilibrium."""
-    eqs = [neutral_equilibrium(p) for p in patches]
-    omegas = [left_eigenvector(eq) for eq in eqs]
-    structs = [fitness_structure(eq, p, pert, i)
-               for i, (eq, p) in enumerate(zip(eqs, patches))]
-    return Background(
-        S_star=_frozen([eq.S_star for eq in eqs]),
-        I_star=_frozen([eq.I_star for eq in eqs]),
-        D_star=_frozen([eq.D_star for eq in eqs]),
-        T_star=_frozen([eq.T_star for eq in eqs]),
-        phi=_frozen([om.phi for om in omegas]),
-        psi=_frozen([om.psi for om in omegas]),
-        drift=_frozen([drift_matrix(eq, p) for eq, p in zip(eqs, patches)]),
-        Theta=_frozen([fs.Theta for fs in structs]),
-        theta=_frozen([fs.theta for fs in structs]),
-        Lambdas=_frozen([fs.Lambda for fs in structs]),
-        migration=migration_matrix(connectivity, eqs, omegas),
-    )
+    """Evaluate every closed form once over all patches. Raises
+    SubcriticalPatch when some patch has no endemic equilibrium."""
+    rates = patch_rates(patches)
+    eq = neutral_equilibrium(rates)
+    omega = left_eigenvector(eq)
+    arrays = (*eq, *omega, drift_matrix(rates, eq), *fitness_structure(rates, eq, pert))
+    for a in arrays:
+        a.setflags(write=False)
+    return Background(*arrays, migration=migration_matrix(connectivity, eq, omega))

@@ -21,6 +21,7 @@ frequencies and row_sum_defect is the monitor of both systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class PatchParams:
     k: float        # co-colonization susceptibility factor (dimensionless)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.beta, self.gamma, self.k))):
+            raise ConfigError(f"rates must be finite, got r={self.r}, beta={self.beta}, "
+                              f"gamma={self.gamma}, k={self.k}")
         if not (self.r > 0 and self.beta > 0):
             raise ConfigError(f"r and beta must be positive, got r={self.r}, beta={self.beta}")
         if self.gamma < 0 or self.k < 0:
@@ -119,10 +123,10 @@ class ScaleParams:
     def __post_init__(self):
         # eps = 0 is the exactly neutral, migration-free system, used by
         # the neutral-limit checks.
-        if self.eps < 0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
-        if self.d < 0:
-            raise ConfigError(f"d must be >= 0, got {self.d}")
+        if not 0 <= self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0 <= self.d < math.inf:
+            raise ConfigError(f"d must be finite and >= 0, got {self.d}")
 
     @property
     def delta(self) -> float:

@@ -18,7 +18,7 @@ from straingrid import (ConnectivityMatrix, FullModel, IntegratorConfig,
                         drift_matrix, fitness_structure, full_state,
                         init_on_manifold, left_eigenvector,
                         migration_matrix, neutral_equilibrium,
-                        neutral_limit_check, reduction_error,
+                        neutral_limit_check, patch_rates, reduction_error,
                         renormalize_to_density, rhs_replicator,
                         rhs_replicator_advection, simulate_full,
                         simulate_replicator, speed_and_weights,
@@ -59,21 +59,22 @@ def test_criterion_01_closed_form_reduction_objects():
         start = time.perf_counter()
         rng = np.random.default_rng(101)
         for _ in range(100):
-            p = random_supercritical_patch(rng)
-            eq = neutral_equilibrium(p)
-            A = drift_matrix(eq, p)
-            om = left_eigenvector(eq)
-            _, theta = speed_and_weights(eq, p)
+            rates = patch_rates([random_supercritical_patch(rng)])
+            eq = S, I, D, _ = neutral_equilibrium(rates)
+            A = drift_matrix(rates, eq)[0]
+            om = np.concatenate(left_eigenvector(eq))
+            X = np.concatenate([I, D])
+            _, theta = speed_and_weights(rates, eq)
             pert = StrainPerturbations(
                 b=rng.normal(size=(1, 3)), nu=rng.normal(size=(1, 3)),
                 c_pair=rng.normal(size=(1, 3, 3)), w=rng.normal(size=(1, 3, 3)),
                 alpha=rng.normal(size=(1, 3, 3)))
-            lam = fitness_structure(eq, p, pert, 0).Lambda
-            assert abs(eq.S_star + eq.I_star + eq.D_star - 1.0) < 1e-12
-            assert abs(om.omega @ eq.X_star - 1.0) < 1e-12
-            assert np.max(np.abs(A @ eq.X_star)) < 1e-12
-            assert np.max(np.abs(om.omega @ A)) < 1e-12
-            assert abs(theta.sum() - 1.0) < 1e-12
+            lam = fitness_structure(rates, eq, pert)[2][0]
+            assert abs(S[0] + I[0] + D[0] - 1.0) < 1e-12
+            assert abs(om @ X - 1.0) < 1e-12
+            assert np.max(np.abs(A @ X)) < 1e-12
+            assert np.max(np.abs(om @ A)) < 1e-12
+            assert abs(theta[0].sum() - 1.0) < 1e-12
             assert np.max(np.abs(np.diag(lam))) < 1e-12
         assert time.perf_counter() - start < 1.0
 
@@ -94,19 +95,20 @@ def test_criterion_02_worked_patch_constants():
         assert (phi, psi) == (Fraction(12, 7), Fraction(16, 7))
         assert sum(Th) == Fraction(37, 7)
 
-        eq = neutral_equilibrium(WORKED)
-        om = left_eigenvector(eq)
-        Theta, theta = speed_and_weights(eq, WORKED)
-        assert abs(eq.S_star - 0.5) < 1e-14
-        assert abs(eq.I_star - 0.25) < 1e-14
-        assert abs(eq.D_star - 0.25) < 1e-14
-        assert abs(om.phi - float(phi)) < 1e-14
-        assert abs(om.psi - float(psi)) < 1e-14
-        assert abs(Theta - 37.0 / 7.0) < 1e-14
+        rates = patch_rates([WORKED])
+        eq = S_star, I_star, D_star, _ = neutral_equilibrium(rates)
+        phi_star, psi_star = left_eigenvector(eq)
+        Theta, theta = speed_and_weights(rates, eq)
+        assert abs(S_star[0] - 0.5) < 1e-14
+        assert abs(I_star[0] - 0.25) < 1e-14
+        assert abs(D_star[0] - 0.25) < 1e-14
+        assert abs(phi_star[0] - float(phi)) < 1e-14
+        assert abs(psi_star[0] - float(psi)) < 1e-14
+        assert abs(Theta[0] - 37.0 / 7.0) < 1e-14
         expected_theta = np.array([float(t / sum(Th)) for t in Th])
         assert np.allclose(expected_theta, np.array([16, 3, 2, 8, 8]) / 37.0,
                            atol=1e-16)
-        assert np.max(np.abs(theta - expected_theta)) < 1e-14
+        assert np.max(np.abs(theta[0] - expected_theta)) < 1e-14
 
 
 def test_criterion_03_connectivity_toolkit():
@@ -174,14 +176,12 @@ def test_criterion_06_homogeneity_collapse():
     with criterion(6, "migration matrix collapse and hand overlap"):
         conn = ConnectivityMatrix(entries=np.array(
             [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]))
-        eqs = [neutral_equilibrium(WORKED)] * 3
-        omegas = [left_eigenvector(eq) for eq in eqs]
-        mig = migration_matrix(conn, eqs, omegas)
+        eq = neutral_equilibrium(patch_rates([WORKED] * 3))
+        mig = migration_matrix(conn, eq, left_eigenvector(eq))
         assert np.max(np.abs(mig.entries - conn.entries)) < 1e-12
 
-        eqs = [neutral_equilibrium(WORKED), neutral_equilibrium(SECOND)]
-        omegas = [left_eigenvector(eq) for eq in eqs]
-        mig = migration_matrix(TWO_PATCH, eqs, omegas)
+        eq = neutral_equilibrium(patch_rates([WORKED, SECOND]))
+        mig = migration_matrix(TWO_PATCH, eq, left_eigenvector(eq))
         assert abs(mig.entries[0, 1] - 22.0 / 21.0) < 1e-14
 
 

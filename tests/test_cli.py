@@ -16,6 +16,7 @@ import straingrid.ode
 import straingrid.reduction
 import straingrid.validate
 from straingrid.cli import main
+from straingrid.config import initial_frequencies
 
 WORKED_DOC = {
     "patches": [
@@ -354,6 +355,106 @@ def test_non_finite_t_end_is_an_issue(tmp_path, capsys, t_end):
     assert "must be finite" in capsys.readouterr().err
 
 
+def with_value(dotted, value):
+    """WORKED_DOC with the value at a dotted path replaced."""
+    doc = json.loads(json.dumps(WORKED_DOC))
+    straingrid.cli._set_path(doc, dotted, value)
+    return doc
+
+
+@pytest.mark.parametrize("dotted, value, where", [
+    ("patches.0.beta", float("inf"), "patch 0: rates must be finite"),
+    ("patches.1.k", float("inf"), "patch 1: rates must be finite"),
+    ("patches.0.gamma", float("nan"), "patch 0: rates must be finite"),
+    ("scale.d", float("inf"), "d must be finite"),
+    ("scale.eps", float("inf"), "eps must be finite"),
+    ("scale.eps", float("nan"), "eps must be finite"),
+])
+def test_non_finite_rates_and_scales_are_issues(tmp_path, capsys, dotted, value, where):
+    cfg = write_config(tmp_path, with_value(dotted, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", cfg]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID: 1 issue(s)" in out and where in out
+        assert main(["equilibria", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert where in captured.err and "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("section, value", [
+    ("strains", {"N": 2.7, "b": [[1.0, 0.0], [0.5, -0.5]]}),
+    ("strains", {"N": True}),
+    ("init", {"seed": 1.5}),
+    ("init", {"seed": True}),
+], ids=["N-2.7", "N-true", "seed-1.5", "seed-true"])
+def test_non_integral_integer_settings_are_issues(tmp_path, capsys, section, value):
+    cfg = write_config(tmp_path, with_section(section, value))
+    assert main(["validate", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID: 1 issue(s)" in out and f"{section}." in out and "must be an integer" in out
+    assert main(["simulate", cfg, "--mode", "reduced", "--out", str(tmp_path / "out")]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_integral_floats_are_integer_settings(tmp_path, capsys):
+    doc = with_section("init", {"seed": 3.0})
+    doc["strains"]["N"] = 2.0
+    assert main(["validate", write_config(tmp_path, doc)]) == 0
+    assert np.array_equal(initial_frequencies(doc, 2, 2),
+                          initial_frequencies(with_section("init", {"seed": 3}), 2, 2))
+
+
+def test_unknown_keys_are_itemized_issues(tmp_path, capsys):
+    doc = json.loads(json.dumps(WORKED_DOC))
+    doc["scenario"] = 1
+    doc["patches"][1]["bta"] = 4.0
+    for section, key in (("strains", "NN"), ("scale", "dd"), ("init", "sed"),
+                         ("connectivity", "matrx")):
+        doc[section][key] = 1
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID: 6 issue(s)" in out
+    for item in ("unknown top-level settings: ['scenario']",
+                 "patch 1: unknown patch settings: ['bta']",
+                 "unknown strains settings: ['NN']", "unknown scale settings: ['dd']",
+                 "unknown init settings: ['sed']", "unknown connectivity settings: ['matrx']"):
+        assert f"  - {item}\n" in out
+    assert main(["equilibria", cfg]) == 1
+    assert "unknown top-level settings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["scale.dd", ""])
+def test_sweep_over_an_unknown_key_fails_every_row(tmp_path, capsys, axis):
+    cfg = write_config(tmp_path, WORKED_DOC)
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--axis", axis, "--values", "0.5,2.5", "--out", str(out)]) == 1
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["failed", "failed"]
+    assert all(row["detail"].startswith("unknown ") for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "reduced"],
+    ["compare", "--eps", "0.08,0.04,0.02", "--tau-end", "0.5"],
+    ["sweep", "--axis", "scale.d", "--values", "0.5"],
+], ids=lambda argv: argv[0])
+def test_unusable_output_path_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    cfg = write_config(tmp_path, WORKED_DOC)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out in (blocker, blocker / "below"):
+        assert main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setenv("STRAINGRID_OUT", str(blocker))
+    assert main([argv[0], cfg, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == "kept"
+
+
 def test_step_budget_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(straingrid.ode, "MAX_STEPS", 5)
     tiny_steps = write_config(tmp_path, with_section(
@@ -419,9 +520,9 @@ def test_compare_builds_model_and_background_once(tmp_path, capsys, call_counts)
     cfg = write_config(tmp_path, WORKED_DOC)
     assert main(["compare", cfg, "--eps", "0.08,0.04,0.02", "--tau-end", "0.5",
                  "--out", str(tmp_path / "cmp")]) == 0
-    P = len(WORKED_DOC["patches"])
-    assert call_counts == {"neutral_equilibrium": P, "left_eigenvector": P,
-                           "fitness_structure": P, "migration_matrix": 1,
+    # each closed form runs once over all patches
+    assert call_counts == {"neutral_equilibrium": 1, "left_eigenvector": 1,
+                           "fitness_structure": 1, "migration_matrix": 1,
                            "build_model": 1, "validate_connectivity": 1}
 
 
@@ -431,4 +532,4 @@ def test_simulate_builds_model_once(tmp_path, capsys, call_counts):
                  "--out", str(tmp_path / "sim")]) == 0
     assert call_counts["build_model"] == 1
     assert call_counts["validate_connectivity"] == 1
-    assert call_counts["neutral_equilibrium"] == len(WORKED_DOC["patches"])
+    assert call_counts["neutral_equilibrium"] == 1

@@ -1,6 +1,8 @@
 """Closed-form reduction objects: equilibria, spectral objects, fitness
 and migration matrices.
 
+Every form is evaluated over all patches at once; single-patch checks are
+the case P = 1, and random-patch checks stack their patches in one call.
 The worked-patch constants are checked against an independently coded
 substitution oracle (exact rational arithmetic). The fitness matrix is
 additionally checked against a numerical projection of the full dynamics
@@ -8,6 +10,7 @@ onto its slow manifold, which is the ground truth the closed form must
 reproduce.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +20,36 @@ from straingrid import (ConfigError, ConnectivityMatrix, FullModel,
                         PatchParams, ScaleParams, StrainPerturbations,
                         SubcriticalPatch, drift_matrix, fitness_matrix,
                         fitness_structure, init_on_manifold, left_eigenvector,
-                        migration_matrix, neutral_equilibrium, rhs_full,
-                        speed_and_weights)
+                        migration_matrix, neutral_equilibrium, patch_rates,
+                        rhs_full, speed_and_weights)
 from straingrid.reduction import build_background
 
 from conftest import random_supercritical_patch
+
+
+def forms(*patches):
+    """(rates, eq) of the patches, stacked in patch order."""
+    rates = patch_rates(patches)
+    return rates, neutral_equilibrium(rates)
+
+
+def kernel_vectors(eq):
+    """X_p* = (I_p*, D_p*), one row per patch."""
+    _, I, D, _ = eq
+    return np.stack([I, D], axis=1)
+
+
+def random_pert(rng, P, N):
+    return StrainPerturbations(
+        b=rng.normal(size=(P, N)), nu=rng.normal(size=(P, N)),
+        c_pair=rng.normal(size=(P, N, N)), w=rng.normal(size=(P, N, N)),
+        alpha=rng.normal(size=(P, N, N)))
+
+
+def patch_slice(pert, p):
+    """The deviations of patch p alone (P = 1)."""
+    return StrainPerturbations(*(getattr(pert, f)[p:p + 1]
+                                 for f in ("b", "nu", "c_pair", "w", "alpha")))
 
 
 # ------------------------------------------------------------ equilibria
@@ -37,139 +65,135 @@ def exact_equilibrium(r, beta, gamma, k):
 
 
 def test_worked_patch_equilibrium(worked_patch):
-    eq = neutral_equilibrium(worked_patch)
-    assert eq.S_star == pytest.approx(0.5, abs=1e-15)
-    assert eq.I_star == pytest.approx(0.25, abs=1e-15)
-    assert eq.D_star == pytest.approx(0.25, abs=1e-15)
-    assert eq.T_star == pytest.approx(0.5, abs=1e-15)
+    S, I, D, T = forms(worked_patch)[1]
+    assert S[0] == pytest.approx(0.5, abs=1e-15)
+    assert I[0] == pytest.approx(0.25, abs=1e-15)
+    assert D[0] == pytest.approx(0.25, abs=1e-15)
+    assert T[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_second_patch_equilibrium(second_patch):
-    eq = neutral_equilibrium(second_patch)
-    assert eq.S_star == pytest.approx(0.5, abs=1e-15)
-    assert eq.I_star == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert eq.D_star == pytest.approx(1.0 / 3.0, abs=1e-15)
+    S, I, D, _ = forms(second_patch)[1]
+    assert S[0] == pytest.approx(0.5, abs=1e-15)
+    assert I[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert D[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
-def test_subcritical_patch_rejected():
+def test_subcritical_patch_rejected(worked_patch):
+    sub = PatchParams(r=1.0, beta=2.0, gamma=1.0, k=1.0)
     with pytest.raises(SubcriticalPatch):
-        neutral_equilibrium(PatchParams(r=1.0, beta=2.0, gamma=1.0, k=1.0))
+        forms(sub)
+    with pytest.raises(SubcriticalPatch, match=r"^patch 1: beta=2.0 <= r\+gamma=2.0"):
+        forms(worked_patch, sub, sub)
 
 
 def test_equilibrium_against_rational_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = random_supercritical_patch(rng)
-        eq = neutral_equilibrium(p)
+    patches = [random_supercritical_patch(rng) for _ in range(50)]
+    eq = forms(*patches)[1]
+    for p, (S_p, I_p, D_p, _) in zip(patches, np.column_stack(eq)):
         S, I, D, T = exact_equilibrium(p.r, p.beta, p.gamma, p.k)
-        assert eq.S_star == pytest.approx(float(S), rel=1e-13)
-        assert eq.I_star == pytest.approx(float(I), rel=1e-13)
-        assert eq.D_star == pytest.approx(float(D), rel=1e-13)
-        assert eq.S_star + eq.I_star + eq.D_star == pytest.approx(1.0, abs=1e-13)
+        assert S_p == pytest.approx(float(S), rel=1e-13)
+        assert I_p == pytest.approx(float(I), rel=1e-13)
+        assert D_p == pytest.approx(float(D), rel=1e-13)
+        assert S_p + I_p + D_p == pytest.approx(1.0, abs=1e-13)
 
 
 def test_k_zero_degenerates_cleanly():
-    p = PatchParams(r=1.0, beta=4.0, gamma=1.0, k=0.0)
-    eq = neutral_equilibrium(p)
-    assert eq.D_star == 0.0
-    assert eq.S_star + eq.I_star == pytest.approx(1.0, abs=1e-15)
-    om = left_eigenvector(eq)
-    assert om.phi * eq.I_star == pytest.approx(1.0, abs=1e-14)
-    Theta, theta = speed_and_weights(eq, p)
-    assert Theta > 0
-    assert theta.sum() == pytest.approx(1.0, abs=1e-14)
+    rates, eq = forms(PatchParams(r=1.0, beta=4.0, gamma=1.0, k=0.0))
+    S, I, D, _ = eq
+    assert D[0] == 0.0
+    assert S[0] + I[0] == pytest.approx(1.0, abs=1e-15)
+    phi, _ = left_eigenvector(eq)
+    assert phi[0] * I[0] == pytest.approx(1.0, abs=1e-14)
+    Theta, theta = speed_and_weights(rates, eq)
+    assert Theta[0] > 0
+    assert theta[0].sum() == pytest.approx(1.0, abs=1e-14)
 
 
 # ------------------------------------------------- drift and eigenvector
 
 def test_worked_drift_matrix(worked_patch):
-    eq = neutral_equilibrium(worked_patch)
-    A = drift_matrix(eq, worked_patch)
+    rates, eq = forms(worked_patch)
+    A = drift_matrix(rates, eq)
+    assert A.shape == (1, 2, 2)
+    A = A[0]
     assert np.allclose(A, [[-2.0, 2.0], [1.5, -1.5]], atol=1e-15)
     assert np.trace(A) == pytest.approx(-3.5, abs=1e-15)
-    assert np.max(np.abs(A @ eq.X_star)) < 1e-15
+    assert np.max(np.abs(A @ kernel_vectors(eq)[0])) < 1e-15
 
 
 def test_worked_left_eigenvector(worked_patch):
-    eq = neutral_equilibrium(worked_patch)
-    om = left_eigenvector(eq)
-    assert om.phi == pytest.approx(12.0 / 7.0, abs=1e-15)
-    assert om.psi == pytest.approx(16.0 / 7.0, abs=1e-15)
-    assert om.omega @ eq.X_star == pytest.approx(1.0, abs=1e-15)
+    eq = forms(worked_patch)[1]
+    phi, psi = left_eigenvector(eq)
+    assert phi[0] == pytest.approx(12.0 / 7.0, abs=1e-15)
+    assert psi[0] == pytest.approx(16.0 / 7.0, abs=1e-15)
+    assert np.array([phi[0], psi[0]]) @ kernel_vectors(eq)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_spectral_identities_random_patches():
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        p = random_supercritical_patch(rng)
-        eq = neutral_equilibrium(p)
-        A = drift_matrix(eq, p)
-        om = left_eigenvector(eq)
+    rates, eq = forms(*(random_supercritical_patch(rng) for _ in range(100)))
+    omegas = np.stack(left_eigenvector(eq), axis=1)
+    for A, X, om in zip(drift_matrix(rates, eq), kernel_vectors(eq), omegas):
         scale = np.max(np.abs(A))
-        assert np.max(np.abs(A @ eq.X_star)) < 1e-13 * scale
-        assert np.max(np.abs(om.omega @ A)) < 1e-13 * scale * np.max(om.omega)
-        assert om.omega @ eq.X_star == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(A @ X)) < 1e-13 * scale
+        assert np.max(np.abs(om @ A)) < 1e-13 * scale * np.max(om)
+        assert om @ X == pytest.approx(1.0, abs=1e-14)
         assert np.trace(A) < 0
 
 
 def test_eigenvector_matches_numerical_kernel():
     """Cross-check of the closed form against an SVD left-kernel solve."""
     rng = np.random.default_rng(23)
-    for _ in range(30):
-        p = random_supercritical_patch(rng)
-        if p.k == 0:
+    rates, eq = forms(*(random_supercritical_patch(rng) for _ in range(30)))
+    omegas = np.stack(left_eigenvector(eq), axis=1)
+    for k, A, X, om in zip(rates[3], drift_matrix(rates, eq), kernel_vectors(eq), omegas):
+        if k == 0:
             continue
-        eq = neutral_equilibrium(p)
-        A = drift_matrix(eq, p)
         _, s, vt = np.linalg.svd(A.T)
         assert s[-1] < 1e-12 * s[0]
         w = vt[-1]
-        w = w / (w @ eq.X_star)
-        assert np.allclose(w, left_eigenvector(eq).omega, rtol=1e-10)
+        w = w / (w @ X)
+        assert np.allclose(w, om, rtol=1e-10)
 
 
 # -------------------------------------------------- speeds and weights
 
 def test_worked_speed_and_weights(worked_patch):
-    eq = neutral_equilibrium(worked_patch)
-    Theta, theta = speed_and_weights(eq, worked_patch)
-    assert Theta == pytest.approx(37.0 / 7.0, abs=1e-14)
-    assert np.allclose(theta, np.array([16.0, 3.0, 2.0, 8.0, 8.0]) / 37.0,
+    Theta, theta = speed_and_weights(*forms(worked_patch))
+    assert Theta.shape == (1,) and theta.shape == (1, 5)
+    assert Theta[0] == pytest.approx(37.0 / 7.0, abs=1e-14)
+    assert np.allclose(theta[0], np.array([16.0, 3.0, 2.0, 8.0, 8.0]) / 37.0,
                        atol=1e-15)
 
 
 def test_weights_normalized_and_positive():
     rng = np.random.default_rng(29)
-    for _ in range(100):
-        p = random_supercritical_patch(rng)
-        Theta, theta = speed_and_weights(neutral_equilibrium(p), p)
-        assert Theta > 0
-        assert theta.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.all(theta >= 0)
+    Theta, theta = speed_and_weights(
+        *forms(*(random_supercritical_patch(rng) for _ in range(100))))
+    for Theta_p, theta_p in zip(Theta, theta):
+        assert Theta_p > 0
+        assert theta_p.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.all(theta_p >= 0)
 
 
 # --------------------------------------------------------- fitness matrix
 
 def test_fitness_zero_perturbations(worked_patch):
-    eq = neutral_equilibrium(worked_patch)
-    _, theta = speed_and_weights(eq, worked_patch)
-    lam = fitness_matrix(eq, worked_patch, StrainPerturbations.zeros(1, 3),
-                         theta, 0)
-    assert np.array_equal(lam, np.zeros((3, 3)))
+    rates, eq = forms(worked_patch)
+    _, theta = speed_and_weights(rates, eq)
+    lam = fitness_matrix(rates, eq, StrainPerturbations.zeros(1, 3), theta)
+    assert np.array_equal(lam, np.zeros((1, 3, 3)))
 
 
 def test_fitness_diagonal_zero_random():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        p = random_supercritical_patch(rng)
-        eq = neutral_equilibrium(p)
-        _, theta = speed_and_weights(eq, p)
+        rates, eq = forms(random_supercritical_patch(rng))
+        _, theta = speed_and_weights(rates, eq)
         N = int(rng.integers(2, 5))
-        pert = StrainPerturbations(
-            b=rng.normal(size=(1, N)), nu=rng.normal(size=(1, N)),
-            c_pair=rng.normal(size=(1, N, N)), w=rng.normal(size=(1, N, N)),
-            alpha=rng.normal(size=(1, N, N)))
-        lam = fitness_matrix(eq, p, pert, theta, 0)
+        lam = fitness_matrix(rates, eq, random_pert(rng, 1, N), theta)[0]
         assert np.max(np.abs(np.diag(lam))) < 1e-14
 
 
@@ -177,8 +201,8 @@ def test_fitness_antisymmetric_channels(worked_patch):
     """Transmission, single-clearance and transmission-probability
     deviations each contribute an antisymmetric part."""
     rng = np.random.default_rng(37)
-    eq = neutral_equilibrium(worked_patch)
-    _, theta = speed_and_weights(eq, worked_patch)
+    rates, eq = forms(worked_patch)
+    _, theta = speed_and_weights(rates, eq)
     N = 3
     zeros = StrainPerturbations.zeros(1, N)
     channels = {
@@ -189,20 +213,34 @@ def test_fitness_antisymmetric_channels(worked_patch):
     for name, value in channels.items():
         fields = {f: getattr(zeros, f) for f in ("b", "nu", "c_pair", "w", "alpha")}
         fields[name] = value
-        lam = fitness_matrix(eq, worked_patch, StrainPerturbations(**fields),
-                             theta, 0)
-        if name == "b":
-            # the transmission deviation also feeds the co-colonization
-            # channel; the combined contribution is still antisymmetric
-            pass
+        lam = fitness_matrix(rates, eq, StrainPerturbations(**fields), theta)[0]
+        # the transmission deviation also feeds the co-colonization
+        # channel; the combined contribution is still antisymmetric
         assert np.max(np.abs(lam + lam.T)) < 1e-13
 
 
 def test_fitness_bad_weights_shape(worked_patch):
-    eq = neutral_equilibrium(worked_patch)
-    with pytest.raises(ConfigError):
-        fitness_matrix(eq, worked_patch, StrainPerturbations.zeros(1, 2),
-                       np.zeros(4), 0)
+    rates, eq = forms(worked_patch)
+    for theta in (np.zeros((1, 4)), np.zeros(5), np.zeros((2, 5))):
+        with pytest.raises(ConfigError):
+            fitness_matrix(rates, eq, StrainPerturbations.zeros(1, 2), theta)
+
+
+def test_fitness_without_clearance_has_no_clearance_channels(worked_patch):
+    """A gamma = 0 patch stacked with a gamma > 0 one: its clearance
+    deviations drop out, without a division warning, and each row equals
+    its single-patch evaluation."""
+    rng = np.random.default_rng(41)
+    no_clearance = PatchParams(r=1.0, beta=4.0, gamma=0.0, k=1.0)
+    pert = random_pert(rng, 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, theta, lam = fitness_structure(*forms(no_clearance, worked_patch), pert)
+    assert theta[0, 1] == theta[0, 2] == 0.0
+    kept = StrainPerturbations(b=pert.b[:1], nu=np.zeros((1, 3)), c_pair=np.zeros((1, 3, 3)),
+                               w=pert.w[:1], alpha=pert.alpha[:1])
+    assert np.array_equal(lam[0], fitness_structure(*forms(no_clearance), kept)[2][0])
+    assert np.array_equal(lam[1], fitness_structure(*forms(worked_patch), patch_slice(pert, 1))[2][0])
 
 
 def _slow_rate_oracle(patch, pert, zvec):
@@ -259,15 +297,12 @@ def test_fitness_matches_slow_manifold_projection():
     for _ in range(8):
         patch = random_supercritical_patch(rng)
         N = int(rng.integers(2, 4))
-        pert = StrainPerturbations(
-            b=rng.normal(size=(1, N)), nu=rng.normal(size=(1, N)),
-            c_pair=rng.normal(size=(1, N, N)), w=rng.normal(size=(1, N, N)),
-            alpha=rng.normal(size=(1, N, N)))
+        pert = random_pert(rng, 1, N)
         z = rng.dirichlet(np.ones(N) * 3)
 
-        fs = fitness_structure(neutral_equilibrium(patch), patch, pert, 0)
-        Az = fs.Lambda @ z
-        predicted = fs.Theta * z * (Az - z @ Az)
+        Theta, _, lam = fitness_structure(*forms(patch), pert)
+        Az = lam[0] @ z
+        predicted = Theta[0] * z * (Az - z @ Az)
         oracle = _slow_rate_oracle(patch, pert, z)
         assert np.max(np.abs(predicted - oracle)) < 1e-5
 
@@ -276,35 +311,35 @@ def test_fitness_worked_transmission_pair(worked_patch):
     """Two strains differing only in transmission on the worked patch:
     the invasion rate at any z equals 5/14 (verified against the
     projection oracle and direct full-system simulation)."""
-    eq = neutral_equilibrium(worked_patch)
-    fs = fitness_structure(
-        eq, worked_patch,
+    Theta, _, lam = fitness_structure(
+        *forms(worked_patch),
         StrainPerturbations(b=np.array([[1.0, 0.0]]), nu=np.zeros((1, 2)),
                             c_pair=np.zeros((1, 2, 2)), w=np.zeros((1, 2, 2)),
-                            alpha=np.zeros((1, 2, 2))), 0)
-    assert fs.Lambda[0, 1] == pytest.approx(2.5 / 37.0, abs=1e-14)
-    assert fs.Lambda[1, 0] == pytest.approx(-2.5 / 37.0, abs=1e-14)
+                            alpha=np.zeros((1, 2, 2))))
+    assert lam[0, 0, 1] == pytest.approx(2.5 / 37.0, abs=1e-14)
+    assert lam[0, 1, 0] == pytest.approx(-2.5 / 37.0, abs=1e-14)
     # the z-independent logistic rate Theta * lambda12
-    assert fs.Theta * fs.Lambda[0, 1] == pytest.approx(5.0 / 14.0, abs=1e-13)
+    assert Theta[0] * lam[0, 0, 1] == pytest.approx(5.0 / 14.0, abs=1e-13)
 
 
 # -------------------------------------------------------- migration matrix
 
+def migration_of(conn, *patches):
+    eq = forms(*patches)[1]
+    return migration_matrix(conn, eq, left_eigenvector(eq))
+
+
 def test_homogeneous_migration_collapses(worked_patch):
     conn = ConnectivityMatrix(entries=np.array([
         [-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]))
-    eqs = [neutral_equilibrium(worked_patch)] * 3
-    omegas = [left_eigenvector(eq) for eq in eqs]
-    mig = migration_matrix(conn, eqs, omegas)
+    mig = migration_of(conn, worked_patch, worked_patch, worked_patch)
     assert np.max(np.abs(mig.entries - conn.entries)) < 1e-12
     assert np.max(np.abs(mig.advection)) < 1e-12
 
 
 def test_heterogeneous_two_patch_hand_values(worked_patch, second_patch,
                                              two_patch_conn):
-    eqs = [neutral_equilibrium(worked_patch), neutral_equilibrium(second_patch)]
-    omegas = [left_eigenvector(eq) for eq in eqs]
-    mig = migration_matrix(two_patch_conn, eqs, omegas)
+    mig = migration_of(two_patch_conn, worked_patch, second_patch)
     assert mig.entries[0, 1] == pytest.approx(22.0 / 21.0, abs=1e-14)
     assert mig.entries[0, 0] == pytest.approx(-22.0 / 21.0, abs=1e-14)
     assert mig.advection[0, 1] == pytest.approx(1.0 / 21.0, abs=1e-14)
@@ -321,58 +356,49 @@ def test_migration_row_sums_and_metzler_random():
         np.fill_diagonal(entries, 0.0)
         np.fill_diagonal(entries, -entries.sum(axis=1))
         conn = ConnectivityMatrix(entries=entries)
-        eqs = [neutral_equilibrium(random_supercritical_patch(rng))
-               for _ in range(P)]
-        omegas = [left_eigenvector(eq) for eq in eqs]
-        mig = migration_matrix(conn, eqs, omegas)
+        mig = migration_of(conn, *(random_supercritical_patch(rng) for _ in range(P)))
         off = mig.entries - np.diag(np.diag(mig.entries))
         assert np.all(off >= 0)
         assert np.max(np.abs(mig.entries.sum(axis=1))) < 1e-12
 
 
 def test_migration_length_mismatch(worked_patch, two_patch_conn):
-    eq = neutral_equilibrium(worked_patch)
     with pytest.raises(ConfigError):
-        migration_matrix(two_patch_conn, [eq], [left_eigenvector(eq)])
+        migration_of(two_patch_conn, worked_patch)
 
 
 # ------------------------------------------------------------- background
 
 def test_background_stacks_the_per_patch_forms():
-    """The stacked record holds exactly what the per-patch closed forms
-    return, patch by patch."""
+    """Row p of the stacked record is, bit for bit, what the closed forms
+    return for patch p alone (P = 1)."""
     rng = np.random.default_rng(59)
     P, N = 4, 3
     patches = tuple(random_supercritical_patch(rng) for _ in range(P))
-    pert = StrainPerturbations(
-        b=rng.normal(size=(P, N)), nu=rng.normal(size=(P, N)),
-        c_pair=rng.normal(size=(P, N, N)), w=rng.normal(size=(P, N, N)),
-        alpha=rng.normal(size=(P, N, N)))
+    pert = random_pert(rng, P, N)
     entries = rng.uniform(0.1, 2.0, size=(P, P))
     np.fill_diagonal(entries, 0.0)
     np.fill_diagonal(entries, -entries.sum(axis=1))
     conn = ConnectivityMatrix(entries=entries)
     bg = build_background(patches, pert, conn)
 
-    eqs = [neutral_equilibrium(p) for p in patches]
-    omegas = [left_eigenvector(eq) for eq in eqs]
-    for i, (eq, om, patch) in enumerate(zip(eqs, omegas, patches)):
-        fs = fitness_structure(eq, patch, pert, i)
-        assert (bg.S_star[i], bg.I_star[i], bg.D_star[i], bg.T_star[i]) \
-            == (eq.S_star, eq.I_star, eq.D_star, eq.T_star)
-        assert (bg.phi[i], bg.psi[i]) == (om.phi, om.psi)
-        assert np.array_equal(bg.drift[i], drift_matrix(eq, patch))
-        assert bg.Theta[i] == fs.Theta
-        assert np.array_equal(bg.theta[i], fs.theta)
-        assert np.array_equal(bg.Lambdas[i], fs.Lambda)
-    mig = migration_matrix(conn, eqs, omegas)
+    for p, patch in enumerate(patches):
+        rates, eq = forms(patch)
+        Theta, theta, lam = fitness_structure(rates, eq, patch_slice(pert, p))
+        expected = (*eq, *left_eigenvector(eq), drift_matrix(rates, eq), Theta, theta, lam)
+        stacked = (bg.S_star, bg.I_star, bg.D_star, bg.T_star, bg.phi, bg.psi,
+                   bg.drift, bg.Theta, bg.theta, bg.Lambdas)
+        for got, want in zip(stacked, expected):
+            assert got[p].tobytes() == want[0].tobytes()
+    eq = forms(*patches)[1]
+    mig = migration_matrix(conn, eq, left_eigenvector(eq))
     assert np.array_equal(bg.migration.entries, mig.entries)
     assert np.array_equal(bg.migration.advection, mig.advection)
-    assert not bg.S_star.flags.writeable
+    assert not any(a.flags.writeable for a in stacked)
 
 
 def test_background_rejects_subcritical_patch(worked_patch):
     patches = (worked_patch, PatchParams(r=1.0, beta=2.0, gamma=1.0, k=1.0))
     conn = ConnectivityMatrix(entries=np.array([[-1.0, 1.0], [1.0, -1.0]]))
-    with pytest.raises(SubcriticalPatch):
+    with pytest.raises(SubcriticalPatch, match="^patch 1: "):
         build_background(patches, StrainPerturbations.zeros(2, 2), conn)
