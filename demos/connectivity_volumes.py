@@ -11,6 +11,19 @@ import numpy as np
 from straingrid import (renormalize_to_density, validate_connectivity,
                         volume_matrix)
 
+# The three properties and the message validate_connectivity lists for
+# each one that fails.
+PROPERTIES = {"metzler": "Metzler violation (negative off-diagonal)",
+              "irreducible": "not irreducible (patch graph disconnected)",
+              "row_sum_zero": "row sums are not zero"}
+
+
+def verdict(D) -> str:
+    """One pass/FAIL mark per property of the coupling matrix D."""
+    failures = validate_connectivity(D)
+    return " ".join(f"{name}={'FAIL' if message in failures else 'pass'}"
+                    for name, message in PROPERTIES.items())
+
 
 def main():
     V = np.array([1.0, 2.0, 4.0])
@@ -33,15 +46,14 @@ def main():
     print(D)
     print("row sums:", D.sum(axis=1))
 
-    report = validate_connectivity(D)
-    print("\nvalidation:", report)
+    print("\nvalidation:", verdict(D))
 
     # the same pipeline fails loudly when the weight graph is disconnected
     x_disc = np.zeros((3, 3))
     x_disc[0, 1] = 1.0          # only patches 1 and 2 talk
     M_disc = volume_matrix(V, x_disc)
     D_disc = renormalize_to_density(M_disc, V)
-    print("\ndisconnected weights ->", validate_connectivity(D_disc))
+    print("\ndisconnected weights ->", verdict(D_disc))
 
 
 if __name__ == "__main__":

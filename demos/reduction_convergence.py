@@ -36,7 +36,7 @@ def main():
     print("fitness matrix, patch 1:")
     print(np.round(setup.Lambdas[0], 6))
     print("migration matrix (connectivity reweighted by overlaps):")
-    print(np.round(setup.migration.entries, 6))
+    print(np.round(setup.migration, 6))
 
     T = default_tau_horizon(setup)
     z0 = np.array([[0.3, 0.7], [0.6, 0.4]])

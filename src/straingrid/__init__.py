@@ -3,18 +3,17 @@ and their reduction to a discrete-space replicator system."""
 
 __version__ = "0.1.0"
 
-from .connectivity import (ConnectivityReport, renormalize_to_density,
-                           validate_connectivity, volume_matrix)
+from .connectivity import (renormalize_to_density, validate_connectivity,
+                           volume_matrix)
 from .errors import (ConfigError, ConfigParseError, ExtinctPatch,
                      NumericalBlowup, StiffnessFailure, StrainGridError,
                      SubcriticalPatch)
 from .fullsim import (FullModel, extract_frequencies, init_on_manifold,
                       rhs_full, simulate_full, transmissible_load)
 from .ode import IntegratorConfig, Trajectory, integrate
-from .reduction import (Background, MigrationMatrix, drift_matrix,
-                        fitness_matrix, fitness_structure, left_eigenvector,
-                        migration_matrix, neutral_equilibrium, patch_rates,
-                        speed_and_weights)
+from .reduction import (Background, drift_matrix, fitness_matrix,
+                        fitness_structure, left_eigenvector, migration_matrix,
+                        neutral_equilibrium, patch_rates, speed_and_weights)
 from .replicator import (ReplicatorSetup, rhs_replicator,
                          rhs_replicator_advection, setup_from_model,
                          simulate_replicator)
@@ -25,8 +24,7 @@ from .validate import (ReductionReport, convergence_study, default_tau_horizon,
 
 __all__ = [
     "Background", "ConfigError", "ConfigParseError", "ConnectivityMatrix",
-    "ConnectivityReport", "ExtinctPatch", "FullModel", "IntegratorConfig",
-    "MigrationMatrix", "NumericalBlowup", "PatchParams",
+    "ExtinctPatch", "FullModel", "IntegratorConfig", "NumericalBlowup", "PatchParams",
     "ReductionReport", "ReplicatorSetup", "ScaleParams", "StiffnessFailure",
     "StrainGridError", "StrainPerturbations", "SubcriticalPatch",
     "Trajectory", "convergence_study", "default_tau_horizon",

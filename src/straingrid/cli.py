@@ -60,16 +60,26 @@ def _sig15(obj):
     return obj
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, chunks):
+    """Write the text chunks, in order, to a temporary name and rename it
+    to path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
-def _out_root(arg) -> Path:
-    root = arg or os.environ.get("STRAINGRID_OUT") or "."
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+def _out_root(arg, create: bool = True) -> Path:
+    """The output directory: arg, else STRAINGRID_OUT, else the current one.
+    With create unset it is only checked, not made: NotADirectoryError when
+    it, or its nearest existing ancestor, is not a directory."""
+    path = Path(arg or os.environ.get("STRAINGRID_OUT") or ".")
+    if create:
+        path.mkdir(parents=True, exist_ok=True)
+    else:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"output path {path}: {existing} is not a directory")
     return path
 
 
@@ -85,7 +95,7 @@ def _write_manifest(outdir: Path, doc: dict, command: str, outputs: list[str],
         "wall_time_s": round(wall_time, 3),
         "outputs": sorted(outputs),
     }
-    _atomic_write(outdir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(outdir / "manifest.json", [json.dumps(manifest, indent=2) + "\n"])
 
 
 def _integrator_config(doc: dict, default_t_end: float) -> IntegratorConfig:
@@ -130,8 +140,8 @@ def cmd_fitness(args) -> int:
                for idx in range(len(bg.Theta))]
     doc_out = {
         "patches": patches,
-        "migration_matrix": bg.migration.entries.tolist(),
-        "advection": bg.migration.advection.tolist(),
+        "migration_matrix": bg.migration.tolist(),
+        "advection": bg.advection.tolist(),
     }
     print(json.dumps(_sig15(doc_out), indent=2))
     return EXIT_OK
@@ -139,23 +149,24 @@ def cmd_fitness(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def _csv(header: list[str], traj, P) -> str:
-    """One line `time, patch, *row p of the state, monitor 0` per sample and patch."""
-    lines = [",".join(header)]
-    for t, y, diag in zip(traj.times, traj.states, traj.diagnostics):
-        t_txt, mon = _fmt(t), _fmt(diag[0])
-        lines.extend(",".join([t_txt, str(p), *map(_fmt, row), mon])
-                     for p, row in enumerate(y.reshape(P, -1)))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], traj, P):
+    """The lines of the CSV, one at a time: the header, then `time, patch,
+    *row p of the state, monitor 0` per sample and patch, each number
+    as _fmt writes it."""
+    yield ",".join(header) + "\n"
+    for t, y, diag in zip(traj.times.tolist(), traj.states, traj.diagnostics[:, 0].tolist()):
+        t_txt, mon = repr(t), repr(diag)
+        for p, row in enumerate(y.reshape(P, -1).tolist()):
+            yield ",".join([t_txt, str(p), *map(repr, row), mon]) + "\n"
 
 
-def _full_csv(traj, P, N) -> str:
+def _full_csv(traj, P, N):
     return _csv(["t", "patch", "S", *(f"I_{i + 1}" for i in range(N)),
                  *(f"D_{i + 1}{j + 1}" for i in range(N) for j in range(N)), "mass_defect"],
                 traj, P)
 
 
-def _reduced_csv(traj, P, N) -> str:
+def _reduced_csv(traj, P, N):
     return _csv(["tau", "patch", *(f"z_{i + 1}" for i in range(N)), "simplex_defect"], traj, P)
 
 
@@ -168,15 +179,15 @@ def run_simulation(doc: dict, mode: str, outdir: Path, command: str) -> list[str
     cfg = _integrator_config(doc, default_t_end=200.0)
     if mode == "full":
         traj = simulate_full(model, init_on_manifold(z0, model.background), cfg)
-        csv_text = _full_csv(traj, P, N)
+        lines = _full_csv(traj, P, N)
         name = "trajectory_full.csv"
     else:
         setup = setup_from_model(model)
         traj = simulate_replicator(setup, z0, cfg)
-        csv_text = _reduced_csv(traj, P, N)
+        lines = _reduced_csv(traj, P, N)
         name = "trajectory_reduced.csv"
     outdir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(outdir / name, csv_text)
+    _atomic_write(outdir / name, lines)
     _write_manifest(outdir, doc, command, [name], time.perf_counter() - start)
     return [name, "manifest.json"]
 
@@ -245,20 +256,23 @@ def cmd_compare(args) -> int:
     T = args.tau_end if args.tau_end is not None else default_tau_horizon(setup_from_model(model))
     window = (0.1 * T, T)
 
+    # The path is checked before the study and made after it, so a rejected
+    # eps list leaves no directory behind.
+    outdir = _out_root(args.out, create=False)
     start = time.perf_counter()
     report = convergence_study(model, z0, eps_list, window)
-    outdir = _out_root(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     _atomic_write(outdir / "reduction_report.json",
-                  json.dumps(report.as_dict(), indent=2) + "\n")
+                  [json.dumps(report.as_dict(), indent=2) + "\n"])
     lines = ["eps,error,aggregate_deviation"]
     for eps, err, agg in zip(report.eps_values, report.errors,
                              report.aggregate_deviations):
         lines.append(f"{_fmt(eps)},{_fmt(err)},{_fmt(agg)}")
-    _atomic_write(outdir / "reduction_errors.csv", "\n".join(lines) + "\n")
+    _atomic_write(outdir / "reduction_errors.csv", ["\n".join(lines) + "\n"])
     slope = report.fitted_order if report.slope_applicable else None
     _atomic_write(outdir / "reduction_loglog.svg",
-                  _loglog_svg(report.eps_values, report.errors, slope))
+                  [_loglog_svg(report.eps_values, report.errors, slope)])
     _write_manifest(outdir, doc, f"compare --eps {','.join(map(_fmt, eps_list))}",
                     ["reduction_report.json", "reduction_errors.csv",
                      "reduction_loglog.svg"],
@@ -332,7 +346,7 @@ def cmd_sweep(args) -> int:
     for value, status, detail in results:
         any_failed |= status != "ok"
         writer.writerow([_fmt(value), status, detail])
-    _atomic_write(outdir / "sweep.csv", buf.getvalue())
+    _atomic_write(outdir / "sweep.csv", [buf.getvalue()])
     print(f"wrote {outdir / 'sweep.csv'}")
     return EXIT_DOMAIN if any_failed else EXIT_OK
 
@@ -341,9 +355,12 @@ def cmd_sweep(args) -> int:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:

@@ -31,6 +31,10 @@ from .types import (ConnectivityMatrix, PatchParams, ScaleParams,
 
 FREQUENCY_GENERATOR = "dirichlet-pcg64-v1"
 
+# Budget of values in one (P, N, N) trait array, checked before any is
+# allocated: 2**24 float64 values are 128 MiB.
+MAX_TRAIT_VALUES = 2**24
+
 # The keys each object of a document may hold.
 PATCH_KEYS = {"r", "beta", "gamma", "k"}
 SECTION_KEYS = {
@@ -97,6 +101,9 @@ def _strain_arrays(doc: dict, P: int):
     N = _integer("strains.N", strains.get("N", 1))
     if N < 1:
         raise ConfigError("strains.N must be >= 1")
+    if P * N * N > MAX_TRAIT_VALUES:
+        raise ConfigError(f"strains.N = {N}: P*N^2 = {P * N * N} values per trait array "
+                          f"exceed the budget of {MAX_TRAIT_VALUES}")
 
     def arr(name, shape):
         raw = strains.get(name)
@@ -156,7 +163,7 @@ def _connectivity(doc: dict, P: int, issues: list[str]) -> ConnectivityMatrix | 
         if not explicit:
             issues.append(f"connectivity: {exc}")
         elif isinstance(exc, InvalidConnectivity):
-            issues.extend(f"connectivity: {item}" for item in exc.report.failures())
+            issues.extend(f"connectivity: {item}" for item in exc.failures)
         else:
             issues.append(str(exc))
     return None

@@ -12,8 +12,6 @@ convention (zero row sums).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -21,32 +19,6 @@ from .errors import ConfigError
 # Structural identities are exact up to rounding; tolerances are relative
 # to the largest matrix entry.
 STRUCT_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Per-property validation outcome for a candidate coupling matrix."""
-
-    metzler: bool
-    irreducible: bool
-    row_sum_zero: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.metzler and self.irreducible and self.row_sum_zero
-
-    def __str__(self) -> str:
-        def mark(ok):
-            return "pass" if ok else "FAIL"
-        return (f"metzler={mark(self.metzler)} irreducible={mark(self.irreducible)} "
-                f"row_sum_zero={mark(self.row_sum_zero)}")
-
-    def failures(self) -> list[str]:
-        """One message per failed property."""
-        checks = ((self.metzler, "Metzler violation (negative off-diagonal)"),
-                  (self.irreducible, "not irreducible (patch graph disconnected)"),
-                  (self.row_sum_zero, "row sums are not zero"))
-        return [message for ok, message in checks if not ok]
 
 
 def _is_irreducible(pattern: np.ndarray) -> bool:
@@ -61,11 +33,12 @@ def _is_irreducible(pattern: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def validate_connectivity(M) -> ConnectivityReport:
-    """Report the three structural properties of a candidate matrix.
+def validate_connectivity(M) -> list[str]:
+    """The messages of the structural properties a candidate matrix fails;
+    an empty list means it is valid.
 
-    Pure report: callers decide whether to reject. The matrix must be
-    square with finite entries.
+    Callers decide whether to reject. The matrix must be square with
+    finite entries.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
@@ -75,16 +48,12 @@ def validate_connectivity(M) -> ConnectivityReport:
 
     P = M.shape[0]
     off = M - np.diag(np.diag(M))
-    metzler = bool(np.all(off >= 0))
-
     pattern = (off > 0) & ~np.eye(P, dtype=bool)
-    irreducible = _is_irreducible(pattern)
-
     scale = np.max(np.abs(M)) or 1.0
-    row_sum_zero = bool(np.max(np.abs(M.sum(axis=1))) <= STRUCT_RTOL * scale)
-
-    return ConnectivityReport(metzler=metzler, irreducible=irreducible,
-                              row_sum_zero=row_sum_zero)
+    checks = ((np.all(off >= 0), "Metzler violation (negative off-diagonal)"),
+              (_is_irreducible(pattern), "not irreducible (patch graph disconnected)"),
+              (np.max(np.abs(M.sum(axis=1))) <= STRUCT_RTOL * scale, "row sums are not zero"))
+    return [message for ok, message in checks if not ok]
 
 
 def volume_matrix(V, x) -> np.ndarray:

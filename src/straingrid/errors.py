@@ -14,11 +14,12 @@ class ConfigParseError(ConfigError):
 
 
 class InvalidConnectivity(ConfigError):
-    """A coupling matrix fails a structural property; `report` says which."""
+    """A coupling matrix fails structural properties; `failures` holds the
+    message of each, as connectivity.validate_connectivity lists them."""
 
-    def __init__(self, report):
-        super().__init__(f"invalid connectivity matrix: {report}")
-        self.report = report
+    def __init__(self, failures):
+        super().__init__(f"invalid connectivity matrix: {'; '.join(failures)}")
+        self.failures = failures
 
 
 class SubcriticalPatch(StrainGridError):

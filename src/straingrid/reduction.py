@@ -24,19 +24,6 @@ from .errors import ConfigError, SubcriticalPatch
 from .types import ConnectivityMatrix, PatchParams, StrainPerturbations
 
 
-@dataclass(frozen=True)
-class MigrationMatrix:
-    """Frequency-coupling matrix of the reduced system.
-
-    entries[p, k] = d_pk * (omega_p . X_k*) off the diagonal, diagonal set
-    to minus the off-diagonal row sum. advection[p, k] stores
-    nu_pk = omega_p . (X_k* - X_p*), so entries[p, k] = d_pk * (1 + nu_pk).
-    """
-
-    entries: np.ndarray
-    advection: np.ndarray
-
-
 def patch_rates(patches: tuple[PatchParams, ...]) -> tuple[np.ndarray, ...]:
     """The baseline rates (r, beta, gamma, k) of the patches, each (P,)."""
     return tuple(np.array([getattr(p, name) for p in patches], dtype=float)
@@ -154,12 +141,16 @@ def fitness_structure(rates, eq, pert: StrainPerturbations):
     return Theta, theta, fitness_matrix(rates, eq, pert, theta)
 
 
-def migration_matrix(connectivity: ConnectivityMatrix, eq, omega) -> MigrationMatrix:
-    """Reweight the connectivity by cross-patch equilibrium overlaps.
+def migration_matrix(connectivity: ConnectivityMatrix, eq,
+                     omega) -> tuple[np.ndarray, np.ndarray]:
+    """The frequency-coupling matrix M and the advection nu, each (P, P):
+    the connectivity reweighted by cross-patch equilibrium overlaps.
 
-    entries[p, k] = d_pk * (phi_p I_k* + psi_p D_k*) for p != k, with the
-    diagonal closing the row sums to zero. When all patches share the
-    same equilibrium the overlaps are 1 and the result equals D.
+    M[p, k] = d_pk * (phi_p I_k* + psi_p D_k*) for p != k, with the
+    diagonal closing the row sums to zero, and nu[p, k] =
+    omega_p . (X_k* - X_p*), so M[p, k] = d_pk * (1 + nu[p, k]) off the
+    diagonal. When all patches share the same equilibrium the overlaps
+    are 1 and M equals D.
     """
     dmat = connectivity.entries
     P = dmat.shape[0]
@@ -175,7 +166,7 @@ def migration_matrix(connectivity: ConnectivityMatrix, eq, omega) -> MigrationMa
     M = dmat * overlap
     np.fill_diagonal(M, 0.0)
     np.fill_diagonal(M, -M.sum(axis=1))
-    return MigrationMatrix(entries=M, advection=nu)
+    return M, nu
 
 
 @dataclass(frozen=True)
@@ -193,7 +184,8 @@ class Background:
     Theta: np.ndarray            # (P,)
     theta: np.ndarray            # (P, 5)
     Lambdas: np.ndarray          # (P, N, N)
-    migration: MigrationMatrix
+    migration: np.ndarray        # (P, P) M
+    advection: np.ndarray        # (P, P) nu
 
 
 def build_background(patches: tuple[PatchParams, ...], pert: StrainPerturbations,
@@ -203,7 +195,8 @@ def build_background(patches: tuple[PatchParams, ...], pert: StrainPerturbations
     rates = patch_rates(patches)
     eq = neutral_equilibrium(rates)
     omega = left_eigenvector(eq)
-    arrays = (*eq, *omega, drift_matrix(rates, eq), *fitness_structure(rates, eq, pert))
+    arrays = (*eq, *omega, drift_matrix(rates, eq), *fitness_structure(rates, eq, pert),
+              *migration_matrix(connectivity, eq, omega))
     for a in arrays:
         a.setflags(write=False)
-    return Background(*arrays, migration=migration_matrix(connectivity, eq, omega))
+    return Background(*arrays)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .ode import IntegratorConfig, Trajectory, integrate
-from .reduction import MigrationMatrix
 # Re-exported, not called here: perfbench/spans.py still hooks these names.
 from .reduction import (fitness_structure as fitness_structure,
                         left_eigenvector as left_eigenvector, migration_matrix as migration_matrix,
@@ -28,11 +27,13 @@ from .types import ConnectivityMatrix, require_simplex, row_sum_defect
 
 @dataclass(frozen=True)
 class ReplicatorSetup:
-    """Per-patch speeds and fitness matrices plus the patch coupling."""
+    """Per-patch speeds and fitness matrices plus the patch coupling: the
+    frequency-coupling matrix M of the compact form and the migration
+    intensity d."""
 
     Theta: np.ndarray            # (P,)
     Lambdas: np.ndarray          # (P, N, N)
-    migration: MigrationMatrix
+    migration: np.ndarray        # (P, P) M
     d: float
 
     def __post_init__(self):
@@ -68,19 +69,19 @@ def rhs_replicator(tau: float, y: np.ndarray, setup: ReplicatorSetup) -> np.ndar
     z = y.reshape(setup.n_patches, setup.n_strains)
     dz = _reaction(z, setup.Theta, setup.Lambdas)
     if setup.d != 0.0:
-        dz = dz + setup.d * (setup.migration.entries @ z)
+        dz = dz + setup.d * (setup.migration @ z)
     return dz.ravel()
 
 
 def rhs_replicator_advection(z: np.ndarray, setup: ReplicatorSetup,
-                             D: ConnectivityMatrix) -> np.ndarray:
+                             D: ConnectivityMatrix, nu: np.ndarray) -> np.ndarray:
     """Diffusion-advection form at the frequencies z (P, N): reaction
-    + d (D z^i)_p + d sum_k d_pk nu_pk (z_k^i - z_p^i). Identical to
-    rhs_replicator, shaped (P, N)."""
+    + d (D z^i)_p + d sum_k d_pk nu_pk (z_k^i - z_p^i), with the advection
+    nu (P, P); setup.migration is not used. Identical to rhs_replicator
+    when M = D (1 + nu) off the diagonal, shaped (P, N)."""
     dz = _reaction(z, setup.Theta, setup.Lambdas)
     if setup.d != 0.0:
         dmat = D.entries
-        nu = setup.migration.advection
         diff = dmat @ z
         adv = np.einsum("pk,pki->pi", dmat * nu, z[None, :, :] - z[:, None, :])
         dz = dz + setup.d * (diff + adv)

@@ -140,8 +140,9 @@ class ScaleParams:
 class ConnectivityMatrix:
     """P x P patch-coupling matrix: Metzler, irreducible, zero row sums.
 
-    Construction validates all three properties; see
-    connectivity.validate_connectivity for the report form.
+    Construction validates all three properties and raises
+    InvalidConnectivity with the failed ones, as
+    connectivity.validate_connectivity lists them.
     """
 
     entries: np.ndarray
@@ -150,9 +151,9 @@ class ConnectivityMatrix:
         from .connectivity import validate_connectivity  # cycle guard
 
         object.__setattr__(self, "entries", _frozen(self.entries))
-        report = validate_connectivity(self.entries)
-        if not report.all_pass:
-            raise InvalidConnectivity(report)
+        failures = validate_connectivity(self.entries)
+        if failures:
+            raise InvalidConnectivity(failures)
 
     @property
     def n_patches(self) -> int:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -294,17 +295,22 @@ def test_sweep_caps_workers(tmp_path, capsys, monkeypatch, jobs, cpus, workers):
     assert InlinePool.sizes == ([] if workers is None else [workers])
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
+@pytest.mark.parametrize("options, message", [
+    pytest.param(["--values", "0.0,0.5", "--jobs=0"], "--jobs: must be at least 1", id="0"),
+    pytest.param(["--values", "0.0,0.5", "--jobs=-3"], "--jobs: must be at least 1", id="-3"),
+    pytest.param(["--values="], "--values: expected at least one number", id="no-value"),
+    pytest.param(["--values", ","], "--values: expected at least one number", id="only-a-comma"),
+])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, options, message):
+    """Too few jobs, or no value to sweep, is a usage error before any work."""
     monkeypatch.setattr(straingrid.cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     cfg = write_config(tmp_path, WORKED_DOC)
     out = tmp_path / "s"
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", cfg, "--axis", "scale.d", "--values", "0.0,0.5",
-              f"--jobs={jobs}", "--out", str(out)])
+        main(["sweep", cfg, "--axis", "scale.d", *options, "--out", str(out)])
     assert exc.value.code == 2
-    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert InlinePool.sizes == []
     assert not out.exists()
 
@@ -443,6 +449,10 @@ def test_sweep_over_an_unknown_key_fails_every_row(tmp_path, capsys, axis):
     ["sweep", "--axis", "scale.d", "--values", "0.5"],
 ], ids=lambda argv: argv[0])
 def test_unusable_output_path_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    """The path is rejected before any run starts."""
+    runs = []
+    monkeypatch.setattr(straingrid.validate, "simulate_full",
+                        lambda *args, **kwargs: runs.append(args))
     cfg = write_config(tmp_path, WORKED_DOC)
     blocker = tmp_path / "file"
     blocker.write_text("kept")
@@ -453,6 +463,29 @@ def test_unusable_output_path_is_usage_error(tmp_path, capsys, monkeypatch, argv
     assert main([argv[0], cfg, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert blocker.read_text() == "kept"
+    assert runs == []
+
+
+def test_oversized_strain_count_is_an_issue(tmp_path, capsys):
+    """N = 1e10 is reported against the trait budget before any array
+    is allocated, by validate and by a sweep row alike."""
+    cfg = write_config(tmp_path, {"patches": [{"r": 1.0, "beta": 4.0, "gamma": 1.0, "k": 1.0}],
+                                  "strains": {"N": 10_000_000_000}})
+    out = tmp_path / "sweep"
+    tracemalloc.start()
+    try:
+        assert main(["validate", cfg]) == 1
+        assert main(["sweep", write_config(tmp_path, WORKED_DOC, "worked.json"),
+                     "--axis", "strains.N", "--values", "1e10", "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "exceed the budget of 16777216" in capsys.readouterr().out
+    with open(out / "sweep.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "failed"
+    assert "P*N^2 = 200000000000000000000 values per trait array" in row["detail"]
 
 
 def test_step_budget_exits_1(tmp_path, capsys, monkeypatch):

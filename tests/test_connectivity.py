@@ -6,18 +6,23 @@ import pytest
 from straingrid import (ConfigError, ConnectivityMatrix,
                         renormalize_to_density, validate_connectivity,
                         volume_matrix)
+from straingrid.errors import InvalidConnectivity
+
+
+METZLER = "Metzler violation (negative off-diagonal)"
+DISCONNECTED = "not irreducible (patch graph disconnected)"
+ROW_SUMS = "row sums are not zero"
 
 
 def test_complete_graph_passes():
     M = np.ones((3, 3)) - 3 * np.eye(3)
-    report = validate_connectivity(M)
-    assert report.metzler and report.irreducible and report.row_sum_zero
-    assert report.all_pass
+    assert validate_connectivity(M) == []
 
 
 def test_negative_off_diagonal_fails_metzler():
-    report = validate_connectivity(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert not report.metzler
+    # the only positive off-diagonal is 1 -> 0, and the rows sum to -1 and 1
+    assert validate_connectivity(np.array([[0.0, -1.0], [1.0, 0.0]])) == [
+        METZLER, DISCONNECTED, ROW_SUMS]
 
 
 def test_disconnected_graph_fails_irreducibility():
@@ -27,24 +32,22 @@ def test_disconnected_graph_fails_irreducibility():
         [0.0, 0.0, -1.0, 1.0],
         [0.0, 0.0, 1.0, -1.0],
     ])
-    report = validate_connectivity(M)
-    assert report.metzler
-    assert not report.irreducible
+    assert validate_connectivity(M) == [DISCONNECTED]
 
 
 def test_one_way_chain_fails_irreducibility():
     # edges only 0 -> 1 -> 2: reachable but not strongly connected
     M = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
-    assert not validate_connectivity(M).irreducible
+    assert validate_connectivity(M) == [DISCONNECTED]
 
 
 def test_nonzero_row_sums_flagged():
     M = np.array([[-1.0, 2.0], [1.0, -1.0]])
-    assert not validate_connectivity(M).row_sum_zero
+    assert validate_connectivity(M) == [ROW_SUMS]
 
 
 def test_single_patch_trivially_irreducible():
-    assert validate_connectivity(np.zeros((1, 1))).irreducible
+    assert validate_connectivity(np.zeros((1, 1))) == []
 
 
 def test_nonsquare_rejected():
@@ -53,8 +56,10 @@ def test_nonsquare_rejected():
 
 
 def test_connectivity_matrix_type_rejects_invalid():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidConnectivity) as exc:
         ConnectivityMatrix(entries=np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert exc.value.failures == [METZLER, DISCONNECTED, ROW_SUMS]
+    assert str(exc.value) == f"invalid connectivity matrix: {METZLER}; {DISCONNECTED}; {ROW_SUMS}"
 
 
 def test_volume_matrix_hand_example():
@@ -117,4 +122,4 @@ def test_random_volume_pipeline_properties():
         assert np.max(np.abs(M @ V)) <= 1e-12 * scale * np.max(V)
         Dhat = renormalize_to_density(M, V)
         assert np.max(np.abs(Dhat.sum(axis=1))) <= 1e-12 * np.max(np.abs(Dhat))
-        assert validate_connectivity(Dhat).all_pass
+        assert validate_connectivity(Dhat) == []

@@ -1,5 +1,6 @@
-"""Source hygiene: every package module uses each name it imports, and
-every name the benchmark's tracer hooks still exists."""
+"""Source hygiene: every package module uses each name it imports, the
+package exports exactly what it imports, and every name the benchmark's
+tracer hooks still exists."""
 
 import ast
 import importlib.util
@@ -32,6 +33,17 @@ def test_module_uses_every_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_package_exports_exactly_its_imports():
+    """A name deleted from a module cannot linger in straingrid.__all__."""
+    import straingrid
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(straingrid.__all__) == imported
+    assert len(straingrid.__all__) == len(imported)
 
 
 def test_benchmark_hooks_resolve():

@@ -10,6 +10,7 @@ onto its slow manifold, which is the ground truth the closed form must
 reproduce.
 """
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from straingrid import (ConfigError, ConnectivityMatrix, FullModel,
                         SubcriticalPatch, drift_matrix, fitness_matrix,
                         fitness_structure, init_on_manifold, left_eigenvector,
                         migration_matrix, neutral_equilibrium, patch_rates,
-                        rhs_full, speed_and_weights)
+                        rhs_full, setup_from_model, speed_and_weights)
 from straingrid.reduction import build_background
 
 from conftest import random_supercritical_patch
@@ -332,20 +333,21 @@ def migration_of(conn, *patches):
 def test_homogeneous_migration_collapses(worked_patch):
     conn = ConnectivityMatrix(entries=np.array([
         [-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]))
-    mig = migration_of(conn, worked_patch, worked_patch, worked_patch)
-    assert np.max(np.abs(mig.entries - conn.entries)) < 1e-12
-    assert np.max(np.abs(mig.advection)) < 1e-12
+    M, nu = migration_of(conn, worked_patch, worked_patch, worked_patch)
+    assert np.max(np.abs(M - conn.entries)) < 1e-12
+    assert np.max(np.abs(nu)) < 1e-12
 
 
 def test_heterogeneous_two_patch_hand_values(worked_patch, second_patch,
                                              two_patch_conn):
-    mig = migration_of(two_patch_conn, worked_patch, second_patch)
-    assert mig.entries[0, 1] == pytest.approx(22.0 / 21.0, abs=1e-14)
-    assert mig.entries[0, 0] == pytest.approx(-22.0 / 21.0, abs=1e-14)
-    assert mig.advection[0, 1] == pytest.approx(1.0 / 21.0, abs=1e-14)
+    M, nu = migration_of(two_patch_conn, worked_patch, second_patch)
+    assert M.shape == nu.shape == (2, 2)
+    assert M[0, 1] == pytest.approx(22.0 / 21.0, abs=1e-14)
+    assert M[0, 0] == pytest.approx(-22.0 / 21.0, abs=1e-14)
+    assert nu[0, 1] == pytest.approx(1.0 / 21.0, abs=1e-14)
     # decomposition m_pk = d_pk * (1 + nu_pk)
-    assert mig.entries[0, 1] == pytest.approx(
-        two_patch_conn.entries[0, 1] * (1.0 + mig.advection[0, 1]), abs=1e-14)
+    assert M[0, 1] == pytest.approx(
+        two_patch_conn.entries[0, 1] * (1.0 + nu[0, 1]), abs=1e-14)
 
 
 def test_migration_row_sums_and_metzler_random():
@@ -356,10 +358,10 @@ def test_migration_row_sums_and_metzler_random():
         np.fill_diagonal(entries, 0.0)
         np.fill_diagonal(entries, -entries.sum(axis=1))
         conn = ConnectivityMatrix(entries=entries)
-        mig = migration_of(conn, *(random_supercritical_patch(rng) for _ in range(P)))
-        off = mig.entries - np.diag(np.diag(mig.entries))
+        M, _ = migration_of(conn, *(random_supercritical_patch(rng) for _ in range(P)))
+        off = M - np.diag(np.diag(M))
         assert np.all(off >= 0)
-        assert np.max(np.abs(mig.entries.sum(axis=1))) < 1e-12
+        assert np.max(np.abs(M.sum(axis=1))) < 1e-12
 
 
 def test_migration_length_mismatch(worked_patch, two_patch_conn):
@@ -391,10 +393,26 @@ def test_background_stacks_the_per_patch_forms():
         for got, want in zip(stacked, expected):
             assert got[p].tobytes() == want[0].tobytes()
     eq = forms(*patches)[1]
-    mig = migration_matrix(conn, eq, left_eigenvector(eq))
-    assert np.array_equal(bg.migration.entries, mig.entries)
-    assert np.array_equal(bg.migration.advection, mig.advection)
+    M, nu = migration_matrix(conn, eq, left_eigenvector(eq))
+    assert np.array_equal(bg.migration, M)
+    assert np.array_equal(bg.advection, nu)
     assert not any(a.flags.writeable for a in stacked)
+
+
+def test_background_and_setup_arrays_are_read_only(worked_patch, second_patch,
+                                                  two_patch_conn):
+    """The background is shared by every eps of a model: no field, the
+    migration matrix and the advection included, can be written."""
+    model = FullModel(patches=(worked_patch, second_patch),
+                      pert=StrainPerturbations.zeros(2, 2),
+                      scale=ScaleParams(eps=0.05, d=1.0), connectivity=two_patch_conn)
+    bg = model.background
+    for field in dataclasses.fields(bg):
+        assert not getattr(bg, field.name).flags.writeable, field.name
+    setup = setup_from_model(model)
+    assert setup.migration is bg.migration
+    with pytest.raises(ValueError, match="read-only"):
+        setup.migration[0, 1] = 0.0
 
 
 def test_background_rejects_subcritical_patch(worked_patch):
