@@ -6,7 +6,8 @@ CSVs, report JSON/CSV and SVG plots are byte-identical across reruns
 (the run manifest additionally records the wall time). Files are written
 to temporary names and renamed on completion, so there are no partial
 writes. The output root defaults to the current directory and can be
-overridden with STRAINGRID_OUT.
+overridden with STRAINGRID_OUT; it is checked before any run and made
+only when a command writes, so a rejected command leaves no directory.
 
 Exit codes: 0 success, 1 domain/validation failure, 2 usage/parse failure.
 """
@@ -31,7 +32,6 @@ from .config import (FREQUENCY_GENERATOR, build_model, collect_issues,
                      load_config)
 from .errors import ConfigError, ConfigParseError, StrainGridError
 from .fullsim import init_on_manifold, simulate_full
-from .ode import IntegratorConfig
 # Re-exported, not called here: perfbench/spans.py still hooks these names.
 from .reduction import (drift_matrix as drift_matrix, fitness_structure as fitness_structure,
                         left_eigenvector as left_eigenvector, migration_matrix as migration_matrix,
@@ -69,17 +69,14 @@ def _atomic_write(path: Path, chunks):
     os.replace(tmp, path)
 
 
-def _out_root(arg, create: bool = True) -> Path:
+def _out_root(arg) -> Path:
     """The output directory: arg, else STRAINGRID_OUT, else the current one.
-    With create unset it is only checked, not made: NotADirectoryError when
-    it, or its nearest existing ancestor, is not a directory."""
+    It is only checked here, not made: NotADirectoryError when it, or its
+    nearest existing ancestor, is not a directory."""
     path = Path(arg or os.environ.get("STRAINGRID_OUT") or ".")
-    if create:
-        path.mkdir(parents=True, exist_ok=True)
-    else:
-        existing = next(p for p in (path, *path.parents) if p.exists())
-        if not existing.is_dir():
-            raise NotADirectoryError(f"output path {path}: {existing} is not a directory")
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output path {path}: {existing} is not a directory")
     return path
 
 
@@ -98,11 +95,13 @@ def _write_manifest(outdir: Path, doc: dict, command: str, outputs: list[str],
     _atomic_write(outdir / "manifest.json", [json.dumps(manifest, indent=2) + "\n"])
 
 
-def _integrator_config(doc: dict, default_t_end: float) -> IntegratorConfig:
-    settings = integrator_settings(doc)
-    t_end = settings.pop("t_end", default_t_end)
-    settings.setdefault("monitor_period", t_end / 200)
-    return IntegratorConfig(t_end=t_end, **settings)
+def _write_run(outdir: Path, files: dict, doc: dict, command: str, start: float):
+    """Make outdir, write each {name: chunks} entry, then the manifest
+    listing exactly those names, with the wall time since start."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, chunks in files.items():
+        _atomic_write(outdir / name, chunks)
+    _write_manifest(outdir, doc, command, list(files), time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------- validate
@@ -170,26 +169,20 @@ def _reduced_csv(traj, P, N):
     return _csv(["tau", "patch", *(f"z_{i + 1}" for i in range(N)), "simplex_defect"], traj, P)
 
 
-def run_simulation(doc: dict, mode: str, outdir: Path, command: str) -> list[str]:
+def run_simulation(doc: dict, mode: str, outdir: Path, command: str):
     """Shared by cmd_simulate and the sweep workers."""
     model = build_model(doc)
     P, N = model.n_patches, model.n_strains
     z0 = initial_frequencies(doc, P, N)
     start = time.perf_counter()
-    cfg = _integrator_config(doc, default_t_end=200.0)
+    cfg = integrator_settings(doc)
     if mode == "full":
         traj = simulate_full(model, init_on_manifold(z0, model.background), cfg)
-        lines = _full_csv(traj, P, N)
-        name = "trajectory_full.csv"
+        files = {"trajectory_full.csv": _full_csv(traj, P, N)}
     else:
-        setup = setup_from_model(model)
-        traj = simulate_replicator(setup, z0, cfg)
-        lines = _reduced_csv(traj, P, N)
-        name = "trajectory_reduced.csv"
-    outdir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(outdir / name, lines)
-    _write_manifest(outdir, doc, command, [name], time.perf_counter() - start)
-    return [name, "manifest.json"]
+        traj = simulate_replicator(setup_from_model(model), z0, cfg)
+        files = {"trajectory_reduced.csv": _reduced_csv(traj, P, N)}
+    _write_run(outdir, files, doc, command, start)
 
 
 def cmd_simulate(args) -> int:
@@ -256,27 +249,21 @@ def cmd_compare(args) -> int:
     T = args.tau_end if args.tau_end is not None else default_tau_horizon(setup_from_model(model))
     window = (0.1 * T, T)
 
-    # The path is checked before the study and made after it, so a rejected
-    # eps list leaves no directory behind.
-    outdir = _out_root(args.out, create=False)
+    outdir = _out_root(args.out)
     start = time.perf_counter()
     report = convergence_study(model, z0, eps_list, window)
-    outdir.mkdir(parents=True, exist_ok=True)
 
-    _atomic_write(outdir / "reduction_report.json",
-                  [json.dumps(report.as_dict(), indent=2) + "\n"])
     lines = ["eps,error,aggregate_deviation"]
     for eps, err, agg in zip(report.eps_values, report.errors,
                              report.aggregate_deviations):
         lines.append(f"{_fmt(eps)},{_fmt(err)},{_fmt(agg)}")
-    _atomic_write(outdir / "reduction_errors.csv", ["\n".join(lines) + "\n"])
     slope = report.fitted_order if report.slope_applicable else None
-    _atomic_write(outdir / "reduction_loglog.svg",
-                  [_loglog_svg(report.eps_values, report.errors, slope)])
-    _write_manifest(outdir, doc, f"compare --eps {','.join(map(_fmt, eps_list))}",
-                    ["reduction_report.json", "reduction_errors.csv",
-                     "reduction_loglog.svg"],
-                    time.perf_counter() - start)
+    files = {
+        "reduction_report.json": [json.dumps(report.as_dict(), indent=2) + "\n"],
+        "reduction_errors.csv": ["\n".join(lines) + "\n"],
+        "reduction_loglog.svg": [_loglog_svg(report.eps_values, report.errors, slope)],
+    }
+    _write_run(outdir, files, doc, f"compare --eps {','.join(map(_fmt, eps_list))}", start)
     print(f"wrote {outdir}")
     return EXIT_OK
 
@@ -285,29 +272,15 @@ def cmd_compare(args) -> int:
 
 def _set_path(doc: dict, dotted: str, value: float):
     """Assign a scalar at a dotted config path; numeric segments index
-    into arrays (e.g. patches.0.beta)."""
-    keys = dotted.split(".")
+    into arrays (e.g. patches.0.beta), and missing object keys are made."""
+    *keys, last = dotted.split(".")
     node = doc
-    for key in keys[:-1]:
-        if isinstance(node, list):
-            try:
-                node = node[int(key)]
-            except (ValueError, IndexError):
-                raise ConfigError(f"axis path {dotted!r} does not address a scalar")
-        elif isinstance(node, dict):
-            node = node.setdefault(key, {})
-        else:
-            raise ConfigError(f"axis path {dotted!r} does not address a scalar")
-    last = keys[-1]
-    if isinstance(node, list):
-        try:
-            node[int(last)] = value
-        except (ValueError, IndexError):
-            raise ConfigError(f"axis path {dotted!r} does not address a scalar")
-    elif isinstance(node, dict):
-        node[last] = value
-    else:
-        raise ConfigError(f"axis path {dotted!r} does not address a scalar")
+    try:
+        for key in keys:
+            node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+        node[int(last) if isinstance(node, list) else last] = value
+    except (AttributeError, IndexError, TypeError, ValueError):
+        raise ConfigError(f"axis path {dotted!r} does not address a scalar") from None
 
 
 def _sweep_worker(task):
@@ -346,6 +319,7 @@ def cmd_sweep(args) -> int:
     for value, status, detail in results:
         any_failed |= status != "ok"
         writer.writerow([_fmt(value), status, detail])
+    outdir.mkdir(parents=True, exist_ok=True)
     _atomic_write(outdir / "sweep.csv", [buf.getvalue()])
     print(f"wrote {outdir / 'sweep.csv'}")
     return EXIT_DOMAIN if any_failed else EXIT_OK

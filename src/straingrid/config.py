@@ -3,7 +3,8 @@
 A single JSON document describes a model: per-patch baseline rates,
 strain trait deviations, connectivity (either an explicit matrix or
 volumes plus pair weights), the scale (eps, d), and optional initial
-frequencies and integrator settings.
+frequencies and integrator settings, whose defaults are applied here so
+that validation checks the settings every run uses.
 
 One pass parses and validates a document: ``collect_issues`` returns
 its itemized report, ``build_model`` the model it built or a ConfigError
@@ -144,9 +145,12 @@ def build_connectivity(doc: dict, P: int) -> ConnectivityMatrix:
             raise ConfigError("connectivity: volumes and weights must both be given")
         V = _parsed("connectivity.volumes", conn["volumes"])
         x = _parsed("connectivity.weights", conn["weights"])
-        entries = renormalize_to_density(volume_matrix(V, x), V)
-        if entries.shape != (P, P):
-            raise ConfigError(f"connectivity must be {P}x{P}, got {entries.shape}")
+        if V.shape != (P,):
+            raise ConfigError(f"connectivity: expected {P} volumes, got shape {V.shape}")
+        try:
+            entries = renormalize_to_density(volume_matrix(V, x), V)
+        except ConfigError as exc:
+            raise ConfigError(f"connectivity: {exc}") from None
     else:
         raise ConfigError("connectivity: expected 'matrix' or 'volumes'+'weights'")
     return ConnectivityMatrix(entries=entries)
@@ -154,18 +158,13 @@ def build_connectivity(doc: dict, P: int) -> ConnectivityMatrix:
 
 def _connectivity(doc: dict, P: int, issues: list[str]) -> ConnectivityMatrix | None:
     """The coupling matrix, or None with its faults appended to issues;
-    an explicit matrix is reported per failed property."""
-    conn = doc.get("connectivity")
-    explicit = isinstance(conn, dict) and "matrix" in conn
+    a matrix that fails structural properties is reported per property."""
     try:
         return build_connectivity(doc, P)
+    except InvalidConnectivity as exc:
+        issues.extend(f"connectivity: {item}" for item in exc.failures)
     except ConfigError as exc:
-        if not explicit:
-            issues.append(f"connectivity: {exc}")
-        elif isinstance(exc, InvalidConnectivity):
-            issues.extend(f"connectivity: {item}" for item in exc.failures)
-        else:
-            issues.append(str(exc))
+        issues.append(str(exc))
     return None
 
 
@@ -207,7 +206,7 @@ def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
                               d=_parsed("scale.d", scale.get("d", 0.0), float)),
             connectivity=connectivity)
         initial_frequencies(doc, P, model.n_strains)
-        IntegratorConfig(**integrator_settings(doc))
+        integrator_settings(doc)
     except ConfigError as exc:
         return None, [str(exc)]
     return model, []
@@ -245,10 +244,16 @@ def initial_frequencies(doc: dict, P: int, N: int) -> np.ndarray:
     return np.full((P, N), 1.0 / N)
 
 
-def integrator_settings(doc: dict) -> dict:
-    """Integration overrides from the config; defaults live with the CLI."""
+def integrator_settings(doc: dict) -> IntegratorConfig:
+    """The integrator settings of a run: the `integration` section over
+    the defaults t_end = 200 and monitor_period = t_end / 200 (201
+    samples), the rest as IntegratorConfig has them. ConfigError for an
+    unknown key, a value that is not a number, or an inadmissible one."""
     integ = _section(doc, "integration")
     unknown = _unknown_keys("integration", integ, SECTION_KEYS["integration"])
     if unknown:
         raise ConfigError(unknown[0])
-    return {k: _parsed(f"integration.{k}", v, float) for k, v in integ.items()}
+    settings = {"t_end": 200.0,
+                **{k: _parsed(f"integration.{k}", v, float) for k, v in integ.items()}}
+    settings.setdefault("monitor_period", settings["t_end"] / 200)
+    return IntegratorConfig(**settings)

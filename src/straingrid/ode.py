@@ -188,7 +188,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
             raise NumericalBlowup(f"non-finite right-hand side at t={t}")
 
         if norm <= 1.0:
-            t_new = t + h
+            # A step clipped to t_end ends there: t + (t_end - t) can
+            # round an ulp short, which would leave a step of ~1e-17.
+            t_new = t_end if h == t_end - t else t + h
             # interpolate any samples inside (t, t_new]
             while next_sample < n_samples and sample_times[next_sample] <= t_new + 1e-15 * t_end:
                 ts = min(sample_times[next_sample], t_new)
@@ -205,9 +207,6 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         else:
             factor = max(_MIN_FACTOR, _SAFETY * norm ** (-1.0 / _ORDER))
         h = min(cfg.max_step, h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)))
-
-    if next_sample < n_samples:   # end hit exactly by the last step
-        record(n_samples - 1, y)
 
     return Trajectory(times=sample_times, states=states,
                       diagnostics=diagnostics, monitor_max=monitor_max)

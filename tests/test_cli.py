@@ -17,6 +17,7 @@ import straingrid.ode
 import straingrid.reduction
 import straingrid.validate
 from straingrid.cli import main
+from straingrid.errors import ConfigError
 from straingrid.config import initial_frequencies
 
 WORKED_DOC = {
@@ -566,3 +567,46 @@ def test_simulate_builds_model_once(tmp_path, capsys, call_counts):
     assert call_counts["build_model"] == 1
     assert call_counts["validate_connectivity"] == 1
     assert call_counts["neutral_equilibrium"] == 1
+
+
+def test_rejected_simulate_leaves_no_directory(tmp_path, capsys):
+    doc = with_value("patches.0.beta", 2.0)    # subcritical: equals r + gamma
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", cfg, "--mode", "reduced",
+                 "--out", str(tmp_path / "p5" / "out" / "deep")]) == 1
+    assert "subcritical" in capsys.readouterr().err
+    assert not (tmp_path / "p5").exists()
+
+
+def test_validate_checks_the_integration_defaults(tmp_path, capsys):
+    """The default monitor_period t_end / 200 underflows to 0 for the
+    smallest t_end; validate reports what the run would."""
+    cfg = write_config(tmp_path, {"patches": [{"r": 1, "beta": 4, "gamma": 1, "k": 1}],
+                                  "integration": {"t_end": 5e-324}})
+    assert main(["validate", cfg]) == 1
+    assert "  - monitor_period must be positive\n" in capsys.readouterr().out
+    assert main(["simulate", cfg, "--mode", "reduced", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: monitor_period must be positive\n"
+
+
+def test_run_ends_on_a_t_end_its_last_step_rounds_short_of(tmp_path, capsys):
+    doc = with_section("integration", {"t_end": 0.3669556192236367, "rel_tol": 1e-6})
+    doc["strains"]["b"] = [[1e-3, 0.0], [0.5e-3, -0.5e-3]]
+    doc["scale"]["d"] = 0.0
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 0
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--mode", "reduced", "--out", str(out)]) == 0
+    with open(out / "trajectory_reduced.csv") as fh:
+        times = [float(row["tau"]) for row in csv.DictReader(fh)]
+    assert len(times) == len(WORKED_DOC["patches"]) * 201
+    assert times[-1] == 0.3669556192236367
+
+
+@pytest.mark.parametrize("dotted", ["patches.2.beta", "patches.x.beta", "patches.0.beta.x",
+                                    "strains.b.0.5", "strains.N.0"],
+                         ids=["index-out-of-range", "non-integer-index", "through-a-scalar",
+                              "last-index-out-of-range", "last-through-a-scalar"])
+def test_set_path_rejects_paths_to_no_scalar(dotted):
+    with pytest.raises(ConfigError, match=f"axis path '{dotted}' does not address a scalar"):
+        with_value(dotted, 1.0)

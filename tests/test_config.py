@@ -10,6 +10,7 @@ from straingrid import ConfigError, ConfigParseError
 from straingrid.config import (build_connectivity, build_model, collect_issues,
                                config_hash, initial_frequencies,
                                integrator_settings, load_config)
+from straingrid.ode import IntegratorConfig
 
 
 def base_doc():
@@ -161,8 +162,45 @@ def test_initial_frequencies_seeded_and_uniform():
 def test_integrator_settings():
     doc = base_doc()
     doc["integration"] = {"rel_tol": 1e-9, "t_end": 50.0}
-    settings = integrator_settings(doc)
-    assert settings == {"rel_tol": 1e-9, "t_end": 50.0}
+    assert integrator_settings(doc) == IntegratorConfig(rel_tol=1e-9, t_end=50.0,
+                                                        monitor_period=0.25)
+    assert integrator_settings(base_doc()) == IntegratorConfig(t_end=200.0, monitor_period=1.0)
     doc["integration"]["bogus"] = 1
     with pytest.raises(ConfigError):
         integrator_settings(doc)
+
+
+@pytest.mark.parametrize("connectivity, message", [
+    ({"volumes": [1.0, 2.0]}, "connectivity: volumes and weights must both be given"),
+    ({}, "connectivity: expected 'matrix' or 'volumes'+'weights'"),
+    (None, "connectivity section required for P > 1"),
+    (3, "connectivity must be a JSON object"),
+], ids=["volumes-only", "empty", "missing", "not-an-object"])
+def test_connectivity_issues_name_their_section_once(connectivity, message):
+    doc = base_doc()
+    del doc["connectivity"]
+    if connectivity is not None:
+        doc["connectivity"] = connectivity
+    issues = collect_issues(doc)
+    assert issues == [message]
+    assert not any("connectivity: connectivity" in item for item in issues)
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("scale", 3, "scale must be a JSON object"),
+    ("strains", {"N": 0}, "strains.N must be >= 1"),
+    ("connectivity", {"matrix": [[-1.0, 1.0]]}, "connectivity: expected 2x2 matrix, got (1, 2)"),
+    ("connectivity", {"volumes": [1.0, 2.0, 3.0], "weights": np.triu(np.ones((3, 3)), 1).tolist()},
+     "connectivity: expected 2 volumes, got shape (3,)"),
+    ("connectivity", {"volumes": 3.0, "weights": [[0.0, 1.0], [0.0, 0.0]]},
+     "connectivity: expected 2 volumes, got shape ()"),
+    ("connectivity", {"volumes": [[1.0], [2.0]], "weights": [[0.0, 1.0], [0.0, 0.0]]},
+     "connectivity: expected 2 volumes, got shape (2, 1)"),
+    ("connectivity", {"volumes": [1.0, 2.0], "weights": [[0.0, 1.0]]},
+     "connectivity: weights must be a 2x2 array, got shape (1, 2)"),
+], ids=["section-not-an-object", "N-0", "matrix-shape", "three-volumes", "scalar-volumes",
+        "2d-volumes", "weights-shape"])
+def test_malformed_sections_are_issues(section, value, message):
+    doc = base_doc()
+    doc[section] = value
+    assert collect_issues(doc) == [message]

@@ -87,6 +87,8 @@ def test_volume_matrix_rejects_bad_input():
         volume_matrix(np.array([1.0, 2.0]), np.zeros((2, 2)))
     with pytest.raises(ConfigError):
         volume_matrix(np.array([1.0, 2.0]), np.array([[0.0, -1.0], [0.0, 0.0]]))
+    with pytest.raises(ConfigError, match=r"weights must be a 2x2 array, got shape \(3, 3\)"):
+        volume_matrix(np.array([1.0, 2.0]), np.ones((3, 3)))
 
 
 def test_renormalize_hand_example():
@@ -105,6 +107,12 @@ def test_renormalize_rejects_precondition_violation():
     with pytest.raises(ConfigError):
         renormalize_to_density(np.array([[-1.0, 1.0], [0.5, -0.5]]),
                                np.array([1.0, 1.0]))
+    # zero column sums, but its kernel is (1, 2), not (1, 1)
+    M = np.array([[-2.0, 1.0], [2.0, -1.0]])
+    with pytest.raises(ConfigError, match="all volumes must be positive"):
+        renormalize_to_density(M, np.array([1.0, 0.0]))
+    with pytest.raises(ConfigError, match=r"matrix does not keep the volumes fixed \(M V != 0\)"):
+        renormalize_to_density(M, np.array([1.0, 1.0]))
 
 
 def test_random_volume_pipeline_properties():
@@ -123,3 +131,8 @@ def test_random_volume_pipeline_properties():
         Dhat = renormalize_to_density(M, V)
         assert np.max(np.abs(Dhat.sum(axis=1))) <= 1e-12 * np.max(np.abs(Dhat))
         assert validate_connectivity(Dhat) == []
+
+
+def test_non_finite_matrix_rejected():
+    with pytest.raises(ConfigError, match="connectivity matrix has non-finite entries"):
+        validate_connectivity(np.array([[-1.0, np.inf], [1.0, -1.0]]))

@@ -304,3 +304,20 @@ def test_mass_and_negativity_monitors(worked_patch, second_patch,
     assert traj.monitor_max[0] < 100 * (1e-10 + 1e-12)   # mass defect
     # min entry stays essentially nonnegative
     assert float(np.min(traj.states)) > -10 * (1e-10 + 1e-12)
+
+
+def test_model_parts_sized_for_another_patch_count(worked_patch, second_patch):
+    patches = (worked_patch, second_patch)
+    conn = ConnectivityMatrix(entries=np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ConfigError, match="perturbations cover 1 patches, model has 2"):
+        FullModel(patches=patches, pert=StrainPerturbations.zeros(1, 2),
+                  scale=ScaleParams(eps=0.1, d=1.0), connectivity=conn)
+    with pytest.raises(ConfigError, match="connectivity size does not match patch count"):
+        FullModel(patches=patches, pert=StrainPerturbations.zeros(2, 2),
+                  scale=ScaleParams(eps=0.1, d=1.0), connectivity=ONE_PATCH)
+
+
+def test_manifold_state_needs_one_row_per_patch(worked_patch):
+    bg = neutral_model([worked_patch], 2).background
+    with pytest.raises(ConfigError, match="need one equilibrium per patch"):
+        manifold_state(np.full((2, 2), 0.5), bg)

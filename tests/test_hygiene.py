@@ -1,6 +1,6 @@
 """Source hygiene: every package module uses each name it imports, the
-package exports exactly what it imports, and every name the benchmark's
-tracer hooks still exists."""
+package exports exactly what it imports, every name the benchmark's
+tracer hooks still exists, and the CLI writes files through one path."""
 
 import ast
 import importlib.util
@@ -56,3 +56,17 @@ def test_benchmark_hooks_resolve():
     sites = [(module, attribute) for module, attribute, _ in spans.CALL_SITES + spans.INTEGRATE_SITES]
     missing = [f"{m}.{a}" for m, a in sites if spans._resolve(m, a) is None]
     assert sites and not missing, f"hooked names that no longer resolve: {missing}"
+
+
+def test_cli_opens_files_and_makes_directories_in_one_place_each():
+    """Every artifact goes through _atomic_write, and only the writers
+    make directories, so a rejected command leaves none behind."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    sites = set()
+    for func in tree.body:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("open", "mkdir"):
+                    sites.add((name, getattr(func, "name", None)))
+    assert sites == {("open", "_atomic_write"), ("mkdir", "_write_run"), ("mkdir", "cmd_sweep")}

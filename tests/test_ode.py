@@ -210,3 +210,14 @@ def test_non_finite_stage_stops_its_step(bad, stage):
     with pytest.raises(NumericalBlowup):
         integrate(rhs, np.array([1.0, 2.0]), cfg)
     assert len(calls) == 1 + 3 * 6
+
+
+def test_last_step_ends_on_t_end():
+    """t + (t_end - t) rounds an ulp short of this t_end when the last
+    step starts before t_end / 2; the run must still end on t_end, not
+    fail on a step of about 5.6e-17."""
+    t_end = 0.43364036525956345
+    cfg = IntegratorConfig(t_end=t_end, rel_tol=1e-3, abs_tol=1e-6, monitor_period=t_end / 200)
+    traj = integrate(lambda t, y: -0.01 * y, [1.0], cfg)
+    assert traj.times.size == 201
+    assert traj.times[-1] == t_end

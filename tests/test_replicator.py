@@ -163,3 +163,8 @@ def test_driver_rejects_off_simplex_start(z0):
     setup, *_ = make_setup([1.0], [[[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(ConfigError, match="off the simplex"):
         simulate_replicator(setup, np.array(z0), IntegratorConfig(t_end=1.0))
+
+
+def test_negative_migration_intensity_rejected():
+    with pytest.raises(ConfigError, match="migration intensity d must be >= 0"):
+        make_setup(np.ones(2), np.zeros((2, 2, 2)), d=-0.5)

@@ -32,6 +32,10 @@ def test_perturbations_shapes_and_zeros():
         StrainPerturbations(b=np.zeros((2, 3)), nu=np.zeros((2, 2)),
                             c_pair=np.zeros((2, 3, 3)), w=np.zeros((2, 3, 3)),
                             alpha=np.zeros((2, 3, 3)))
+    with pytest.raises(ConfigError, match=r"w must have shape \(2, 3, 3\), got \(2, 3, 2\)"):
+        StrainPerturbations(b=np.zeros((2, 3)), nu=np.zeros((2, 3)),
+                            c_pair=np.zeros((2, 3, 3)), w=np.zeros((2, 3, 2)),
+                            alpha=np.zeros((2, 3, 3)))
     with pytest.raises(ConfigError):
         StrainPerturbations(b=np.array([[np.inf]]), nu=np.zeros((1, 1)),
                             c_pair=np.zeros((1, 1, 1)), w=np.zeros((1, 1, 1)),

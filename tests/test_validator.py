@@ -8,8 +8,9 @@ import pytest
 
 import straingrid.ode
 import straingrid.validate
-from straingrid import (ConfigError, ConnectivityMatrix, FullModel, PatchParams,
-                        ReductionReport, ScaleParams, StrainPerturbations,
+from straingrid import (ConfigError, ConnectivityMatrix, FullModel, IntegratorConfig,
+                        PatchParams, ReductionReport, ScaleParams, StrainGridError,
+                        StrainPerturbations,
                         convergence_study, default_tau_horizon,
                         extract_frequencies, init_on_manifold,
                         neutral_limit_check, reduction_error, setup_from_model,
@@ -244,3 +245,17 @@ def test_report_ratio_helpers():
                              aggregate_deviations=(0.8, 0.4))
     assert report.error_ratios() == [pytest.approx(0.5)]
     assert report.aggregate_ratios() == [pytest.approx(0.5)]
+
+
+def test_reduction_error_rejects_runs_of_unequal_length(monkeypatch, worked_patch):
+    """A reduced run on another sampling grid is an error, not a
+    misaligned gap."""
+    run = straingrid.validate.simulate_replicator
+    monkeypatch.setattr(straingrid.validate, "simulate_replicator",
+                        lambda setup, z0, cfg: run(setup, z0, IntegratorConfig(
+                            t_end=cfg.t_end, monitor_period=cfg.t_end / 100)))
+    model = FullModel(patches=(worked_patch,), pert=StrainPerturbations.zeros(1, 2),
+                      scale=ScaleParams(eps=0.05, d=0.0),
+                      connectivity=ConnectivityMatrix(entries=np.zeros((1, 1))))
+    with pytest.raises(StrainGridError, match="full and reduced runs have 201 and 101 samples"):
+        reduction_error(model, np.array([[0.3, 0.7]]), eps=0.05, tau_window=(0.1, 1.0))
