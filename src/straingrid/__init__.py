@@ -14,13 +14,12 @@ from .ode import IntegratorConfig, Trajectory, integrate
 from .reduction import (Background, drift_matrix, fitness_matrix,
                         fitness_structure, left_eigenvector, migration_matrix,
                         neutral_equilibrium, patch_rates, speed_and_weights)
-from .replicator import (ReplicatorSetup, rhs_replicator,
-                         rhs_replicator_advection, setup_from_model,
+from .replicator import (ReplicatorSetup, rhs_replicator, setup_from_model,
                          simulate_replicator)
 from .types import (ConnectivityMatrix, PatchParams, ScaleParams,
                     StrainPerturbations, full_state, require_simplex)
 from .validate import (ReductionReport, convergence_study, default_tau_horizon,
-                       neutral_limit_check, reduction_error)
+                       reduction_error)
 
 __all__ = [
     "Background", "ConfigError", "ConfigParseError", "ConnectivityMatrix",
@@ -31,8 +30,8 @@ __all__ = [
     "drift_matrix", "extract_frequencies", "fitness_matrix",
     "fitness_structure", "full_state", "init_on_manifold", "integrate",
     "left_eigenvector", "migration_matrix", "neutral_equilibrium",
-    "neutral_limit_check", "patch_rates", "reduction_error", "renormalize_to_density",
-    "require_simplex", "rhs_full", "rhs_replicator", "rhs_replicator_advection",
+    "patch_rates", "reduction_error", "renormalize_to_density",
+    "require_simplex", "rhs_full", "rhs_replicator",
     "setup_from_model", "simulate_full", "simulate_replicator", "speed_and_weights",
     "transmissible_load", "validate_connectivity", "volume_matrix",
 ]

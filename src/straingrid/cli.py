@@ -230,7 +230,7 @@ def _loglog_svg(eps_values, errors, slope) -> str:
     parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
     for a, b in zip(lx, ly):
         parts.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="4" fill="steelblue"/>')
-    if slope is not None and math.isfinite(slope):
+    if math.isfinite(slope):
         parts.append(
             f'<text x="{width - margin}" y="{margin}" text-anchor="end" '
             f'font-size="12">fitted order {slope:.3f}</text>')
@@ -257,11 +257,11 @@ def cmd_compare(args) -> int:
     for eps, err, agg in zip(report.eps_values, report.errors,
                              report.aggregate_deviations):
         lines.append(f"{_fmt(eps)},{_fmt(err)},{_fmt(agg)}")
-    slope = report.fitted_order if report.slope_applicable else None
     files = {
         "reduction_report.json": [json.dumps(report.as_dict(), indent=2) + "\n"],
         "reduction_errors.csv": ["\n".join(lines) + "\n"],
-        "reduction_loglog.svg": [_loglog_svg(report.eps_values, report.errors, slope)],
+        "reduction_loglog.svg": [_loglog_svg(report.eps_values, report.errors,
+                                             report.fitted_order)],
     }
     _write_run(outdir, files, doc, f"compare --eps {','.join(map(_fmt, eps_list))}", start)
     print(f"wrote {outdir}")

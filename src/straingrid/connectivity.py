@@ -12,6 +12,8 @@ convention (zero row sums).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ConfigError
@@ -56,6 +58,17 @@ def validate_connectivity(M) -> list[str]:
     return [message for ok, message in checks if not ok]
 
 
+@contextmanager
+def _overflow_is_config_error(what: str):
+    """Float overflow (or an invalid result) inside the block raises
+    ConfigError naming `what` instead of warning or yielding inf."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ConfigError(f"{what} overflows the float range") from None
+
+
 def volume_matrix(V, x) -> np.ndarray:
     """Abundance-conserving exchange matrix for patch volumes V.
 
@@ -69,6 +82,10 @@ def volume_matrix(V, x) -> np.ndarray:
     P = V.shape[0]
     if x.shape != (P, P):
         raise ConfigError(f"weights must be a {P}x{P} array, got shape {x.shape}")
+    if not np.all(np.isfinite(V)):
+        raise ConfigError("volumes must be finite")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("pair weights must be finite")
     if np.any(V <= 0):
         raise ConfigError("all volumes must be positive")
     iu, ju = np.triu_indices(P, k=1)
@@ -79,13 +96,14 @@ def volume_matrix(V, x) -> np.ndarray:
         raise ConfigError("at least one pair weight must be positive")
 
     M = np.zeros((P, P))
-    for i, j, w in zip(iu, ju, weights):
-        if w == 0.0:
-            continue
-        M[i, i] -= w * V[j]
-        M[i, j] += w * V[i]
-        M[j, i] += w * V[j]
-        M[j, j] -= w * V[i]
+    with _overflow_is_config_error("exchange stencil"):
+        for i, j, w in zip(iu, ju, weights):
+            if w == 0.0:
+                continue
+            M[i, i] -= w * V[j]
+            M[i, j] += w * V[i]
+            M[j, i] += w * V[j]
+            M[j, j] -= w * V[i]
     return M
 
 
@@ -99,10 +117,11 @@ def renormalize_to_density(M, V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if np.any(V <= 0):
         raise ConfigError("all volumes must be positive")
-    scale = np.max(np.abs(M)) or 1.0
-    vscale = np.max(np.abs(V))
-    if np.max(np.abs(M.sum(axis=0))) > 1e-10 * scale:
-        raise ConfigError("matrix does not conserve total mass (column sums nonzero)")
-    if np.max(np.abs(M @ V)) > 1e-10 * scale * vscale:
-        raise ConfigError("matrix does not keep the volumes fixed (M V != 0)")
-    return (M * V[np.newaxis, :]) / V[:, np.newaxis]
+    with _overflow_is_config_error("density matrix"):
+        scale = np.max(np.abs(M)) or 1.0
+        vscale = np.max(np.abs(V))
+        if np.max(np.abs(M.sum(axis=0))) > 1e-10 * scale:
+            raise ConfigError("matrix does not conserve total mass (column sums nonzero)")
+        if np.max(np.abs(M @ V)) > 1e-10 * scale * vscale:
+            raise ConfigError("matrix does not keep the volumes fixed (M V != 0)")
+        return (M * V[np.newaxis, :]) / V[:, np.newaxis]

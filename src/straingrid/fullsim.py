@@ -128,19 +128,16 @@ def rhs_full(t: float, y: np.ndarray, model: FullModel) -> np.ndarray:
     return dy
 
 
-def manifold_state(z: np.ndarray, background: Background) -> np.ndarray:
-    """Flat product state S = S*, I^i = I* z^i, D^{ij} = D* z^i z^j of
-    z (P, N), unchecked: z may lie off the simplex product."""
+def init_on_manifold(z0: np.ndarray, background: Background) -> np.ndarray:
+    """Flat product state S = S*, I^i = I* z^i, D^{ij} = D* z^i z^j of the
+    frequencies z0 (P, N), which must lie on the simplex product (up to
+    types.SIMPLEX_TOL)."""
+    z = require_simplex(z0)
     if z.shape[0] != background.S_star.shape[0]:
         raise ConfigError("need one equilibrium per patch")
     I = background.I_star[:, None] * z
     D = background.D_star[:, None, None] * z[:, :, None] * z[:, None, :]
     return full_state(background.S_star, I, D)
-
-
-def init_on_manifold(z0: np.ndarray, background: Background) -> np.ndarray:
-    """manifold_state of z0, which must lie on the simplex product (defect <= 1e-12)."""
-    return manifold_state(require_simplex(z0), background)
 
 
 def slow_observables(y: np.ndarray, background: Background) -> np.ndarray:

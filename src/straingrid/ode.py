@@ -96,9 +96,6 @@ class Trajectory:
             out[:, j] = np.interp(t, self.times, self.states[:, j])
         return out
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _error_norm(err, y_old, y_new, cfg):
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))

@@ -1,10 +1,9 @@
 """Reduced spatial replicator system on the product of P simplices.
 
-Two algebraically identical right-hand sides are provided: the compact
-form coupling patches through the reweighted migration matrix, which the
-driver integrates in the slow time variable tau with simplex monitors,
-and the diffusion-plus-advection form that splits the coupling into the
-raw connectivity and heterogeneity corrections, kept as its reference.
+The right-hand side is the compact form of the reduction: per-patch
+replicator reaction plus d (M z^i)_p, the coupling through the
+reweighted migration matrix M = D (1 + nu) off the diagonal. The driver
+integrates it in the slow time variable tau with simplex monitors.
 Frequencies are plain (P, N) arrays; the integrated state is their
 ravel.
 """
@@ -22,7 +21,7 @@ from .ode import IntegratorConfig, Trajectory, integrate
 from .reduction import (fitness_structure as fitness_structure,
                         left_eigenvector as left_eigenvector, migration_matrix as migration_matrix,
                         neutral_equilibrium as neutral_equilibrium)
-from .types import ConnectivityMatrix, require_simplex, row_sum_defect
+from .types import require_simplex, row_sum_defect
 
 
 @dataclass(frozen=True)
@@ -71,21 +70,6 @@ def rhs_replicator(tau: float, y: np.ndarray, setup: ReplicatorSetup) -> np.ndar
     if setup.d != 0.0:
         dz = dz + setup.d * (setup.migration @ z)
     return dz.ravel()
-
-
-def rhs_replicator_advection(z: np.ndarray, setup: ReplicatorSetup,
-                             D: ConnectivityMatrix, nu: np.ndarray) -> np.ndarray:
-    """Diffusion-advection form at the frequencies z (P, N): reaction
-    + d (D z^i)_p + d sum_k d_pk nu_pk (z_k^i - z_p^i), with the advection
-    nu (P, P); setup.migration is not used. Identical to rhs_replicator
-    when M = D (1 + nu) off the diagonal, shaped (P, N)."""
-    dz = _reaction(z, setup.Theta, setup.Lambdas)
-    if setup.d != 0.0:
-        dmat = D.entries
-        diff = dmat @ z
-        adv = np.einsum("pk,pki->pi", dmat * nu, z[None, :, :] - z[:, None, :])
-        dz = dz + setup.d * (diff + adv)
-    return dz
 
 
 def simulate_replicator(setup: ReplicatorSetup, z0: np.ndarray,

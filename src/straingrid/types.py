@@ -28,6 +28,10 @@ import numpy as np
 
 from .errors import ConfigError, InvalidConnectivity
 
+# Frequencies within this of the simplex, per entry and per row sum, pass
+# require_simplex.
+SIMPLEX_TOL = 1e-12
+
 
 def _frozen(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -188,11 +192,11 @@ def row_sum_defect(y: np.ndarray, P: int) -> float:
 
 def require_simplex(z) -> np.ndarray:
     """A float copy of the frequencies z (P, N); ConfigError unless every row
-    lies on the simplex, up to 1e-12 (NaN entries fail)."""
+    lies on the simplex, up to SIMPLEX_TOL (NaN entries fail)."""
     z = np.array(z, dtype=float)
     if z.ndim != 2:
         raise ConfigError(f"z must be 2-d (patch, strain), got shape {z.shape}")
-    if not (z.min() >= -1e-12 and z.max() <= 1.0 + 1e-12
-            and row_sum_defect(z, z.shape[0]) <= 1e-12):
+    if not (z.min() >= -SIMPLEX_TOL and z.max() <= 1.0 + SIMPLEX_TOL
+            and row_sum_defect(z, z.shape[0]) <= SIMPLEX_TOL):
         raise ConfigError("initial frequencies are off the simplex product")
     return z

@@ -6,9 +6,9 @@ extracted and reduced frequencies over a slow-time window. The full run
 records only the slow observables (S_p, u_p) of each sample, P(1+N)
 values instead of the P(1+N+N^2) of the state.
 convergence_study checks every eps, then sweeps them and fits the
-log-log convergence order.
-neutral_limit_check verifies the product-structure attractor of the
-fully neutral, migration-free system.
+log-log convergence order. These are the checks the CLI runs; the
+neutral-limit product-structure check is a test oracle
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, StrainGridError
-from .fullsim import (FullModel, extract_frequencies, init_on_manifold,
-                      manifold_state, observed_frequencies, simulate_full,
+from .fullsim import (FullModel, init_on_manifold, observed_frequencies, simulate_full,
                       slow_observables)
 from .ode import IntegratorConfig
 # Re-exported, not called here: perfbench/spans.py still hooks these names.
+from .fullsim import extract_frequencies as extract_frequencies
 from .reduction import (left_eigenvector as left_eigenvector,
                         neutral_equilibrium as neutral_equilibrium)
 from .replicator import setup_from_model, simulate_replicator
-from .types import full_views
 
 # Validation runs resolve the fast scale; tolerances sit well below the
 # smallest expected reduction error so discretization noise cannot
@@ -84,7 +83,7 @@ def default_tau_horizon(setup) -> float:
 def _validation_cfg(t_end: float) -> IntegratorConfig:
     return IntegratorConfig(rel_tol=VALIDATION_REL_TOL, abs_tol=VALIDATION_ABS_TOL,
                             t_end=t_end, monitor_period=t_end / VALIDATION_SAMPLES,
-                            initial_step=min(1e-4, t_end / 1000))
+                            initial_step=min(IntegratorConfig.initial_step, t_end / 1000))
 
 
 def reduction_error(model: FullModel, z0: np.ndarray, eps: float,
@@ -151,18 +150,3 @@ def convergence_study(model: FullModel, z0: np.ndarray, eps_list,
                            fitted_order=slope, tau_window=tuple(tau_window),
                            aggregate_deviations=aggs)
 
-
-def neutral_limit_check(model: FullModel, y0: np.ndarray,
-                        t_end: float = 200.0) -> float:
-    """Residual of the product structure S = S*, I^i = I* z^i,
-    D^{ij} = D* z^i z^j at t_end, with z extracted from the final state.
-
-    Meaningful for the neutral, migration-free system (the caller builds
-    the model with zero deviations and d = 0)."""
-    P, N = model.n_patches, model.n_strains
-    bg = model.background
-
-    y = simulate_full(model, y0, _validation_cfg(t_end)).final_state()
-    target = manifold_state(extract_frequencies(y, bg), bg)
-    return sum(float(np.max(np.abs(got - want))) for got, want in
-               zip(full_views(y, P, N), full_views(target, P, N)))

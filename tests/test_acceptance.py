@@ -18,14 +18,14 @@ from straingrid import (ConnectivityMatrix, FullModel, IntegratorConfig,
                         drift_matrix, fitness_structure, full_state,
                         init_on_manifold, left_eigenvector,
                         migration_matrix, neutral_equilibrium,
-                        neutral_limit_check, patch_rates, reduction_error,
-                        renormalize_to_density, rhs_replicator,
-                        rhs_replicator_advection, simulate_full,
+                        patch_rates, reduction_error,
+                        renormalize_to_density, rhs_replicator, simulate_full,
                         simulate_replicator, speed_and_weights,
                         validate_connectivity, volume_matrix)
 from straingrid.cli import main as cli_main
 
 from conftest import random_supercritical_patch
+from oracles import neutral_limit_check, rhs_replicator_advection
 
 
 @contextlib.contextmanager

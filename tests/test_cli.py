@@ -196,6 +196,14 @@ def test_compare_outputs(tmp_path, capsys):
     assert svg.startswith("<svg")
 
 
+def test_loglog_svg_labels_only_a_finite_order():
+    """A NaN fitted order (degenerate study) draws the points without the
+    order label."""
+    eps, errors = (0.1, 0.05, 0.025), (1e-9, 1e-9, 1e-9)
+    assert "fitted order 1.000" in straingrid.cli._loglog_svg(eps, errors, 1.0)
+    assert "fitted order" not in straingrid.cli._loglog_svg(eps, errors, float("nan"))
+
+
 @pytest.mark.parametrize("tau_end", ["0", "-1"])
 def test_compare_rejects_an_empty_tau_window(tmp_path, capsys, tau_end):
     cfg = write_config(tmp_path, WORKED_DOC)

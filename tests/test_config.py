@@ -198,8 +198,19 @@ def test_connectivity_issues_name_their_section_once(connectivity, message):
      "connectivity: expected 2 volumes, got shape (2, 1)"),
     ("connectivity", {"volumes": [1.0, 2.0], "weights": [[0.0, 1.0]]},
      "connectivity: weights must be a 2x2 array, got shape (1, 2)"),
+    ("connectivity", {"volumes": [1.0, float("inf")], "weights": [[0.0, 1.0], [0.0, 0.0]]},
+     "connectivity: volumes must be finite"),
+    ("connectivity", {"volumes": [float("nan"), 2.0], "weights": [[0.0, 1.0], [0.0, 0.0]]},
+     "connectivity: volumes must be finite"),
+    ("connectivity", {"volumes": [1.0, 2.0], "weights": [[0.0, float("inf")], [0.0, 0.0]]},
+     "connectivity: pair weights must be finite"),
+    ("connectivity", {"volumes": [1e300, 1e-300], "weights": [[0.0, 1e300], [0.0, 0.0]]},
+     "connectivity: exchange stencil overflows the float range"),
+    ("connectivity", {"volumes": [1e200, 1e200], "weights": [[0.0, 1.0], [0.0, 0.0]]},
+     "connectivity: density matrix overflows the float range"),
 ], ids=["section-not-an-object", "N-0", "matrix-shape", "three-volumes", "scalar-volumes",
-        "2d-volumes", "weights-shape"])
+        "2d-volumes", "weights-shape", "infinite-volume", "nan-volume", "infinite-weight",
+        "overflowing-stencil", "overflowing-density"])
 def test_malformed_sections_are_issues(section, value, message):
     doc = base_doc()
     doc[section] = value

@@ -11,10 +11,10 @@ from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
                         StrainPerturbations, extract_frequencies, full_state,
                         init_on_manifold, neutral_equilibrium, patch_rates,
                         rhs_full, simulate_full, transmissible_load)
-from straingrid.fullsim import manifold_state
 from straingrid.types import full_views
 
 from conftest import random_supercritical_patch
+from oracles import manifold_state
 
 ONE_PATCH = ConnectivityMatrix(entries=np.zeros((1, 1)))
 
@@ -199,8 +199,8 @@ def test_init_rejects_off_simplex(worked_patch):
 
 
 def test_manifold_state_takes_off_simplex_frequencies(worked_patch):
-    """The unchecked product behind init_on_manifold, used on extracted
-    frequencies that solver noise can push slightly below zero."""
+    """The oracle's unchecked product state, built on extracted frequencies
+    that solver noise can push slightly below zero."""
     bg = neutral_model([worked_patch], N=2).background
     z = np.array([[1.0 + 1e-9, -1e-9]])
     _, I, D = full_views(manifold_state(z, bg), 1, 2)
@@ -280,7 +280,7 @@ def test_single_strain_converges_to_endemic_point(worked_patch):
                            monitor_period=10.0)
     traj = simulate_full(model, y0, cfg)
     S_star, I_star, D_star, _ = neutral_equilibrium(patch_rates([worked_patch]))
-    S, I, D = full_views(traj.final_state(), 1, 1)
+    S, I, D = full_views(traj.states[-1], 1, 1)
     assert abs(S[0] - S_star[0]) < 1e-6
     assert abs(I[0, 0] - I_star[0]) < 1e-6
     assert abs(D[0, 0, 0] - D_star[0]) < 1e-6
@@ -320,4 +320,4 @@ def test_model_parts_sized_for_another_patch_count(worked_patch, second_patch):
 def test_manifold_state_needs_one_row_per_patch(worked_patch):
     bg = neutral_model([worked_patch], 2).background
     with pytest.raises(ConfigError, match="need one equilibrium per patch"):
-        manifold_state(np.full((2, 2), 0.5), bg)
+        init_on_manifold(np.full((2, 2), 0.5), bg)

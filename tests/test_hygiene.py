@@ -1,6 +1,7 @@
-"""Source hygiene: every package module uses each name it imports, the
-package exports exactly what it imports, every name the benchmark's
-tracer hooks still exists, and the CLI writes files through one path."""
+"""Source hygiene: every package module uses each name it imports, every
+package function has a caller outside the tests, the package exports
+exactly what it imports, every name the benchmark's tracer hooks still
+exists, and the CLI writes files through one path."""
 
 import ast
 import importlib.util
@@ -12,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "straingrid"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def imported_names(tree):
@@ -33,6 +35,24 @@ def test_module_uses_every_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_package_function_has_a_caller():
+    """A module-level function that neither package code nor a demo names
+    serves only the tests, and belongs in tests/oracles.py. The CLI's
+    cmd_* functions are named in set_defaults(func=...), and main in the
+    __main__ guard."""
+    named = set()
+    for path in [*SRC.glob("*.py"), *DEMOS]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    uncalled = [f"{path.name}:{node.name}" for path in MODULES
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name not in named]
+    assert not uncalled, f"package functions only tests call: {uncalled}"
 
 
 def test_package_exports_exactly_its_imports():

@@ -46,7 +46,7 @@ def test_exponential_decay():
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=1.0,
                            monitor_period=0.1)
     traj = integrate(lambda t, y: -y, np.array([1.0]), cfg)
-    assert traj.final_state()[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
+    assert traj.states[-1][0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
 
 def test_logistic_oracle():
@@ -54,7 +54,7 @@ def test_logistic_oracle():
                            monitor_period=0.5)
     traj = integrate(lambda t, y: y * (1.0 - y), np.array([0.1]), cfg)
     exact = 0.1 * np.exp(5.0) / (0.9 + 0.1 * np.exp(5.0))
-    assert traj.final_state()[0] == pytest.approx(exact, abs=1e-6)
+    assert traj.states[-1][0] == pytest.approx(exact, abs=1e-6)
 
 
 def test_tolerance_halving_does_not_worsen_oracles():
@@ -70,7 +70,7 @@ def test_tolerance_halving_does_not_worsen_oracles():
             cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2,
                                    t_end=t_end, monitor_period=t_end)
             traj = integrate(rhs, y0, cfg)
-            total += abs(traj.final_state()[0] - exact)
+            total += abs(traj.states[-1][0] - exact)
         totals.append(total)
     assert totals[1] <= totals[0] + 1e-12
 

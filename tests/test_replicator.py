@@ -1,11 +1,13 @@
-"""Reduced replicator system: both right-hand-side forms and the driver."""
+"""Reduced replicator system: the right-hand side, checked against the
+diffusion-advection reference form, and the driver."""
 
 import numpy as np
 import pytest
 
 from straingrid import (ConfigError, ConnectivityMatrix, IntegratorConfig,
-                        ReplicatorSetup, rhs_replicator,
-                        rhs_replicator_advection, simulate_replicator)
+                        ReplicatorSetup, rhs_replicator, simulate_replicator)
+
+from oracles import rhs_replicator_advection
 
 
 def replicator_derivative(z, setup):
@@ -111,7 +113,7 @@ def test_logistic_closed_form():
     traj = simulate_replicator(setup, z0, cfg)
     rate = 2.0 * 0.5   # Theta * lambda12
     exact = 0.1 * np.exp(rate * 5.0) / (0.9 + 0.1 * np.exp(rate * 5.0))
-    assert traj.final_state()[0] == pytest.approx(exact, abs=1e-6)
+    assert traj.states[-1][0] == pytest.approx(exact, abs=1e-6)
 
 
 def test_neutral_migration_consensus():
@@ -121,7 +123,7 @@ def test_neutral_migration_consensus():
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=30.0,
                            monitor_period=1.0)
     traj = simulate_replicator(setup, z0, cfg)
-    z = traj.final_state().reshape(3, 2)
+    z = traj.states[-1].reshape(3, 2)
     assert np.max(z, axis=0)[0] - np.min(z, axis=0)[0] < 1e-6
 
 
@@ -137,8 +139,8 @@ def test_decoupled_patches_match_independent_runs():
             Theta=setup.Theta[p:p + 1], Lambdas=setup.Lambdas[p:p + 1],
             migration=np.zeros((1, 1)), d=0.0)
         traj = simulate_replicator(single, z0[p:p + 1], cfg)
-        got = joint.final_state().reshape(3, 2)[p]
-        assert np.max(np.abs(got - traj.final_state())) < 1e-10
+        got = joint.states[-1].reshape(3, 2)[p]
+        assert np.max(np.abs(got - traj.states[-1])) < 1e-10
 
 
 def test_simplex_monitor_stays_small():

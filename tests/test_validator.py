@@ -13,10 +13,12 @@ from straingrid import (ConfigError, ConnectivityMatrix, FullModel, IntegratorCo
                         StrainPerturbations,
                         convergence_study, default_tau_horizon,
                         extract_frequencies, init_on_manifold,
-                        neutral_limit_check, reduction_error, setup_from_model,
+                        reduction_error, setup_from_model,
                         simulate_full, simulate_replicator)
 from straingrid.types import full_views
 from straingrid.validate import VALIDATION_SAMPLES, _validation_cfg
+
+from oracles import neutral_limit_check
 
 VALIDATION_ROWS = VALIDATION_SAMPLES + 1   # samples of one validation run
 
