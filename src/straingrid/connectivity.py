@@ -52,9 +52,10 @@ def validate_connectivity(M) -> list[str]:
     off = M - np.diag(np.diag(M))
     pattern = (off > 0) & ~np.eye(P, dtype=bool)
     scale = np.max(np.abs(M)) or 1.0
+    # Rows are summed in units of the largest entry, which cannot overflow.
     checks = ((np.all(off >= 0), "Metzler violation (negative off-diagonal)"),
               (_is_irreducible(pattern), "not irreducible (patch graph disconnected)"),
-              (np.max(np.abs(M.sum(axis=1))) <= STRUCT_RTOL * scale, "row sums are not zero"))
+              (np.max(np.abs((M / scale).sum(axis=1))) <= STRUCT_RTOL, "row sums are not zero"))
     return [message for ok, message in checks if not ok]
 
 

@@ -87,11 +87,8 @@ class FullModel:
         return build_background(self.patches, self.pert, self.connectivity)
 
     def with_eps(self, eps: float) -> "FullModel":
-        """Same model at a different eps; a background already built carries over."""
-        model = replace(self, scale=self.scale.with_eps(eps))
-        if "background" in self.__dict__:
-            object.__setattr__(model, "background", self.background)
-        return model
+        """Same model at a different eps."""
+        return replace(self, scale=self.scale.with_eps(eps))
 
 
 def transmissible_load(model: FullModel, I: np.ndarray, D: np.ndarray) -> np.ndarray:

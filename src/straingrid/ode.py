@@ -165,8 +165,6 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     steps = 0
     while t < t_end:
         h = min(h, t_end - t)
-        if h < 1e-14 * t_end:
-            raise StiffnessFailure(f"step size underflow at t={t} (h={h})")
         steps += 1
         if steps > MAX_STEPS:
             raise StiffnessFailure(f"step budget of {MAX_STEPS} steps exhausted at t={t}")
@@ -204,6 +202,10 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         else:
             factor = max(_MIN_FACTOR, _SAFETY * norm ** (-1.0 / _ORDER))
         h = min(cfg.max_step, h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)))
+        # Only a step shrunk after a rejection meets the floor: a configured
+        # first step may lie below it when t_end is large.
+        if norm > 1.0 and h < 1e-14 * t_end:
+            raise StiffnessFailure(f"step size underflow at t={t} (h={h})")
 
     return Trajectory(times=sample_times, states=states,
                       diagnostics=diagnostics, monitor_max=monitor_max)

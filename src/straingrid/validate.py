@@ -1,13 +1,13 @@
 """Empirical checks of the slow-fast reduction.
 
-reduction_error integrates the full system and the reduced replicator
-from matched initial data and measures the sup-norm gap between the
-extracted and reduced frequencies over a slow-time window. The full run
-records only the slow observables (S_p, u_p) of each sample, P(1+N)
-values instead of the P(1+N+N^2) of the state.
-convergence_study checks every eps, then sweeps them and fits the
-log-log convergence order. These are the checks the CLI runs; the
-neutral-limit product-structure check is a test oracle
+reduction_error integrates the reduced replicator once (it has no eps)
+and the full system once per eps, from matched initial data, and
+measures the sup-norm gap between the extracted and reduced frequencies
+over a slow-time window. The full runs record only the slow observables
+(S_p, u_p) of each sample, P(1+N) values instead of the P(1+N+N^2) of
+the state. convergence_study checks every eps, makes that one call and
+fits the log-log convergence order. These are the checks the CLI runs;
+the neutral-limit product-structure check is a test oracle
 (tests/oracles.py).
 """
 
@@ -57,10 +57,6 @@ class ReductionReport:
         e = self.errors
         return [e[i + 1] / e[i] for i in range(len(e) - 1)]
 
-    def aggregate_ratios(self) -> list[float]:
-        a = self.aggregate_deviations
-        return [a[i + 1] / a[i] for i in range(len(a) - 1)]
-
     def as_dict(self) -> dict:
         return {
             "eps_values": list(self.eps_values),
@@ -86,48 +82,54 @@ def _validation_cfg(t_end: float) -> IntegratorConfig:
                             initial_step=min(IntegratorConfig.initial_step, t_end / 1000))
 
 
-def reduction_error(model: FullModel, z0: np.ndarray, eps: float,
-                    tau_window: tuple[float, float]) -> tuple[float, float]:
-    """Sup-norm frequency gap between full and reduced dynamics.
+def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
+                    tau_window: tuple[float, float]) -> tuple[tuple, tuple]:
+    """Sup-norm frequency gaps between full and reduced dynamics, per eps.
 
-    The full system runs at the given eps from the slow-manifold state of
-    z0 over t in [0, T/eps]; the replicator runs from z0 over tau in
-    [0, T]. Both take VALIDATION_SAMPLES equal steps of their span, so
-    sample i of each run is at tau = i T / VALIDATION_SAMPLES; the gap is
-    taken over the samples in [tau0, T]. The full run records only
-    slow_observables, from which both numbers are read. Returns (error,
-    aggregate) with aggregate the sup over the window of max_p |S_p - S_p*|.
+    The replicator runs once, from z0 over tau in [0, T]; the full system
+    runs at each eps from the slow-manifold state of z0 over t in
+    [0, T/eps]. Every run takes VALIDATION_SAMPLES equal steps of its
+    span, so sample i of each is at tau = i T / VALIDATION_SAMPLES; the
+    gap is taken over the samples in [tau0, T]. The full runs record only
+    slow_observables, from which both numbers are read. The window and
+    every eps are checked before the first run. Returns (errors,
+    aggregates) in eps order, aggregate being the sup over the window of
+    max_p |S_p - S_p*|.
     """
     tau0, T = tau_window
     if not (0 <= tau0 < T):
         raise ConfigError(f"invalid tau window {tau_window}")
-    if eps <= 0:
-        raise ConfigError("reduction error requires eps > 0")
-    model = model.with_eps(eps)
+    if not all(np.isfinite(eps) and eps > 0 for eps in eps_values):
+        raise ConfigError("reduction error requires finite eps > 0")
     P, N = model.n_patches, model.n_strains
     bg = model.background
-
-    full_traj = simulate_full(model, init_on_manifold(z0, bg), _validation_cfg(T / eps),
-                              observe=partial(slow_observables, background=bg))
+    y0 = init_on_manifold(z0, bg)
+    observe = partial(slow_observables, background=bg)
     red_traj = simulate_replicator(setup_from_model(model), z0, _validation_cfg(T))
-    if full_traj.times.size != red_traj.times.size:
-        raise StrainGridError(f"full and reduced runs have {full_traj.times.size} and "
-                              f"{red_traj.times.size} samples")
     first = int(np.searchsorted(red_traj.times, tau0))   # first sample with tau >= tau0
 
-    obs = full_traj.states[first:].reshape(-1, P, 1 + N)
-    # In place: each (samples, P, N) array is 1.3 MB at P = N = 30, and
-    # three of them at once set the peak of a compare run.
-    gap = observed_frequencies(obs)
-    gap -= red_traj.states[first:].reshape(-1, P, N)
-    err = float(np.max(np.abs(gap, out=gap)))
-    agg = float(np.max(np.abs(obs[..., 0] - bg.S_star)))
-    return err, agg
+    def gaps(eps):
+        """(error, aggregate) at eps; the run's arrays are freed on return."""
+        full_traj = simulate_full(model.with_eps(eps), y0, _validation_cfg(T / eps),
+                                  observe=observe)
+        if full_traj.times.size != red_traj.times.size:
+            raise StrainGridError(f"full and reduced runs have {full_traj.times.size} and "
+                                  f"{red_traj.times.size} samples")
+        obs = full_traj.states[first:].reshape(-1, P, 1 + N)
+        # In place: each (samples, P, N) array is 1.3 MB at P = N = 30, and
+        # three of them at once set the peak of a compare run.
+        gap = observed_frequencies(obs)
+        gap -= red_traj.states[first:].reshape(-1, P, N)
+        err = float(np.max(np.abs(gap, out=gap)))
+        return err, float(np.max(np.abs(obs[..., 0] - bg.S_star)))
+
+    results = [gaps(eps) for eps in eps_values]
+    return tuple(r[0] for r in results), tuple(r[1] for r in results)
 
 
 def convergence_study(model: FullModel, z0: np.ndarray, eps_list,
                       tau_window: tuple[float, float]) -> ReductionReport:
-    """Run reduction_error per eps and fit the log-log convergence order.
+    """Measure reduction_error at every eps and fit the log-log convergence order.
 
     Every eps is checked before the first run."""
     eps_list = [float(e) for e in eps_list]
@@ -138,8 +140,7 @@ def convergence_study(model: FullModel, z0: np.ndarray, eps_list,
     if not all(a > b for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps values must be strictly decreasing")
 
-    model.background   # built here once; every with_eps copy shares it
-    errors, aggs = zip(*(reduction_error(model, z0, eps, tau_window) for eps in eps_list))
+    errors, aggs = reduction_error(model, z0, eps_list, tau_window)
 
     if max(errors) < DEGENERATE_ERROR or min(errors) <= 0:
         slope = float("nan")

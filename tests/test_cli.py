@@ -217,8 +217,8 @@ def test_compare_rejects_an_empty_tau_window(tmp_path, capsys, tau_end):
 @pytest.mark.parametrize("eps", ["0.2,0.1,0", "inf,0.1,0.05"])
 def test_compare_checks_every_eps_before_the_first_run(tmp_path, capsys, monkeypatch, eps):
     runs = []
-    monkeypatch.setattr(straingrid.validate, "simulate_full",
-                        lambda *args, **kwargs: runs.append(args))
+    for name in ("simulate_full", "simulate_replicator"):
+        monkeypatch.setattr(straingrid.validate, name, lambda *args, **kwargs: runs.append(args))
     cfg = write_config(tmp_path, WORKED_DOC)
     out = tmp_path / "cmp"
     with warnings.catch_warnings():
@@ -309,6 +309,10 @@ def test_sweep_caps_workers(tmp_path, capsys, monkeypatch, jobs, cpus, workers):
     pytest.param(["--values", "0.0,0.5", "--jobs=-3"], "--jobs: must be at least 1", id="-3"),
     pytest.param(["--values="], "--values: expected at least one number", id="no-value"),
     pytest.param(["--values", ","], "--values: expected at least one number", id="only-a-comma"),
+    pytest.param(["--values", "0.5,x"], "--values: could not convert string to float: 'x'",
+                 id="not-a-number"),
+    pytest.param(["--values", "0.0,0.5", "--jobs", "1.5"],
+                 "--jobs: invalid literal for int() with base 10: '1.5'", id="fractional-jobs"),
 ])
 def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, options, message):
     """Too few jobs, or no value to sweep, is a usage error before any work."""
@@ -321,6 +325,16 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, options
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert InlinePool.sizes == []
+    assert not out.exists()
+
+
+def test_compare_rejects_an_eps_that_is_not_a_number(tmp_path, capsys):
+    cfg = write_config(tmp_path, WORKED_DOC)
+    out = tmp_path / "cmp"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", cfg, "--eps", "0.1,x,0.05", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--eps: could not convert string to float: 'x'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -510,6 +524,21 @@ def test_step_budget_exits_1(tmp_path, capsys, monkeypatch):
         assert not (out / f"trajectory_{mode}.csv").exists()
 
 
+def test_first_step_below_the_underflow_floor_runs(tmp_path, capsys):
+    """At t_end = 1e11 the floor 1e-14 t_end lies above the default first
+    step of 1e-4; only a step shrunk after a rejection is held to it."""
+    cfg = write_config(tmp_path, {"patches": [{"r": 1, "beta": 4, "gamma": 1, "k": 1}],
+                                  "integration": {"t_end": 1e11}})
+    assert main(["validate", cfg]) == 0
+    for mode in ("reduced", "full"):
+        out = tmp_path / mode
+        assert main(["simulate", cfg, "--mode", mode, "--out", str(out)]) == 0
+        with open(out / f"trajectory_{mode}.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 201
+        assert float(rows[-1][0]) == 1e11
+
+
 def test_sample_table_budget_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, with_section(
         "integration", {"t_end": 1e300, "monitor_period": 1e-300}))
@@ -555,6 +584,8 @@ def call_counts(monkeypatch):
         count_calls(monkeypatch, counts, straingrid.reduction, name)
     count_calls(monkeypatch, counts, straingrid.cli, "build_model")
     count_calls(monkeypatch, counts, straingrid.connectivity, "validate_connectivity")
+    for name in ("init_on_manifold", "simulate_full", "simulate_replicator"):
+        count_calls(monkeypatch, counts, straingrid.validate, name)
     return counts
 
 
@@ -562,10 +593,13 @@ def test_compare_builds_model_and_background_once(tmp_path, capsys, call_counts)
     cfg = write_config(tmp_path, WORKED_DOC)
     assert main(["compare", cfg, "--eps", "0.08,0.04,0.02", "--tau-end", "0.5",
                  "--out", str(tmp_path / "cmp")]) == 0
-    # each closed form runs once over all patches
+    # each closed form runs once over all patches, the replicator once per
+    # study and the full system once per eps
     assert call_counts == {"neutral_equilibrium": 1, "left_eigenvector": 1,
                            "fitness_structure": 1, "migration_matrix": 1,
-                           "build_model": 1, "validate_connectivity": 1}
+                           "build_model": 1, "validate_connectivity": 1,
+                           "init_on_manifold": 1, "simulate_replicator": 1,
+                           "simulate_full": 3}
 
 
 def test_simulate_builds_model_once(tmp_path, capsys, call_counts):

@@ -208,9 +208,11 @@ def test_connectivity_issues_name_their_section_once(connectivity, message):
      "connectivity: exchange stencil overflows the float range"),
     ("connectivity", {"volumes": [1e200, 1e200], "weights": [[0.0, 1.0], [0.0, 0.0]]},
      "connectivity: density matrix overflows the float range"),
+    ("connectivity", {"matrix": [[1e308, 1e308], [1e308, 1e308]]},
+     "connectivity: row sums are not zero"),
 ], ids=["section-not-an-object", "N-0", "matrix-shape", "three-volumes", "scalar-volumes",
         "2d-volumes", "weights-shape", "infinite-volume", "nan-volume", "infinite-weight",
-        "overflowing-stencil", "overflowing-density"])
+        "overflowing-stencil", "overflowing-density", "overflowing-row-sums"])
 def test_malformed_sections_are_issues(section, value, message):
     doc = base_doc()
     doc[section] = value

@@ -1,7 +1,7 @@
 """Full co-colonization system: right-hand side identities, manifold
 initialization, frequency extraction and simulation behavior."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -90,7 +90,9 @@ def test_with_eps_preserves_structure(worked_patch):
     assert other.patches == model.patches
     assert "background" not in other.__dict__      # with_eps builds none
     bg = model.background
-    assert model.with_eps(0.02).background is bg
+    rebuilt = model.with_eps(0.02).background
+    for field in fields(bg):
+        np.testing.assert_array_equal(getattr(rebuilt, field.name), getattr(bg, field.name))
 
 
 def test_with_eps_does_not_build_the_background(worked_patch):
