@@ -11,8 +11,8 @@ residual decay while the extracted frequencies freeze.
 import numpy as np
 
 from straingrid import (ConnectivityMatrix, FullModel, IntegratorConfig,
-                        PatchParams, ScaleParams, StrainPerturbations,
-                        extract_frequencies, full_state, simulate_full)
+                        StrainPerturbations, extract_frequencies, full_state,
+                        simulate_full)
 from straingrid.types import full_views
 
 
@@ -25,10 +25,8 @@ def product_residual(y, bg, z):
 
 
 def main():
-    patch = PatchParams(r=1.0, beta=4.0, gamma=1.0, k=1.0)
-    model = FullModel(patches=(patch,),
-                      pert=StrainPerturbations.zeros(1, 3),
-                      scale=ScaleParams(eps=0.0, d=0.0),
+    model = FullModel(r=[1.0], beta=[4.0], gamma=[1.0], k=[1.0],
+                      pert=StrainPerturbations.zeros(1, 3), eps=0.0, d=0.0,
                       connectivity=ConnectivityMatrix(entries=np.zeros((1, 1))))
     bg = model.background
     print(f"endemic equilibrium: S*={bg.S_star[0]}, I*={bg.I_star[0]}, D*={bg.D_star[0]}")

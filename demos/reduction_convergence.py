@@ -12,22 +12,21 @@ over a long horizon at tight tolerances).
 
 import numpy as np
 
-from straingrid import (ConnectivityMatrix, FullModel, PatchParams,
-                        ScaleParams, StrainPerturbations, convergence_study,
-                        default_tau_horizon, setup_from_model)
+from straingrid import (ConnectivityMatrix, FullModel, StrainPerturbations,
+                        convergence_study, default_tau_horizon, setup_from_model)
 
 
 def main():
-    patches = (PatchParams(r=1.0, beta=4.0, gamma=1.0, k=1.0),
-               PatchParams(r=0.5, beta=2.0, gamma=0.5, k=2.0))
     pert = StrainPerturbations(
         b=np.array([[1.0, 0.0], [0.5, -0.5]]),
         nu=np.array([[0.0, 0.5], [0.2, 0.0]]),
         c_pair=np.array([[[0.0, 0.3], [0.1, 0.0]], [[0.2, 0.0], [0.0, 0.4]]]),
         w=np.array([[[0.0, 0.2], [-0.2, 0.0]], [[0.0, -0.1], [0.1, 0.0]]]),
         alpha=np.array([[[0.0, 0.1], [0.2, 0.0]], [[0.1, 0.0], [0.0, 0.2]]]))
-    model = FullModel(patches=patches, pert=pert,
-                      scale=ScaleParams(eps=0.05, d=1.0),
+    # one entry per patch: birth = death rate, transmission, clearance,
+    # co-colonization susceptibility
+    model = FullModel(r=[1.0, 0.5], beta=[4.0, 2.0], gamma=[1.0, 0.5], k=[1.0, 2.0],
+                      pert=pert, eps=0.05, d=1.0,
                       connectivity=ConnectivityMatrix(
                           entries=np.array([[-1.0, 1.0], [1.0, -1.0]])))
 

@@ -27,8 +27,7 @@ from .connectivity import validate_connectivity as validate_connectivity
 from .errors import ConfigError, ConfigParseError, InvalidConnectivity
 from .fullsim import FullModel
 from .ode import IntegratorConfig
-from .types import (ConnectivityMatrix, PatchParams, ScaleParams,
-                    StrainPerturbations, require_simplex)
+from .types import ConnectivityMatrix, StrainPerturbations, rate_issue, require_simplex
 
 FREQUENCY_GENERATOR = "dirichlet-pcg64-v1"
 
@@ -179,19 +178,21 @@ def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
     issues = _unknown_keys("top-level", doc, {"patches", *SECTION_KEYS})
     for name, allowed in SECTION_KEYS.items():
         issues += _unknown_keys(name, doc.get(name), allowed)
-    patches = []
+    rates = []                  # one (r, beta, gamma, k) row per patch
     for idx, p in enumerate(raw_patches):
         issues += [f"patch {idx}: {item}" for item in _unknown_keys("patch", p, PATCH_KEYS)]
         try:
-            pp = PatchParams(r=float(p["r"]), beta=float(p["beta"]),
-                             gamma=float(p["gamma"]), k=float(p["k"]))
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            r, beta, gamma, k = (float(p[name]) for name in ("r", "beta", "gamma", "k"))
+        except (KeyError, TypeError, ValueError) as exc:
             issues.append(f"patch {idx}: {exc}")
             continue
-        patches.append(pp)
-        if not pp.supercritical:
-            issues.append(
-                f"patch {idx}: subcritical, beta={pp.beta} <= r+gamma={pp.r + pp.gamma}")
+        issue = rate_issue(r, beta, gamma, k)
+        if issue:
+            issues.append(f"patch {idx}: {issue}")
+            continue
+        rates.append((r, beta, gamma, k))
+        if not beta > r + gamma:
+            issues.append(f"patch {idx}: subcritical, beta={beta} <= r+gamma={r + gamma}")
 
     P = len(raw_patches)
     connectivity = _connectivity(doc, P, issues)
@@ -201,9 +202,9 @@ def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
     try:
         scale = _section(doc, "scale")
         model = FullModel(
-            patches=tuple(patches), pert=_strain_arrays(doc, P),
-            scale=ScaleParams(eps=_parsed("scale.eps", scale.get("eps", 0.0), float),
-                              d=_parsed("scale.d", scale.get("d", 0.0), float)),
+            *np.array(rates).T, pert=_strain_arrays(doc, P),
+            eps=_parsed("scale.eps", scale.get("eps", 0.0), float),
+            d=_parsed("scale.d", scale.get("d", 0.0), float),
             connectivity=connectivity)
         initial_frequencies(doc, P, model.n_strains)
         integrator_settings(doc)

@@ -16,6 +16,7 @@ frequencies (..., P, N). A run can record only the first map's rows
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -23,41 +24,61 @@ import numpy as np
 
 from .errors import ConfigError, ExtinctPatch
 from .ode import IntegratorConfig, Trajectory, integrate
-from .reduction import Background, build_background, patch_rates
-from .types import (ConnectivityMatrix, PatchParams, ScaleParams, StrainPerturbations,
-                    full_state, full_views, require_simplex, row_sum_defect)
+from .reduction import Background, build_background
+from .types import (ConnectivityMatrix, StrainPerturbations, full_state, full_views,
+                    rate_issue, require_simplex, row_sum_defect)
 
 # Below this total weighted strain mass in a patch, frequencies are
 # considered undefined.
 EXTINCTION_THRESHOLD = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # array fields: compared by identity
 class FullModel:
     """Physical parameterization of the full system.
 
-    Strain-specific rates are baseline + eps * deviation; the migration
-    rate is delta = eps * d. __post_init__ assembles them into read-only
-    attributes, not fields: r (P,), beta_i, gamma_i (P, N), gamma_ij, k_ij
-    and prob_first = P^{(i,j)->i} = 1/2 + eps*w (P, N, N).
+    The baseline rates r (birth = death), beta (transmission), gamma
+    (clearance) and k (co-colonization susceptibility) are read-only (P,)
+    arrays; eps is the quasi-neutrality scale and d the rescaled migration
+    intensity, so the migration rate is delta = eps * d. Strain-specific
+    rates are baseline + eps * deviation: __post_init__ assembles them into
+    read-only attributes, not fields: beta_i, gamma_i (P, N), gamma_ij,
+    k_ij and prob_first = P^{(i,j)->i} = 1/2 + eps*w (P, N, N).
     """
 
-    patches: tuple[PatchParams, ...]
+    r: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    k: np.ndarray
     pert: StrainPerturbations
-    scale: ScaleParams
+    eps: float
+    d: float
     connectivity: ConnectivityMatrix
 
     def __post_init__(self):
-        P = len(self.patches)
+        for name in ("r", "beta", "gamma", "k"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+        r, beta, gamma, k = self.r, self.beta, self.gamma, self.k
+        if r.ndim != 1 or not r.shape == beta.shape == gamma.shape == k.shape:
+            raise ConfigError(f"r, beta, gamma and k must be (P,) arrays, got shapes "
+                              f"{[a.shape for a in (r, beta, gamma, k)]}")
+        issues = [f"patch {p}: {issue}"
+                  for p, issue in enumerate(map(rate_issue, r, beta, gamma, k)) if issue]
+        if issues:
+            raise ConfigError("; ".join(issues))
+        # eps = 0 is the exactly neutral, migration-free system, used by
+        # the neutral-limit checks.
+        if not 0 <= self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0 <= self.d < math.inf:
+            raise ConfigError(f"d must be finite and >= 0, got {self.d}")
+        P = self.n_patches
         if self.pert.n_patches != P:
             raise ConfigError(f"perturbations cover {self.pert.n_patches} patches, model has {P}")
         if self.connectivity.n_patches != P:
             raise ConfigError("connectivity size does not match patch count")
-        eps = self.scale.eps
-        r, beta, gamma, k = patch_rates(self.patches)
-        beta, gamma, k = beta[:, None], gamma[:, None], k[:, None, None]
+        eps, beta, gamma, k = self.eps, beta[:, None], gamma[:, None], k[:, None, None]
 
-        object.__setattr__(self, "r", r)
         object.__setattr__(self, "beta_i", beta + eps * self.pert.b)
         object.__setattr__(self, "gamma_i", gamma + eps * self.pert.nu)
         object.__setattr__(self, "gamma_ij", gamma[..., None] + eps * self.pert.c_pair)
@@ -69,13 +90,13 @@ class FullModel:
             raise ConfigError("assembled strain rates leave the admissible range; reduce eps")
         if np.any(self.prob_first < 0) or np.any(self.prob_first > 1):
             raise ConfigError("transmission probabilities leave [0,1]; reduce eps or |w|")
-        for a in (self.r, self.beta_i, self.gamma_i, self.gamma_ij, self.k_ij,
-                  self.prob_first):
+        for a in (self.r, self.beta, self.gamma, self.k, self.beta_i, self.gamma_i,
+                  self.gamma_ij, self.k_ij, self.prob_first):
             a.setflags(write=False)
 
     @property
     def n_patches(self) -> int:
-        return len(self.patches)
+        return self.r.shape[0]
 
     @property
     def n_strains(self) -> int:
@@ -84,11 +105,12 @@ class FullModel:
     @cached_property
     def background(self) -> Background:
         """The eps-independent reduction objects, built on first use."""
-        return build_background(self.patches, self.pert, self.connectivity)
+        return build_background((self.r, self.beta, self.gamma, self.k), self.pert,
+                                self.connectivity)
 
     def with_eps(self, eps: float) -> "FullModel":
         """Same model at a different eps."""
-        return replace(self, scale=self.scale.with_eps(eps))
+        return replace(self, eps=eps)
 
 
 def transmissible_load(model: FullModel, I: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -119,7 +141,7 @@ def rhs_full(t: float, y: np.ndarray, model: FullModel) -> np.ndarray:
              - infection.sum(axis=1))
     dI[:] = infection - (model.r[:, None] + model.gamma_i) * I - co.sum(axis=2)
     dD[:] = co - (model.r[:, None, None] + model.gamma_ij) * D
-    delta = model.scale.delta
+    delta = model.eps * model.d
     if delta != 0.0:   # migration acts on the patch index of every compartment at once
         dy += delta * (model.connectivity.entries @ y.reshape(P, -1)).ravel()
     return dy

@@ -1,14 +1,15 @@
 """Closed-form objects of the slow-fast reduction, each one array
 expression over all patches (a single patch is the case P = 1).
 
-`patch_rates` stacks the baseline rates rates = (r, beta, gamma, k), and
-`neutral_equilibrium` maps them to the endemic points eq = (S*, I*, D*, T*)
-of the aggregated single-strain systems, each a (P,) array. The other
-forms take these tuples: the 2x2 drift matrices whose kernels carry the
-slow strain frequencies, their positive left kernel vectors (phi, psi),
-the speeds of the slow dynamics with their five trait weights, the
-pairwise invasion fitness matrices, and the cross-patch migration matrix
-with its advection coefficients. `build_background` calls each once.
+The baseline rates are the tuple rates = (r, beta, gamma, k) of (P,)
+arrays that FullModel holds, and `neutral_equilibrium` maps them to the
+endemic points eq = (S*, I*, D*, T*) of the aggregated single-strain
+systems, each a (P,) array. The other forms take these tuples: the 2x2
+drift matrices whose kernels carry the slow strain frequencies, their
+positive left kernel vectors (phi, psi), the speeds of the slow dynamics
+with their five trait weights, the pairwise invasion fitness matrices,
+and the cross-patch migration matrix with its advection coefficients.
+`build_background` calls each once.
 
 All formulas are explicit; no numerical eigensolver is involved (tests
 cross-check the eigenvector against a numerical left-kernel solve).
@@ -21,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SubcriticalPatch
-from .types import ConnectivityMatrix, PatchParams, StrainPerturbations
-
-
-def patch_rates(patches: tuple[PatchParams, ...]) -> tuple[np.ndarray, ...]:
-    """The baseline rates (r, beta, gamma, k) of the patches, each (P,)."""
-    return tuple(np.array([getattr(p, name) for p in patches], dtype=float)
-                 for name in ("r", "beta", "gamma", "k"))
+from .types import ConnectivityMatrix, StrainPerturbations
 
 
 def neutral_equilibrium(rates) -> tuple[np.ndarray, ...]:
@@ -188,11 +183,11 @@ class Background:
     advection: np.ndarray        # (P, P) nu
 
 
-def build_background(patches: tuple[PatchParams, ...], pert: StrainPerturbations,
+def build_background(rates, pert: StrainPerturbations,
                      connectivity: ConnectivityMatrix) -> Background:
-    """Evaluate every closed form once over all patches. Raises
-    SubcriticalPatch when some patch has no endemic equilibrium."""
-    rates = patch_rates(patches)
+    """Evaluate every closed form once over all patches of the rates
+    (r, beta, gamma, k). Raises SubcriticalPatch when some patch has no
+    endemic equilibrium."""
     eq = neutral_equilibrium(rates)
     omega = left_eigenvector(eq)
     arrays = (*eq, *omega, drift_matrix(rates, eq), *fitness_structure(rates, eq, pert),

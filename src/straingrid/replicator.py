@@ -49,11 +49,11 @@ class ReplicatorSetup:
 
 
 def setup_from_model(model) -> ReplicatorSetup:
-    """Derive the reduced system from a FullModel's patches, deviations
+    """Derive the reduced system from a FullModel's rates, deviations
     and connectivity. Independent of eps by construction."""
     bg = model.background
     return ReplicatorSetup(Theta=bg.Theta, Lambdas=bg.Lambdas,
-                           migration=bg.migration, d=model.scale.d)
+                           migration=bg.migration, d=model.d)
 
 
 def _reaction(z: np.ndarray, Theta: np.ndarray, Lambdas: np.ndarray) -> np.ndarray:

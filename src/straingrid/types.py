@@ -2,13 +2,12 @@
 
 The parameter records are immutable after construction (arrays are
 copied and frozen), so instances can be shared freely across parallel
-workers.
+workers. The baseline rates r, beta, gamma and k are plain (P,) arrays,
+held by fullsim.FullModel; rate_issue checks one patch's four values.
 
-  - PatchParams: per-patch baseline epidemiological rates.
   - StrainPerturbations: unscaled trait deviations of the N strains.
     The quasi-neutrality scale eps multiplies them only when physical
     parameters are assembled, so one instance serves a whole eps-sweep.
-  - ScaleParams: eps and the rescaled migration intensity d.
   - ConnectivityMatrix: validated P x P patch-coupling matrix.
 
 States are plain arrays. Both systems integrate a patch-major flat state:
@@ -39,28 +38,17 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PatchParams:
-    """Baseline (strain-independent) rates of one patch."""
-
-    r: float        # birth rate, equal to death rate (1/time)
-    beta: float     # transmission rate (1/time)
-    gamma: float    # clearance rate (1/time)
-    k: float        # co-colonization susceptibility factor (dimensionless)
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.r, self.beta, self.gamma, self.k))):
-            raise ConfigError(f"rates must be finite, got r={self.r}, beta={self.beta}, "
-                              f"gamma={self.gamma}, k={self.k}")
-        if not (self.r > 0 and self.beta > 0):
-            raise ConfigError(f"r and beta must be positive, got r={self.r}, beta={self.beta}")
-        if self.gamma < 0 or self.k < 0:
-            raise ConfigError(f"gamma and k must be nonnegative, got gamma={self.gamma}, k={self.k}")
-
-    @property
-    def supercritical(self) -> bool:
-        """R0 = beta/(r+gamma) > 1; required for the endemic equilibrium."""
-        return self.beta > self.r + self.gamma
+def rate_issue(r, beta, gamma, k) -> str | None:
+    """What makes one patch's baseline rates inadmissible, or None: r
+    (birth = death rate) and beta (transmission) must be positive, gamma
+    (clearance) and k (co-colonization susceptibility) nonnegative."""
+    if not all(map(math.isfinite, (r, beta, gamma, k))):
+        return f"rates must be finite, got r={r}, beta={beta}, gamma={gamma}, k={k}"
+    if not (r > 0 and beta > 0):
+        return f"r and beta must be positive, got r={r}, beta={beta}"
+    if gamma < 0 or k < 0:
+        return f"gamma and k must be nonnegative, got gamma={gamma}, k={k}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -115,32 +103,6 @@ class StrainPerturbations:
 
 
 @dataclass(frozen=True)
-class ScaleParams:
-    """Quasi-neutrality scale eps and rescaled migration intensity d.
-
-    The physical migration rate is delta = eps * d.
-    """
-
-    eps: float
-    d: float
-
-    def __post_init__(self):
-        # eps = 0 is the exactly neutral, migration-free system, used by
-        # the neutral-limit checks.
-        if not 0 <= self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
-        if not 0 <= self.d < math.inf:
-            raise ConfigError(f"d must be finite and >= 0, got {self.d}")
-
-    @property
-    def delta(self) -> float:
-        return self.eps * self.d
-
-    def with_eps(self, eps: float) -> "ScaleParams":
-        return ScaleParams(eps=eps, d=self.d)
-
-
-@dataclass(frozen=True)
 class ConnectivityMatrix:
     """P x P patch-coupling matrix: Metzler, irreducible, zero row sums.
 
@@ -152,7 +114,10 @@ class ConnectivityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        from .connectivity import validate_connectivity  # cycle guard
+        # Looked up at each construction, not imported with the module, so a
+        # hook on connectivity.validate_connectivity (perfbench/spans.py)
+        # sees every one.
+        from .connectivity import validate_connectivity
 
         object.__setattr__(self, "entries", _frozen(self.entries))
         failures = validate_connectivity(self.entries)

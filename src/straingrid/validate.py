@@ -101,6 +101,8 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
         raise ConfigError(f"invalid tau window {tau_window}")
     if not all(np.isfinite(eps) and eps > 0 for eps in eps_values):
         raise ConfigError("reduction error requires finite eps > 0")
+    for eps in eps_values:
+        model.with_eps(eps)     # raises if eps leaves the strain rates inadmissible
     P, N = model.n_patches, model.n_strains
     bg = model.background
     y0 = init_on_manifold(z0, bg)

@@ -13,18 +13,16 @@ from fractions import Fraction
 import numpy as np
 
 from straingrid import (ConnectivityMatrix, FullModel, IntegratorConfig,
-                        PatchParams, ReplicatorSetup,
-                        ScaleParams, StrainPerturbations, convergence_study,
+                        ReplicatorSetup, StrainPerturbations, convergence_study,
                         drift_matrix, fitness_structure, full_state,
                         init_on_manifold, left_eigenvector,
-                        migration_matrix, neutral_equilibrium,
-                        patch_rates, reduction_error,
+                        migration_matrix, neutral_equilibrium, reduction_error,
                         renormalize_to_density, rhs_replicator, simulate_full,
                         simulate_replicator, speed_and_weights,
                         validate_connectivity, volume_matrix)
 from straingrid.cli import main as cli_main
 
-from conftest import random_supercritical_patch
+from conftest import random_supercritical_patch, stacked
 from oracles import neutral_limit_check, rhs_replicator_advection
 
 
@@ -40,8 +38,8 @@ def criterion(num, name):
           f"({time.perf_counter() - start:.2f}s)")
 
 
-WORKED = PatchParams(r=1.0, beta=4.0, gamma=1.0, k=1.0)
-SECOND = PatchParams(r=0.5, beta=2.0, gamma=0.5, k=2.0)
+WORKED = (1.0, 4.0, 1.0, 1.0)       # (r, beta, gamma, k)
+SECOND = (0.5, 2.0, 0.5, 2.0)
 TWO_PATCH = ConnectivityMatrix(entries=np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
 
@@ -59,7 +57,7 @@ def test_criterion_01_closed_form_reduction_objects():
         start = time.perf_counter()
         rng = np.random.default_rng(101)
         for _ in range(100):
-            rates = patch_rates([random_supercritical_patch(rng)])
+            rates = stacked(random_supercritical_patch(rng))
             eq = S, I, D, _ = neutral_equilibrium(rates)
             A = drift_matrix(rates, eq)[0]
             om = np.concatenate(left_eigenvector(eq))
@@ -95,7 +93,7 @@ def test_criterion_02_worked_patch_constants():
         assert (phi, psi) == (Fraction(12, 7), Fraction(16, 7))
         assert sum(Th) == Fraction(37, 7)
 
-        rates = patch_rates([WORKED])
+        rates = stacked(WORKED)
         eq = S_star, I_star, D_star, _ = neutral_equilibrium(rates)
         phi_star, psi_star = left_eigenvector(eq)
         Theta, theta = speed_and_weights(rates, eq)
@@ -141,8 +139,7 @@ def test_criterion_04_mass_conservation():
             b=rng.normal(size=(2, 3)), nu=rng.normal(size=(2, 3)),
             c_pair=rng.normal(size=(2, 3, 3)), w=rng.normal(size=(2, 3, 3)) * 0.3,
             alpha=rng.normal(size=(2, 3, 3)))
-        model = FullModel(patches=(WORKED, SECOND), pert=pert,
-                          scale=ScaleParams(eps=0.05, d=1.0),
+        model = FullModel(*stacked(WORKED, SECOND), pert=pert, eps=0.05, d=1.0,
                           connectivity=TWO_PATCH)
         z0 = rng.dirichlet(np.ones(3), size=2)
         y0 = init_on_manifold(z0, model.background)
@@ -158,9 +155,8 @@ def test_criterion_05_neutral_limit_product_structure():
         start = time.perf_counter()
         rng = np.random.default_rng(105)
         conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
-        model = FullModel(patches=(WORKED,),
-                          pert=StrainPerturbations.zeros(1, 3),
-                          scale=ScaleParams(eps=0.0, d=0.0), connectivity=conn)
+        model = FullModel(*stacked(WORKED), pert=StrainPerturbations.zeros(1, 3),
+                          eps=0.0, d=0.0, connectivity=conn)
         # random interior start with unit mass and every strain present
         S = np.array([rng.uniform(0.2, 0.5)])
         I = rng.uniform(0.05, 0.3, size=(1, 3))
@@ -176,11 +172,11 @@ def test_criterion_06_homogeneity_collapse():
     with criterion(6, "migration matrix collapse and hand overlap"):
         conn = ConnectivityMatrix(entries=np.array(
             [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]))
-        eq = neutral_equilibrium(patch_rates([WORKED] * 3))
+        eq = neutral_equilibrium(stacked(WORKED, WORKED, WORKED))
         M, _ = migration_matrix(conn, eq, left_eigenvector(eq))
         assert np.max(np.abs(M - conn.entries)) < 1e-12
 
-        eq = neutral_equilibrium(patch_rates([WORKED, SECOND]))
+        eq = neutral_equilibrium(stacked(WORKED, SECOND))
         M, _ = migration_matrix(TWO_PATCH, eq, left_eigenvector(eq))
         assert abs(M[0, 1] - 22.0 / 21.0) < 1e-14
 
@@ -232,10 +228,8 @@ def test_criterion_07_replicator_oracle():
 def test_criterion_08_reduction_theorem():
     with criterion(8, "O(eps) reduction convergence, eps in {0.05, 0.025, 0.0125}"):
         start = time.perf_counter()
-        model = FullModel(patches=(WORKED, SECOND),
-                          pert=generic_two_strain_pert(),
-                          scale=ScaleParams(eps=0.05, d=1.0),
-                          connectivity=TWO_PATCH)
+        model = FullModel(*stacked(WORKED, SECOND), pert=generic_two_strain_pert(),
+                          eps=0.05, d=1.0, connectivity=TWO_PATCH)
         z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
         T = 8.75
         report = convergence_study(model, z0, [0.05, 0.025, 0.0125],
@@ -252,8 +246,7 @@ def test_criterion_08_reduction_theorem():
 def test_criterion_09_decoupling():
     with criterion(9, "d = 0 reduction errors match per-patch runs"):
         pert = generic_two_strain_pert()
-        model = FullModel(patches=(WORKED, SECOND), pert=pert,
-                          scale=ScaleParams(eps=0.05, d=0.0),
+        model = FullModel(*stacked(WORKED, SECOND), pert=pert, eps=0.05, d=0.0,
                           connectivity=TWO_PATCH)
         z0 = np.array([[0.3, 0.7], [0.6, 0.4]])
         window = (0.3, 3.0)
@@ -261,13 +254,12 @@ def test_criterion_09_decoupling():
 
         single_conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
         per_patch = []
-        for p, patch in enumerate(model.patches):
+        for p, patch in enumerate((WORKED, SECOND)):
             slice_pert = StrainPerturbations(
                 b=pert.b[p:p + 1], nu=pert.nu[p:p + 1],
                 c_pair=pert.c_pair[p:p + 1], w=pert.w[p:p + 1],
                 alpha=pert.alpha[p:p + 1])
-            single = FullModel(patches=(patch,), pert=slice_pert,
-                               scale=ScaleParams(eps=0.05, d=0.0),
+            single = FullModel(*stacked(patch), pert=slice_pert, eps=0.05, d=0.0,
                                connectivity=single_conn)
             per_patch.append(reduction_error(
                 single, z0[p:p + 1], [0.05], window)[0][0])

@@ -214,8 +214,11 @@ def test_compare_rejects_an_empty_tau_window(tmp_path, capsys, tau_end):
     assert not (out / "reduction_report.json").exists()
 
 
-@pytest.mark.parametrize("eps", ["0.2,0.1,0", "inf,0.1,0.05"])
+@pytest.mark.parametrize("eps", ["0.2,0.1,0", "inf,0.1,0.05", "8,6,5"])
 def test_compare_checks_every_eps_before_the_first_run(tmp_path, capsys, monkeypatch, eps):
+    """A nonpositive or infinite eps, or one whose strain rates are
+    inadmissible (patch 1's beta + eps * b is negative at each of 8, 6, 5),
+    fails before either system runs."""
     runs = []
     for name in ("simulate_full", "simulate_replicator"):
         monkeypatch.setattr(straingrid.validate, name, lambda *args, **kwargs: runs.append(args))
@@ -225,7 +228,9 @@ def test_compare_checks_every_eps_before_the_first_run(tmp_path, capsys, monkeyp
         warnings.simplefilter("error")
         assert main(["compare", cfg, "--eps", eps, "--tau-end", "0.5", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: eps values must be finite and positive")
+    assert err.startswith("error: assembled strain rates leave the admissible range; "
+                          "reduce eps" if eps == "8,6,5" else
+                          "error: eps values must be finite and positive")
     assert "Warning" not in err
     assert runs == []
     assert not out.exists()

@@ -58,7 +58,7 @@ def test_config_hash_stable_under_key_order():
 def test_build_model_roundtrip():
     model = build_model(base_doc())
     assert model.n_patches == 2 and model.n_strains == 2
-    assert model.scale.eps == 0.05
+    assert model.eps == 0.05
     assert model.pert.b[0, 0] == 1.0
     assert np.all(model.pert.nu == 0)    # omitted arrays default to zero
 
@@ -109,6 +109,16 @@ def test_collect_issues_names_subcritical_patch():
     doc["patches"][1]["beta"] = 1.0    # equals r + gamma
     issues = collect_issues(doc)
     assert any("patch 1" in item and "subcritical" in item for item in issues)
+
+
+def test_collect_issues_keeps_the_patch_order():
+    """A bad rate in patch 0 is listed before an unknown key of patch 1."""
+    doc = base_doc()
+    doc["patches"][0]["r"] = 0.0
+    doc["patches"][1]["bta"] = 4.0
+    assert collect_issues(doc) == [
+        "patch 0: r and beta must be positive, got r=0.0, beta=4.0",
+        "patch 1: unknown patch settings: ['bta']"]
 
 
 def test_collect_issues_names_metzler_violation():

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
-                        FullModel, IntegratorConfig, PatchParams, ScaleParams,
-                        StrainPerturbations, extract_frequencies, full_state,
-                        init_on_manifold, neutral_equilibrium, patch_rates,
-                        rhs_full, simulate_full, transmissible_load)
+                        FullModel, IntegratorConfig, StrainPerturbations,
+                        extract_frequencies, full_state, init_on_manifold,
+                        neutral_equilibrium, rhs_full, simulate_full,
+                        transmissible_load)
 from straingrid.types import full_views
 
-from conftest import random_supercritical_patch
+from conftest import random_supercritical_patch, stacked
 from oracles import manifold_state
 
 ONE_PATCH = ConnectivityMatrix(entries=np.zeros((1, 1)))
@@ -24,9 +24,8 @@ def neutral_model(patches, N, d=0.0, eps=0.0, conn=None):
     if conn is None:
         conn = ONE_PATCH if P == 1 else ConnectivityMatrix(
             entries=np.ones((P, P)) - P * np.eye(P))
-    return FullModel(patches=tuple(patches),
-                     pert=StrainPerturbations.zeros(P, N),
-                     scale=ScaleParams(eps=eps, d=d), connectivity=conn)
+    return FullModel(*stacked(*patches), pert=StrainPerturbations.zeros(P, N),
+                     eps=eps, d=d, connectivity=conn)
 
 
 def random_model(rng, P, N, eps):
@@ -37,8 +36,7 @@ def random_model(rng, P, N, eps):
         alpha=rng.normal(size=(P, N, N)))
     conn = ONE_PATCH if P == 1 else ConnectivityMatrix(
         entries=np.ones((P, P)) - P * np.eye(P))
-    return FullModel(patches=patches, pert=pert,
-                     scale=ScaleParams(eps=eps, d=1.0), connectivity=conn)
+    return FullModel(*stacked(*patches), pert=pert, eps=eps, d=1.0, connectivity=conn)
 
 
 def random_state(rng, P, N):
@@ -58,8 +56,8 @@ def test_model_assembles_strain_rates(worked_patch):
         b=np.array([[1.0, -0.5]]), nu=np.array([[0.2, 0.0]]),
         c_pair=np.full((1, 2, 2), 0.3), w=np.full((1, 2, 2), 0.1),
         alpha=np.full((1, 2, 2), -0.2))
-    model = FullModel(patches=(worked_patch,), pert=pert,
-                      scale=ScaleParams(eps=0.1, d=0.0), connectivity=ONE_PATCH)
+    model = FullModel(*stacked(worked_patch), pert=pert, eps=0.1, d=0.0,
+                      connectivity=ONE_PATCH)
     assert np.allclose(model.beta_i, [[4.1, 3.95]])
     assert np.allclose(model.gamma_i, [[1.02, 1.0]])
     assert np.allclose(model.gamma_ij, 1.03)
@@ -72,22 +70,33 @@ def test_model_rejects_inadmissible_rates(worked_patch):
         b=np.array([[-10.0]]), nu=np.zeros((1, 1)), c_pair=np.zeros((1, 1, 1)),
         w=np.zeros((1, 1, 1)), alpha=np.zeros((1, 1, 1)))
     with pytest.raises(ConfigError):
-        FullModel(patches=(worked_patch,), pert=pert,
-                  scale=ScaleParams(eps=1.0, d=0.0), connectivity=ONE_PATCH)
+        FullModel(*stacked(worked_patch), pert=pert, eps=1.0, d=0.0,
+                  connectivity=ONE_PATCH)
     wpert = StrainPerturbations(
         b=np.zeros((1, 1)), nu=np.zeros((1, 1)), c_pair=np.zeros((1, 1, 1)),
         w=np.full((1, 1, 1), 10.0), alpha=np.zeros((1, 1, 1)))
     with pytest.raises(ConfigError):
-        FullModel(patches=(worked_patch,), pert=wpert,
-                  scale=ScaleParams(eps=0.2, d=0.0), connectivity=ONE_PATCH)
+        FullModel(*stacked(worked_patch), pert=wpert, eps=0.2, d=0.0,
+                  connectivity=ONE_PATCH)
+
+
+def test_model_names_every_patch_with_inadmissible_rates(worked_patch):
+    rates = stacked((0.0, 4.0, 1.0, 1.0), worked_patch, (1.0, 4.0, -1.0, 1.0))
+    with pytest.raises(ConfigError) as info:
+        FullModel(*rates, pert=StrainPerturbations.zeros(3, 2), eps=0.1, d=0.0,
+                  connectivity=ConnectivityMatrix(entries=np.ones((3, 3)) - 3 * np.eye(3)))
+    assert str(info.value) == ("patch 0: r and beta must be positive, got r=0.0, beta=4.0; "
+                               "patch 2: gamma and k must be nonnegative, got gamma=-1.0, k=1.0")
 
 
 def test_with_eps_preserves_structure(worked_patch):
     model = neutral_model([worked_patch], N=2, eps=0.1, d=2.0)
     other = model.with_eps(0.05)
-    assert other.scale.eps == 0.05
-    assert other.scale.d == 2.0
-    assert other.patches == model.patches
+    assert other != model
+    assert other.eps == 0.05
+    assert other.d == 2.0
+    for name in ("r", "beta", "gamma", "k"):
+        assert np.array_equal(getattr(other, name), getattr(model, name))
     assert "background" not in other.__dict__      # with_eps builds none
     bg = model.background
     rebuilt = model.with_eps(0.02).background
@@ -98,9 +107,9 @@ def test_with_eps_preserves_structure(worked_patch):
 def test_with_eps_does_not_build_the_background(worked_patch):
     """A subcritical patch has no background; with_eps alone must not ask
     for one."""
-    subcritical = PatchParams(r=1.0, beta=1.5, gamma=1.0, k=1.0)
+    subcritical = (1.0, 1.5, 1.0, 1.0)
     model = neutral_model([worked_patch, subcritical], N=2, eps=0.1)
-    assert model.with_eps(0.05).scale.eps == 0.05
+    assert model.with_eps(0.05).eps == 0.05
 
 
 def test_model_arrays_stay_out_of_init_eq_and_repr(worked_patch):
@@ -108,8 +117,9 @@ def test_model_arrays_stay_out_of_init_eq_and_repr(worked_patch):
     assert np.array_equal(model.r, [1.0])
     assert "beta_i" not in repr(model) and "background" not in repr(model)
     with pytest.raises(TypeError):
-        FullModel(patches=model.patches, pert=model.pert, scale=model.scale,
-                  connectivity=model.connectivity, r=model.r)
+        FullModel(model.r, model.beta, model.gamma, model.k, pert=model.pert,
+                  eps=model.eps, d=model.d, connectivity=model.connectivity,
+                  beta_i=model.beta_i)
 
 
 # ------------------------------------------------------------- rhs identities
@@ -152,7 +162,7 @@ def test_mass_derivative_identity():
         S, I, D = full_views(y, 3, 2)
         mass = S + I.sum(axis=1) + D.sum(axis=(1, 2))
         expected = model.r * (1.0 - mass) \
-            + model.scale.delta * (model.connectivity.entries @ mass)
+            + model.eps * model.d * (model.connectivity.entries @ mass)
         assert np.max(np.abs(got - expected)) < 1e-13
 
 
@@ -167,11 +177,11 @@ def test_migration_is_one_product_on_the_patch_index(worked_patch, second_patch)
             alpha=rng.normal(size=(4, 3, 3)))
         model = replace(neutral_model([worked_patch, second_patch] * 2, N=3, d=1.0, eps=0.03),
                         pert=pert)
-        local = replace(model, scale=ScaleParams(eps=0.03, d=0.0))
+        local = replace(model, d=0.0)
         y = random_state(rng, 4, 3)
         got = full_views(rhs_full(0.0, y, model) - rhs_full(0.0, y, local), 4, 3)
         S, I, D = full_views(y, 4, 3)
-        A, delta = model.connectivity.entries, model.scale.delta
+        A, delta = model.connectivity.entries, model.eps * model.d
         for part, want in zip(got, (A @ S, A @ I, np.einsum("pk,kij->pij", A, D))):
             assert np.max(np.abs(part - delta * want)) < 1e-15
 
@@ -281,7 +291,7 @@ def test_single_strain_converges_to_endemic_point(worked_patch):
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=200.0,
                            monitor_period=10.0)
     traj = simulate_full(model, y0, cfg)
-    S_star, I_star, D_star, _ = neutral_equilibrium(patch_rates([worked_patch]))
+    S_star, I_star, D_star, _ = neutral_equilibrium(stacked(worked_patch))
     S, I, D = full_views(traj.states[-1], 1, 1)
     assert abs(S[0] - S_star[0]) < 1e-6
     assert abs(I[0, 0] - I_star[0]) < 1e-6
@@ -291,13 +301,11 @@ def test_single_strain_converges_to_endemic_point(worked_patch):
 def test_mass_and_negativity_monitors(worked_patch, second_patch,
                                       two_patch_conn):
     rng = np.random.default_rng(27)
-    patches = (worked_patch, second_patch)
     pert = StrainPerturbations(
         b=rng.normal(size=(2, 2)), nu=rng.normal(size=(2, 2)),
         c_pair=rng.normal(size=(2, 2, 2)), w=rng.normal(size=(2, 2, 2)) * 0.3,
         alpha=rng.normal(size=(2, 2, 2)))
-    model = FullModel(patches=patches, pert=pert,
-                      scale=ScaleParams(eps=0.05, d=1.0),
+    model = FullModel(*stacked(worked_patch, second_patch), pert=pert, eps=0.05, d=1.0,
                       connectivity=two_patch_conn)
     y0 = init_on_manifold(np.array([[0.3, 0.7], [0.6, 0.4]]), model.background)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=100.0,
@@ -309,14 +317,18 @@ def test_mass_and_negativity_monitors(worked_patch, second_patch,
 
 
 def test_model_parts_sized_for_another_patch_count(worked_patch, second_patch):
-    patches = (worked_patch, second_patch)
+    rates = stacked(worked_patch, second_patch)
     conn = ConnectivityMatrix(entries=np.array([[-1.0, 1.0], [1.0, -1.0]]))
     with pytest.raises(ConfigError, match="perturbations cover 1 patches, model has 2"):
-        FullModel(patches=patches, pert=StrainPerturbations.zeros(1, 2),
-                  scale=ScaleParams(eps=0.1, d=1.0), connectivity=conn)
+        FullModel(*rates, pert=StrainPerturbations.zeros(1, 2), eps=0.1, d=1.0,
+                  connectivity=conn)
     with pytest.raises(ConfigError, match="connectivity size does not match patch count"):
-        FullModel(patches=patches, pert=StrainPerturbations.zeros(2, 2),
-                  scale=ScaleParams(eps=0.1, d=1.0), connectivity=ONE_PATCH)
+        FullModel(*rates, pert=StrainPerturbations.zeros(2, 2), eps=0.1, d=1.0,
+                  connectivity=ONE_PATCH)
+    with pytest.raises(ConfigError, match=r"must be \(P,\) arrays, got shapes "
+                                          r"\[\(2,\), \(2,\), \(1,\), \(2,\)\]"):
+        FullModel(rates[0], rates[1], rates[2][:1], rates[3],
+                  pert=StrainPerturbations.zeros(2, 2), eps=0.1, d=1.0, connectivity=conn)
 
 
 def test_manifold_state_needs_one_row_per_patch(worked_patch):

@@ -18,19 +18,18 @@ import numpy as np
 import pytest
 
 from straingrid import (ConfigError, ConnectivityMatrix, FullModel,
-                        PatchParams, ScaleParams, StrainPerturbations,
-                        SubcriticalPatch, drift_matrix, fitness_matrix,
-                        fitness_structure, init_on_manifold, left_eigenvector,
-                        migration_matrix, neutral_equilibrium, patch_rates,
+                        StrainPerturbations, SubcriticalPatch, drift_matrix,
+                        fitness_matrix, fitness_structure, init_on_manifold,
+                        left_eigenvector, migration_matrix, neutral_equilibrium,
                         rhs_full, setup_from_model, speed_and_weights)
 from straingrid.reduction import build_background
 
-from conftest import random_supercritical_patch
+from conftest import random_supercritical_patch, stacked
 
 
 def forms(*patches):
     """(rates, eq) of the patches, stacked in patch order."""
-    rates = patch_rates(patches)
+    rates = stacked(*patches)
     return rates, neutral_equilibrium(rates)
 
 
@@ -81,7 +80,7 @@ def test_second_patch_equilibrium(second_patch):
 
 
 def test_subcritical_patch_rejected(worked_patch):
-    sub = PatchParams(r=1.0, beta=2.0, gamma=1.0, k=1.0)
+    sub = (1.0, 2.0, 1.0, 1.0)
     with pytest.raises(SubcriticalPatch):
         forms(sub)
     with pytest.raises(SubcriticalPatch, match=r"^patch 1: beta=2.0 <= r\+gamma=2.0"):
@@ -93,7 +92,7 @@ def test_equilibrium_against_rational_oracle():
     patches = [random_supercritical_patch(rng) for _ in range(50)]
     eq = forms(*patches)[1]
     for p, (S_p, I_p, D_p, _) in zip(patches, np.column_stack(eq)):
-        S, I, D, T = exact_equilibrium(p.r, p.beta, p.gamma, p.k)
+        S, I, D, T = exact_equilibrium(*p)
         assert S_p == pytest.approx(float(S), rel=1e-13)
         assert I_p == pytest.approx(float(I), rel=1e-13)
         assert D_p == pytest.approx(float(D), rel=1e-13)
@@ -101,7 +100,7 @@ def test_equilibrium_against_rational_oracle():
 
 
 def test_k_zero_degenerates_cleanly():
-    rates, eq = forms(PatchParams(r=1.0, beta=4.0, gamma=1.0, k=0.0))
+    rates, eq = forms((1.0, 4.0, 1.0, 0.0))
     S, I, D, _ = eq
     assert D[0] == 0.0
     assert S[0] + I[0] == pytest.approx(1.0, abs=1e-15)
@@ -232,7 +231,7 @@ def test_fitness_without_clearance_has_no_clearance_channels(worked_patch):
     deviations drop out, without a division warning, and each row equals
     its single-patch evaluation."""
     rng = np.random.default_rng(41)
-    no_clearance = PatchParams(r=1.0, beta=4.0, gamma=0.0, k=1.0)
+    no_clearance = (1.0, 4.0, 0.0, 1.0)
     pert = random_pert(rng, 2, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -255,15 +254,14 @@ def _slow_rate_oracle(patch, pert, zvec):
     N = len(zvec)
     conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
 
-    m0 = FullModel(patches=(patch,), pert=StrainPerturbations.zeros(1, N),
-                   scale=ScaleParams(eps=0.0, d=0.0), connectivity=conn)
+    m0 = FullModel(*stacked(patch), pert=StrainPerturbations.zeros(1, N), eps=0.0, d=0.0,
+                   connectivity=conn)
 
     def manifold(z):
         return init_on_manifold(np.array([z]), m0.background)
 
     h = 1e-6
-    mp = FullModel(patches=(patch,), pert=pert,
-                   scale=ScaleParams(eps=h, d=0.0), connectivity=conn)
+    mp = FullModel(*stacked(patch), pert=pert, eps=h, d=0.0, connectivity=conn)
     y = manifold(np.asarray(zvec))
     F1 = (rhs_full(0.0, y, mp) - rhs_full(0.0, y, m0)) / h
 
@@ -382,30 +380,30 @@ def test_background_stacks_the_per_patch_forms():
     np.fill_diagonal(entries, 0.0)
     np.fill_diagonal(entries, -entries.sum(axis=1))
     conn = ConnectivityMatrix(entries=entries)
-    bg = build_background(patches, pert, conn)
+    bg = build_background(stacked(*patches), pert, conn)
 
     for p, patch in enumerate(patches):
         rates, eq = forms(patch)
         Theta, theta, lam = fitness_structure(rates, eq, patch_slice(pert, p))
         expected = (*eq, *left_eigenvector(eq), drift_matrix(rates, eq), Theta, theta, lam)
-        stacked = (bg.S_star, bg.I_star, bg.D_star, bg.T_star, bg.phi, bg.psi,
+        arrays = (bg.S_star, bg.I_star, bg.D_star, bg.T_star, bg.phi, bg.psi,
                    bg.drift, bg.Theta, bg.theta, bg.Lambdas)
-        for got, want in zip(stacked, expected):
+        for got, want in zip(arrays, expected):
             assert got[p].tobytes() == want[0].tobytes()
     eq = forms(*patches)[1]
     M, nu = migration_matrix(conn, eq, left_eigenvector(eq))
     assert np.array_equal(bg.migration, M)
     assert np.array_equal(bg.advection, nu)
-    assert not any(a.flags.writeable for a in stacked)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_background_and_setup_arrays_are_read_only(worked_patch, second_patch,
                                                   two_patch_conn):
     """The background is shared by every eps of a model: no field, the
     migration matrix and the advection included, can be written."""
-    model = FullModel(patches=(worked_patch, second_patch),
-                      pert=StrainPerturbations.zeros(2, 2),
-                      scale=ScaleParams(eps=0.05, d=1.0), connectivity=two_patch_conn)
+    model = FullModel(*stacked(worked_patch, second_patch),
+                      pert=StrainPerturbations.zeros(2, 2), eps=0.05, d=1.0,
+                      connectivity=two_patch_conn)
     bg = model.background
     for field in dataclasses.fields(bg):
         assert not getattr(bg, field.name).flags.writeable, field.name
@@ -416,7 +414,7 @@ def test_background_and_setup_arrays_are_read_only(worked_patch, second_patch,
 
 
 def test_background_rejects_subcritical_patch(worked_patch):
-    patches = (worked_patch, PatchParams(r=1.0, beta=2.0, gamma=1.0, k=1.0))
+    rates = stacked(worked_patch, (1.0, 2.0, 1.0, 1.0))
     conn = ConnectivityMatrix(entries=np.array([[-1.0, 1.0], [1.0, -1.0]]))
     with pytest.raises(SubcriticalPatch, match="^patch 1: "):
-        build_background(patches, StrainPerturbations.zeros(2, 2), conn)
+        build_background(rates, StrainPerturbations.zeros(2, 2), conn)

@@ -1,27 +1,49 @@
 """Domain type invariants and containers."""
 
+import re
+
 import numpy as np
 import pytest
 
-from straingrid import (ConfigError, PatchParams, ScaleParams, StrainPerturbations,
-                        full_state, require_simplex)
-from straingrid.types import full_views, row_sum_defect
+from straingrid import (ConfigError, ConnectivityMatrix, FullModel, StrainPerturbations,
+                        SubcriticalPatch, full_state, require_simplex)
+from straingrid.types import full_views, rate_issue, row_sum_defect
+
+from conftest import stacked
+
+
+ONE_PATCH = ConnectivityMatrix(entries=np.zeros((1, 1)))
+
+
+def one_patch_model(rates, eps=0.0, d=0.0):
+    return FullModel(*stacked(rates), pert=StrainPerturbations.zeros(1, 1), eps=eps, d=d,
+                     connectivity=ONE_PATCH)
 
 
 def test_patch_params_validation():
-    with pytest.raises(ConfigError):
-        PatchParams(r=0.0, beta=1.0, gamma=0.0, k=0.0)
-    with pytest.raises(ConfigError):
-        PatchParams(r=1.0, beta=-1.0, gamma=0.0, k=0.0)
-    with pytest.raises(ConfigError):
-        PatchParams(r=1.0, beta=2.0, gamma=-0.1, k=0.0)
-    with pytest.raises(ConfigError):
-        PatchParams(r=1.0, beta=2.0, gamma=0.0, k=-1.0)
+    """rate_issue names the first inadmissible property of a patch's rates;
+    FullModel refuses the patch with that message."""
+    for rates, issue in (
+            ((0.0, 1.0, 0.0, 0.0), "r and beta must be positive, got r=0.0, beta=1.0"),
+            ((1.0, -1.0, 0.0, 0.0), "r and beta must be positive, got r=1.0, beta=-1.0"),
+            ((1.0, 2.0, -0.1, 0.0), "gamma and k must be nonnegative, got gamma=-0.1, k=0.0"),
+            ((1.0, 2.0, 0.0, -1.0), "gamma and k must be nonnegative, got gamma=0.0, k=-1.0"),
+            ((1.0, np.inf, 0.0, 0.0), "rates must be finite, got r=1.0, beta=inf, gamma=0.0, k=0.0"),
+            ((1.0, 2.0, np.nan, -1.0), "rates must be finite, got r=1.0, beta=2.0, gamma=nan")):
+        assert rate_issue(*rates).startswith(issue)
+        with pytest.raises(ConfigError, match=f"^patch 0: {re.escape(issue)}"):
+            one_patch_model(rates)
+    assert rate_issue(1.0, 4.0, 1.0, 0.0) is None
+    assert rate_issue(1.0, 0.5, 0.0, 1.0) is None
 
 
 def test_supercriticality_predicate():
-    assert PatchParams(r=1.0, beta=4.0, gamma=1.0, k=1.0).supercritical
-    assert not PatchParams(r=1.0, beta=2.0, gamma=1.0, k=1.0).supercritical
+    """Subcriticality, beta <= r + gamma, is no rate issue: the model takes
+    the patch and only its background, the endemic point, refuses it."""
+    assert one_patch_model((1.0, 4.0, 1.0, 1.0)).background.S_star[0] == 0.5
+    subcritical = one_patch_model((1.0, 2.0, 1.0, 1.0))
+    with pytest.raises(SubcriticalPatch, match="^patch 0: beta=2.0 <= r"):
+        subcritical.background
 
 
 def test_perturbations_shapes_and_zeros():
@@ -49,14 +71,19 @@ def test_perturbation_arrays_immutable():
 
 
 def test_scale_params():
-    scale = ScaleParams(eps=0.1, d=2.0)
-    assert scale.delta == pytest.approx(0.2)
-    assert scale.with_eps(0.05).delta == pytest.approx(0.1)
-    assert ScaleParams(eps=0.0, d=1.0).delta == 0.0
-    with pytest.raises(ConfigError):
-        ScaleParams(eps=-0.1, d=1.0)
-    with pytest.raises(ConfigError):
-        ScaleParams(eps=0.1, d=-1.0)
+    """eps and d are finite and >= 0; with_eps keeps d."""
+    model = one_patch_model((1.0, 4.0, 1.0, 1.0), eps=0.1, d=2.0)
+    assert model.eps * model.d == pytest.approx(0.2)
+    other = model.with_eps(0.05)
+    assert other.eps * other.d == pytest.approx(0.1)
+    assert one_patch_model((1.0, 4.0, 1.0, 1.0), eps=0.0, d=1.0).eps == 0.0
+    for eps, d, message in ((-0.1, 1.0, "eps must be finite and >= 0, got -0.1"),
+                            (np.inf, 1.0, "eps must be finite and >= 0, got inf"),
+                            (np.nan, 1.0, "eps must be finite and >= 0, got nan"),
+                            (0.1, -1.0, "d must be finite and >= 0, got -1.0"),
+                            (0.1, np.inf, "d must be finite and >= 0, got inf")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            one_patch_model((1.0, 4.0, 1.0, 1.0), eps=eps, d=d)
 
 
 def test_full_state_mass_and_roundtrip():

@@ -9,8 +9,7 @@ import pytest
 import straingrid.ode
 import straingrid.validate
 from straingrid import (ConfigError, ConnectivityMatrix, FullModel, IntegratorConfig,
-                        PatchParams, ReductionReport, ScaleParams, StrainGridError,
-                        StrainPerturbations,
+                        ReductionReport, StrainGridError, StrainPerturbations,
                         convergence_study, default_tau_horizon,
                         extract_frequencies, init_on_manifold,
                         reduction_error, setup_from_model,
@@ -18,6 +17,7 @@ from straingrid import (ConfigError, ConnectivityMatrix, FullModel, IntegratorCo
 from straingrid.types import full_views
 from straingrid.validate import VALIDATION_SAMPLES, _validation_cfg
 
+from conftest import stacked
 from oracles import neutral_limit_check
 
 VALIDATION_ROWS = VALIDATION_SAMPLES + 1   # samples of one validation run
@@ -33,15 +33,15 @@ def generic_pert():
 
 
 def two_patch_model(worked_patch, second_patch, conn, d=1.0):
-    return FullModel(patches=(worked_patch, second_patch), pert=generic_pert(),
-                     scale=ScaleParams(eps=0.05, d=d), connectivity=conn)
+    return FullModel(*stacked(worked_patch, second_patch), pert=generic_pert(), eps=0.05,
+                     d=d, connectivity=conn)
 
 
 def test_neutral_config_error_at_tolerance(worked_patch):
     conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
-    model = FullModel(patches=(worked_patch,),
+    model = FullModel(*stacked(worked_patch),
                       pert=StrainPerturbations.zeros(1, 2),
-                      scale=ScaleParams(eps=0.05, d=0.0), connectivity=conn)
+                      eps=0.05, d=0.0, connectivity=conn)
     z0 = np.array([[0.3, 0.7]])
     (err,), (agg,) = reduction_error(model, z0, [0.05], tau_window=(0.1, 1.0))
     assert err < 1e-8
@@ -54,8 +54,8 @@ def test_single_patch_error_decreases_with_eps(worked_patch):
         b=np.array([[1.0, 0.0]]), nu=np.zeros((1, 2)),
         c_pair=np.zeros((1, 2, 2)), w=np.zeros((1, 2, 2)),
         alpha=np.zeros((1, 2, 2)))
-    model = FullModel(patches=(worked_patch,), pert=pert,
-                      scale=ScaleParams(eps=0.1, d=0.0), connectivity=conn)
+    model = FullModel(*stacked(worked_patch), pert=pert,
+                      eps=0.1, d=0.0, connectivity=conn)
     z0 = np.array([[0.3, 0.7]])
     window = (0.3, 3.0)
     errs, _ = reduction_error(model, z0, [0.1, 0.05], window)
@@ -65,9 +65,9 @@ def test_single_patch_error_decreases_with_eps(worked_patch):
 
 def test_reduction_error_input_guards(worked_patch):
     conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
-    model = FullModel(patches=(worked_patch,),
+    model = FullModel(*stacked(worked_patch),
                       pert=StrainPerturbations.zeros(1, 2),
-                      scale=ScaleParams(eps=0.05, d=0.0), connectivity=conn)
+                      eps=0.05, d=0.0, connectivity=conn)
     z0 = np.array([[0.3, 0.7]])
     for eps_values in ([0.05, 0.0], [np.inf, 0.05]):
         with pytest.raises(ConfigError, match="requires finite eps > 0"):
@@ -92,8 +92,7 @@ def random_model(P, N, seed):
     patches = []
     for _ in range(P):
         r, gamma = rng.uniform(0.5, 1.5, size=2)
-        patches.append(PatchParams(r=r, beta=(r + gamma) * rng.uniform(1.5, 3.0),
-                                   gamma=gamma, k=rng.uniform(0.5, 2.0)))
+        patches.append((r, (r + gamma) * rng.uniform(1.5, 3.0), gamma, rng.uniform(0.5, 2.0)))
 
     def dev(*shape):
         return rng.uniform(-1.0, 1.0, size=(P, *shape))
@@ -101,8 +100,7 @@ def random_model(P, N, seed):
                                alpha=dev(N, N))
     conn = ConnectivityMatrix(entries=np.ones((P, P)) - P * np.eye(P))
     z0 = rng.uniform(0.5, 1.0, size=(P, N))
-    model = FullModel(patches=tuple(patches), pert=pert,
-                      scale=ScaleParams(eps=0.05, d=1.0), connectivity=conn)
+    model = FullModel(*stacked(*patches), pert=pert, eps=0.05, d=1.0, connectivity=conn)
     return model, z0 / z0.sum(axis=1, keepdims=True)
 
 
@@ -184,9 +182,9 @@ def test_convergence_study_report(worked_patch, second_patch, two_patch_conn):
 
 def test_convergence_study_degenerate_neutral(worked_patch):
     conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
-    model = FullModel(patches=(worked_patch,),
+    model = FullModel(*stacked(worked_patch),
                       pert=StrainPerturbations.zeros(1, 2),
-                      scale=ScaleParams(eps=0.05, d=0.0), connectivity=conn)
+                      eps=0.05, d=0.0, connectivity=conn)
     z0 = np.array([[0.3, 0.7]])
     report = convergence_study(model, z0, [0.08, 0.04, 0.02], (0.1, 1.0))
     assert not report.slope_applicable
@@ -203,8 +201,13 @@ def test_convergence_study_input_validation(worked_patch, second_patch,
         convergence_study(model, z0, [0.05, 0.1, 0.2], (0.1, 1.0))
 
 
+# Patch 1's transmission beta + eps * b is negative at each of these eps.
+INADMISSIBLE_EPS = [8.0, 6.0, 5.0]
+
+
 @pytest.mark.parametrize("eps_list", [[0.2, 0.1, 0.0], [0.2, 0.1, -0.1],
-                                      [np.inf, 0.1, 0.05], [np.nan, 0.1, 0.05]])
+                                      [np.inf, 0.1, 0.05], [np.nan, 0.1, 0.05],
+                                      INADMISSIBLE_EPS])
 def test_convergence_study_checks_every_eps_first(worked_patch, second_patch,
                                                   two_patch_conn, monkeypatch,
                                                   eps_list):
@@ -212,7 +215,9 @@ def test_convergence_study_checks_every_eps_first(worked_patch, second_patch,
     for name in ("simulate_full", "simulate_replicator"):
         monkeypatch.setattr(straingrid.validate, name, lambda *args, **kwargs: runs.append(args))
     model = two_patch_model(worked_patch, second_patch, two_patch_conn)
-    with pytest.raises(ConfigError, match="finite and positive"):
+    message = ("^assembled strain rates leave the admissible range; reduce eps$"
+               if eps_list is INADMISSIBLE_EPS else "finite and positive")
+    with pytest.raises(ConfigError, match=message):
         convergence_study(model, np.array([[0.3, 0.7], [0.6, 0.4]]), eps_list, (0.1, 1.0))
     assert runs == []
 
@@ -225,17 +230,16 @@ def test_default_tau_horizon(worked_patch, second_patch, two_patch_conn):
                        * float(np.max(np.abs(setup.Lambdas))))
     assert T == pytest.approx(expected)
     neutral = setup_from_model(FullModel(
-        patches=(worked_patch,), pert=StrainPerturbations.zeros(1, 2),
-        scale=ScaleParams(eps=0.05, d=0.0),
+        *stacked(worked_patch), pert=StrainPerturbations.zeros(1, 2), eps=0.05, d=0.0,
         connectivity=ConnectivityMatrix(entries=np.zeros((1, 1)))))
     assert default_tau_horizon(neutral) == 1.0
 
 
 def test_neutral_limit_manifold_start(worked_patch):
     conn = ConnectivityMatrix(entries=np.zeros((1, 1)))
-    model = FullModel(patches=(worked_patch,),
+    model = FullModel(*stacked(worked_patch),
                       pert=StrainPerturbations.zeros(1, 3),
-                      scale=ScaleParams(eps=0.0, d=0.0), connectivity=conn)
+                      eps=0.0, d=0.0, connectivity=conn)
     z0 = np.array([[0.2, 0.3, 0.5]])
     y0 = init_on_manifold(z0, model.background)
     residual = neutral_limit_check(model, y0, t_end=50.0)
@@ -258,8 +262,7 @@ def test_reduction_error_rejects_runs_of_unequal_length(monkeypatch, worked_patc
     monkeypatch.setattr(straingrid.validate, "simulate_replicator",
                         lambda setup, z0, cfg: run(setup, z0, IntegratorConfig(
                             t_end=cfg.t_end, monitor_period=cfg.t_end / 100)))
-    model = FullModel(patches=(worked_patch,), pert=StrainPerturbations.zeros(1, 2),
-                      scale=ScaleParams(eps=0.05, d=0.0),
-                      connectivity=ConnectivityMatrix(entries=np.zeros((1, 1))))
+    model = FullModel(*stacked(worked_patch), pert=StrainPerturbations.zeros(1, 2),
+                      eps=0.05, d=0.0, connectivity=ConnectivityMatrix(entries=np.zeros((1, 1))))
     with pytest.raises(StrainGridError, match="full and reduced runs have 201 and 101 samples"):
         reduction_error(model, np.array([[0.3, 0.7]]), [0.05], tau_window=(0.1, 1.0))
