@@ -40,7 +40,7 @@ def main():
 
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=80.0,
                            monitor_period=8.0)
-    traj = simulate_full(model, y0, cfg)
+    traj, = simulate_full([model], y0, [cfg])
 
     print(f"\n{'t':>6}  {'residual':>12}  frequencies")
     for t, y in zip(traj.times, traj.states):

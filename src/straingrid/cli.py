@@ -177,7 +177,7 @@ def run_simulation(doc: dict, mode: str, outdir: Path, command: str):
     start = time.perf_counter()
     cfg = integrator_settings(doc)
     if mode == "full":
-        traj = simulate_full(model, init_on_manifold(z0, model.background), cfg)
+        traj, = simulate_full([model], init_on_manifold(z0, model.background), [cfg])
         files = {"trajectory_full.csv": _full_csv(traj, P, N)}
     else:
         traj = simulate_replicator(setup_from_model(model), z0, cfg)

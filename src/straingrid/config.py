@@ -73,11 +73,22 @@ def _section(doc: dict, name: str) -> dict:
 
 def _parsed(what: str, value, convert=partial(np.asarray, dtype=float)):
     """convert(value), a float array by default, with a value of the wrong
-    type reported as ConfigError."""
+    type, or an integer beyond the float range, reported as ConfigError."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: {exc}") from None
+
+
+def _number(what: str, value) -> float:
+    """A JSON number as float; ConfigError for anything else, bools and
+    numeric strings included, and for an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is an integer beyond the float range") from None
 
 
 def _integer(what: str, value) -> int:
@@ -182,8 +193,8 @@ def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
     for idx, p in enumerate(raw_patches):
         issues += [f"patch {idx}: {item}" for item in _unknown_keys("patch", p, PATCH_KEYS)]
         try:
-            r, beta, gamma, k = (float(p[name]) for name in ("r", "beta", "gamma", "k"))
-        except (KeyError, TypeError, ValueError) as exc:
+            r, beta, gamma, k = (_number(name, p[name]) for name in ("r", "beta", "gamma", "k"))
+        except (KeyError, TypeError, ConfigError) as exc:
             issues.append(f"patch {idx}: {exc}")
             continue
         issue = rate_issue(r, beta, gamma, k)
@@ -203,8 +214,8 @@ def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
         scale = _section(doc, "scale")
         model = FullModel(
             *np.array(rates).T, pert=_strain_arrays(doc, P),
-            eps=_parsed("scale.eps", scale.get("eps", 0.0), float),
-            d=_parsed("scale.d", scale.get("d", 0.0), float),
+            eps=_number("scale.eps", scale.get("eps", 0.0)),
+            d=_number("scale.d", scale.get("d", 0.0)),
             connectivity=connectivity)
         initial_frequencies(doc, P, model.n_strains)
         integrator_settings(doc)
@@ -255,6 +266,6 @@ def integrator_settings(doc: dict) -> IntegratorConfig:
     if unknown:
         raise ConfigError(unknown[0])
     settings = {"t_end": 200.0,
-                **{k: _parsed(f"integration.{k}", v, float) for k, v in integ.items()}}
+                **{k: _number(f"integration.{k}", v) for k, v in integ.items()}}
     settings.setdefault("monitor_period", settings["t_end"] / 200)
     return IntegratorConfig(**settings)

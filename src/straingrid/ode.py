@@ -7,11 +7,17 @@ interpolation between accepted steps, or only an observable of each
 such state when the caller passes `observe`. Conservation defects are
 measured, never corrected: they are observables of the discrete flow.
 
-Identical inputs always produce bit-identical trajectories.
+One loop integrates an ensemble of independent members, stacked on a
+leading axis: every stage makes one rhs call for all members, and each
+member accepts or rejects its own step and leaves at its own t_end. A
+single run is the ensemble of one. A member's trajectory does not
+depend on the others: identical inputs always produce bit-identical
+trajectories, alone or in any ensemble.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -97,16 +103,45 @@ class Trajectory:
         return out
 
 
-def _error_norm(err, y_old, y_new, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+class _Member:
+    """One member of an ensemble: its settings, clock, step control and
+    sample table."""
+
+    __slots__ = ("index", "cfg", "t", "h", "err_prev", "steps", "times", "next_sample",
+                 "states", "diagnostics", "monitor_max")
+
+    def __init__(self, index, cfg, width, n_mon):
+        self.index, self.cfg = index, cfg
+        self.t, self.err_prev, self.steps, self.next_sample = 0.0, 1.0, 0, 1
+        self.h = min(cfg.initial_step, cfg.max_step, cfg.t_end)
+        # The grid ends on t_end; an arange point a rounding error short of
+        # it would be a near-duplicate last sample.
+        times = np.arange(0.0, cfg.t_end, cfg.monitor_period)
+        self.times = np.append(times[times < cfg.t_end * (1.0 - 1e-12)], cfg.t_end)
+        self.states = np.empty((self.times.size, width))
+        self.diagnostics = np.empty((self.times.size, n_mon))
+        self.monitor_max = np.zeros(n_mon)
 
 
-def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
-              y0,
-              cfg: IntegratorConfig,
-              monitors: Sequence[Callable[[np.ndarray], float]] = (),
-              observe: Callable[[np.ndarray], np.ndarray] | None = None) -> Trajectory:
+def _error_norms(K, h, y_old, y_new, rel_tol, abs_tol, err) -> np.ndarray:
+    """Per member, the RMS of the error estimate h (_E K) over
+    abs_tol + rel_tol * max(|y_old|, |y_new|), computed in the scratch
+    array err and in K[:, 1]: stage 1 is spent once stage 6 is built
+    (_E and _B5 give it weight 0)."""
+    scale = K[:, 1]
+    np.abs(y_old, out=scale)
+    np.maximum(scale, np.abs(y_new, out=err), out=scale)
+    scale *= rel_tol
+    scale += abs_tol
+    np.matmul(_E, K, out=err)
+    err *= h
+    err /= scale
+    np.square(err, out=err)
+    return np.sqrt(err.mean(axis=1))
+
+
+def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], float]] = (),
+              observe: Callable[[np.ndarray], np.ndarray] | None = None):
     """Integrate y' = rhs(t, y) from t=0 to cfg.t_end.
 
     Local error per step is kept below abs_tol + rel_tol * |y|. Monitors
@@ -116,96 +151,132 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     StiffnessFailure on step underflow or past MAX_STEPS attempted steps,
     NumericalBlowup on non-finite right-hand sides, and ConfigError when
     the sample table would exceed MAX_SAMPLE_VALUES.
+
+    A 1-d y0 with one IntegratorConfig is one run: rhs(t, y) takes a
+    float and a 1-d state, and a Trajectory is returned. A stacked y0
+    (B, dim) with a sequence of B configs is an ensemble of B independent
+    members, returned as B Trajectories. Each member has its own clock,
+    step size, step control, budgets and sample table, and its
+    trajectory is bit-identical to its run alone; all members share
+    each stage's call rhs(t, y, members), with t (b,) and y (b, dim)
+    holding the rows of the b members still short of their t_end and
+    members the tuple of their indices. A single run is the ensemble
+    B = 1.
     """
-    y = np.array(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
+    # C order: a member's bits must not depend on the layout of y0.
+    Y = np.array(y0, dtype=float, order="C")
+    single = Y.ndim == 1
+    if single:
+        Y, cfgs, one_rhs = Y[None], [cfg], rhs
+        rhs = lambda t, y, members: one_rhs(float(t[0]), y[0])
+    else:
+        cfgs = list(cfg)
+    if Y.ndim != 2 or Y.shape[0] != len(cfgs):
+        raise ConfigError(f"{len(cfgs)} integrator settings for initial states of shape "
+                          f"{Y.shape}")
+    if not np.all(np.isfinite(Y)):
         raise ConfigError("initial state has non-finite entries")
-    t = 0.0
-    t_end = cfg.t_end
-    if t_end / cfg.max_step > MAX_STEPS:
-        raise StiffnessFailure(f"t_end / max_step exceeds the budget of {MAX_STEPS} steps")
-    width = y.size if observe is None else np.size(observe(y))
-    if (t_end / cfg.monitor_period + 2) * width > MAX_SAMPLE_VALUES:
-        raise ConfigError(f"{t_end / cfg.monitor_period:.3g} samples of {width} values "
-                          f"exceed the budget of {MAX_SAMPLE_VALUES} values")
+    width = Y.shape[1] if observe is None else np.size(observe(Y[0]))
+    for cfg in cfgs:
+        if cfg.t_end / cfg.max_step > MAX_STEPS:
+            raise StiffnessFailure(f"t_end / max_step exceeds the budget of {MAX_STEPS} steps")
+        if (cfg.t_end / cfg.monitor_period + 2) * width > MAX_SAMPLE_VALUES:
+            raise ConfigError(f"{cfg.t_end / cfg.monitor_period:.3g} samples of {width} "
+                              f"values exceed the budget of {MAX_SAMPLE_VALUES} values")
 
-    n_mon = len(monitors)
-    # The grid ends on t_end; an arange point a rounding error short of it
-    # would be a near-duplicate last sample.
-    sample_times = np.arange(0.0, t_end, cfg.monitor_period)
-    sample_times = np.append(sample_times[sample_times < t_end * (1.0 - 1e-12)], t_end)
-    n_samples = sample_times.size
-    states = np.empty((n_samples, width))
-    diagnostics = np.empty((n_samples, n_mon))
-    monitor_max = np.zeros(n_mon)
+    def record(m, idx, state):
+        m.states[idx] = state if observe is None else np.ravel(observe(state))
+        for j, mon in enumerate(monitors):
+            m.diagnostics[idx, j] = mon(state)
 
-    def record(idx, state):
-        states[idx] = state if observe is None else np.ravel(observe(state))
-        for m, mon in enumerate(monitors):
-            diagnostics[idx, m] = mon(state)
+    def eval_monitors(m, state):
+        for j, mon in enumerate(monitors):
+            m.monitor_max[j] = max(m.monitor_max[j], abs(mon(state)))
 
-    def eval_monitors(state):
-        for m, mon in enumerate(monitors):
-            monitor_max[m] = max(monitor_max[m], abs(mon(state)))
+    ensemble = [_Member(b, cfg, width, len(monitors)) for b, cfg in enumerate(cfgs)]
+    for m, y in zip(ensemble, Y):
+        record(m, 0, y)
+        eval_monitors(m, y)
 
-    record(0, y)
-    eval_monitors(y)
-    next_sample = 1
+    # Row i of every array below belongs to runs[i], the members still
+    # short of their t_end; a member that reaches it leaves them all.
+    runs = ensemble
+    members = tuple(range(len(runs)))
+    rel_tol = np.array([[cfg.rel_tol] for cfg in cfgs])
+    abs_tol = np.array([[cfg.abs_tol] for cfg in cfgs])
+    K = np.empty((len(runs), 7, Y.shape[1]))
+    K[:, 0] = rhs(np.zeros(len(runs)), Y, members)
+    if not np.all(np.isfinite(K[:, 0])):
+        raise NumericalBlowup("non-finite right-hand side at t=0.0")
+    # Every stage argument is built in Y_new; the last one is the step's
+    # solution y + h _B5 K. err is the error norm's scratch.
+    Y_new, err = np.empty_like(Y), np.empty_like(Y)
 
-    h = min(cfg.initial_step, cfg.max_step, t_end)
-    err_prev = 1.0
-    K = np.empty((7, y.size))
-    K[0] = rhs(t, y)
-    if not np.all(np.isfinite(K[0])):
-        raise NumericalBlowup(f"non-finite right-hand side at t={t}")
-    # Every stage argument is built in y_new; the last one is the step's
-    # solution y + h _B5 K.
-    y_new = np.empty_like(y)
-
-    steps = 0
-    while t < t_end:
-        h = min(h, t_end - t)
-        steps += 1
-        if steps > MAX_STEPS:
-            raise StiffnessFailure(f"step budget of {MAX_STEPS} steps exhausted at t={t}")
+    while runs:
+        for m in runs:
+            m.h = min(m.h, m.cfg.t_end - m.t)
+            m.steps += 1
+            if m.steps > MAX_STEPS:
+                raise StiffnessFailure(f"step budget of {MAX_STEPS} steps exhausted at t={m.t}")
+        h = np.array([[m.h] for m in runs])
+        t_stages = np.array([[m.t] for m in runs]) + h * _C
 
         for s in range(1, 7):
-            np.matmul(K.T[:, :s], _A[s], out=y_new)
-            y_new *= h
-            y_new += y
-            K[s] = rhs(t + _C[s] * h, y_new)
+            np.matmul(_A[s], K[:, :s], out=Y_new)
+            Y_new *= h
+            Y_new += Y
+            K[:, s] = rhs(t_stages[:, s], Y_new, members)
 
-        err = h * (K.T @ _E)
-        norm = _error_norm(err, y, y_new, cfg)
-        # A non-finite stage reaches the error estimate (every later stage
-        # and y_new depend on it), so one scalar test replaces a scan of K.
-        if not np.isfinite(norm):
-            raise NumericalBlowup(f"non-finite right-hand side at t={t}")
+        norms = _error_norms(K, h, Y, Y_new, rel_tol, abs_tol, err)
+        accepted = []
+        for i, m in enumerate(runs):
+            norm = float(norms[i])
+            # A non-finite stage reaches the error estimate (every later
+            # stage and y_new depend on it), so one scalar test replaces a
+            # scan of K.
+            if not math.isfinite(norm):
+                raise NumericalBlowup(f"non-finite right-hand side at t={m.t}")
+            t_end = m.cfg.t_end
+            if norm <= 1.0:
+                # A step clipped to t_end ends there: t + (t_end - t) can
+                # round an ulp short, which would leave a step of ~1e-17.
+                t_new = t_end if m.h == t_end - m.t else m.t + m.h
+                y, y_new = Y[i], Y_new[i]
+                # interpolate any samples inside (t, t_new]
+                while m.next_sample < m.times.size \
+                        and m.times[m.next_sample] <= t_new + 1e-15 * t_end:
+                    ts = min(m.times[m.next_sample], t_new)
+                    frac = (ts - m.t) / m.h
+                    record(m, m.next_sample, y + frac * (y_new - y))
+                    m.next_sample += 1
+                m.t = t_new
+                eval_monitors(m, y_new)
+                accepted.append(i)
+                factor = _SAFETY * (norm ** -_PI_ALPHA if norm > 0 else _MAX_FACTOR) \
+                    * (m.err_prev ** _PI_BETA)
+                m.err_prev = max(norm, 1e-10)
+            else:
+                factor = max(_MIN_FACTOR, _SAFETY * norm ** (-1.0 / _ORDER))
+            m.h = min(m.cfg.max_step, m.h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)))
+            # Only a step shrunk after a rejection meets the floor: a
+            # configured first step may lie below it when t_end is large.
+            if norm > 1.0 and m.h < 1e-14 * t_end:
+                raise StiffnessFailure(f"step size underflow at t={m.t} (h={m.h})")
 
-        if norm <= 1.0:
-            # A step clipped to t_end ends there: t + (t_end - t) can
-            # round an ulp short, which would leave a step of ~1e-17.
-            t_new = t_end if h == t_end - t else t + h
-            # interpolate any samples inside (t, t_new]
-            while next_sample < n_samples and sample_times[next_sample] <= t_new + 1e-15 * t_end:
-                ts = min(sample_times[next_sample], t_new)
-                frac = (ts - t) / h
-                record(next_sample, y + frac * (y_new - y))
-                next_sample += 1
-            y, y_new = y_new, y
-            t = t_new
-            eval_monitors(y)
-            K[0] = K[6]  # FSAL
-            factor = _SAFETY * (norm ** -_PI_ALPHA if norm > 0 else _MAX_FACTOR) \
-                * (err_prev ** _PI_BETA)
-            err_prev = max(norm, 1e-10)
-        else:
-            factor = max(_MIN_FACTOR, _SAFETY * norm ** (-1.0 / _ORDER))
-        h = min(cfg.max_step, h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)))
-        # Only a step shrunk after a rejection meets the floor: a configured
-        # first step may lie below it when t_end is large.
-        if norm > 1.0 and h < 1e-14 * t_end:
-            raise StiffnessFailure(f"step size underflow at t={t} (h={h})")
+        if len(accepted) == len(runs):
+            Y, Y_new = Y_new, Y
+            K[:, 0] = K[:, 6]  # FSAL
+        elif accepted:
+            Y[accepted] = Y_new[accepted]
+            K[accepted, 0] = K[accepted, 6]
 
-    return Trajectory(times=sample_times, states=states,
-                      diagnostics=diagnostics, monitor_max=monitor_max)
+        keep = [i for i, m in enumerate(runs) if m.t < m.cfg.t_end]
+        if len(keep) < len(runs):
+            runs = [runs[i] for i in keep]
+            members = tuple(m.index for m in runs)
+            Y, K, rel_tol, abs_tol = Y[keep], K[keep], rel_tol[keep], abs_tol[keep]
+            Y_new, err = np.empty_like(Y), np.empty_like(Y)
+
+    trajs = [Trajectory(times=m.times, states=m.states, diagnostics=m.diagnostics,
+                        monitor_max=m.monitor_max) for m in ensemble]
+    return trajs[0] if single else trajs

@@ -3,10 +3,13 @@
 reduction_error integrates the reduced replicator once (it has no eps)
 and the full system once per eps, from matched initial data, and
 measures the sup-norm gap between the extracted and reduced frequencies
-over a slow-time window. The full runs record only the slow observables
-(S_p, u_p) of each sample, P(1+N) values instead of the P(1+N+N^2) of
-the state. convergence_study checks every eps, makes that one call and
-fits the log-log convergence order. These are the checks the CLI runs;
+over a slow-time window. The full runs are independent, so consecutive
+eps values go to simulate_full together, as one ensemble, while their
+stacked states hold at most BATCH_VALUES values; larger states run one
+eps at a time. The full runs record only the slow observables (S_p, u_p)
+of each sample, P(1+N) values instead of the P(1+N+N^2) of the state.
+convergence_study checks every eps, makes that one call and fits the
+log-log convergence order. These are the checks the CLI runs;
 the neutral-limit product-structure check is a test oracle
 (tests/oracles.py).
 """
@@ -39,6 +42,11 @@ VALIDATION_SAMPLES = 200
 # Below this sup error the configuration is effectively neutral and a
 # convergence order is meaningless.
 DEGENERATE_ERROR = 1e-7
+
+# Values in the stacked states of one ensemble of full runs (B * dim).
+# Stacking pays while the per-call overhead of the rhs dominates, which
+# ends between P = N = 10 (dim 1,110) and P = N = 20 (dim 8,420).
+BATCH_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -88,10 +96,12 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
 
     The replicator runs once, from z0 over tau in [0, T]; the full system
     runs at each eps from the slow-manifold state of z0 over t in
-    [0, T/eps]. Every run takes VALIDATION_SAMPLES equal steps of its
-    span, so sample i of each is at tau = i T / VALIDATION_SAMPLES; the
-    gap is taken over the samples in [tau0, T]. The full runs record only
-    slow_observables, from which both numbers are read. The window and
+    [0, T/eps], consecutive eps values in one ensemble of at most
+    BATCH_VALUES stacked values. Every run takes VALIDATION_SAMPLES equal
+    steps of its span, so sample i of each is at tau = i T /
+    VALIDATION_SAMPLES; the gap is taken over the samples in [tau0, T].
+    The full runs record only slow_observables, from which both numbers
+    are read. The window and
     every eps are checked before the first run. Returns (errors,
     aggregates) in eps order, aggregate being the sup over the window of
     max_p |S_p - S_p*|.
@@ -110,10 +120,8 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
     red_traj = simulate_replicator(setup_from_model(model), z0, _validation_cfg(T))
     first = int(np.searchsorted(red_traj.times, tau0))   # first sample with tau >= tau0
 
-    def gaps(eps):
-        """(error, aggregate) at eps; the run's arrays are freed on return."""
-        full_traj = simulate_full(model.with_eps(eps), y0, _validation_cfg(T / eps),
-                                  observe=observe)
+    def gaps(full_traj):
+        """(error, aggregate) of one full run."""
         if full_traj.times.size != red_traj.times.size:
             raise StrainGridError(f"full and reduced runs have {full_traj.times.size} and "
                                   f"{red_traj.times.size} samples")
@@ -125,7 +133,14 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
         err = float(np.max(np.abs(gap, out=gap)))
         return err, float(np.max(np.abs(obs[..., 0] - bg.S_star)))
 
-    results = [gaps(eps) for eps in eps_values]
+    size = max(1, BATCH_VALUES // y0.size)
+    results = []
+    for start in range(0, len(eps_values), size):
+        group = eps_values[start:start + size]
+        # Each group's runs are freed before the next group starts.
+        results += map(gaps, simulate_full([model.with_eps(eps) for eps in group], y0,
+                                           [_validation_cfg(T / eps) for eps in group],
+                                           observe=observe))
     return tuple(r[0] for r in results), tuple(r[1] for r in results)
 
 

@@ -50,7 +50,7 @@ def neutral_limit_check(model, y0, t_end=200.0):
     P, N = model.n_patches, model.n_strains
     bg = model.background
 
-    y = simulate_full(model, y0, _validation_cfg(t_end)).states[-1]
+    y = simulate_full([model], y0, [_validation_cfg(t_end)])[0].states[-1]
     target = manifold_state(extract_frequencies(y, bg), bg)
     return sum(float(np.max(np.abs(got - want))) for got, want in
                zip(full_views(y, P, N), full_views(target, P, N)))

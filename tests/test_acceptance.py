@@ -145,7 +145,7 @@ def test_criterion_04_mass_conservation():
         y0 = init_on_manifold(z0, model.background)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10, t_end=400.0,
                                monitor_period=2.0)
-        traj = simulate_full(model, y0, cfg)
+        traj, = simulate_full([model], y0, [cfg])
         assert traj.monitor_max[0] < 1e-8
         assert time.perf_counter() - start < 30.0
 

@@ -599,12 +599,13 @@ def test_compare_builds_model_and_background_once(tmp_path, capsys, call_counts)
     assert main(["compare", cfg, "--eps", "0.08,0.04,0.02", "--tau-end", "0.5",
                  "--out", str(tmp_path / "cmp")]) == 0
     # each closed form runs once over all patches, the replicator once per
-    # study and the full system once per eps
+    # study and the full system once per study: its three eps runs are one
+    # ensemble
     assert call_counts == {"neutral_equilibrium": 1, "left_eigenvector": 1,
                            "fitness_structure": 1, "migration_matrix": 1,
                            "build_model": 1, "validate_connectivity": 1,
                            "init_on_manifold": 1, "simulate_replicator": 1,
-                           "simulate_full": 3}
+                           "simulate_full": 1}
 
 
 def test_simulate_builds_model_once(tmp_path, capsys, call_counts):

@@ -220,10 +220,41 @@ def test_connectivity_issues_name_their_section_once(connectivity, message):
      "connectivity: density matrix overflows the float range"),
     ("connectivity", {"matrix": [[1e308, 1e308], [1e308, 1e308]]},
      "connectivity: row sums are not zero"),
+    ("scale", {"eps": True, "d": 1.0}, "scale.eps must be a number, got True"),
+    ("scale", {"eps": "0.1", "d": 1.0}, "scale.eps must be a number, got '0.1'"),
+    ("scale", {"eps": 0.05, "d": False}, "scale.d must be a number, got False"),
+    ("scale", {"eps": 0.05, "d": "1"}, "scale.d must be a number, got '1'"),
+    ("scale", {"eps": 0.05, "d": 10**400}, "scale.d is an integer beyond the float range"),
+    ("integration", {"t_end": True}, "integration.t_end must be a number, got True"),
+    ("strains", {"N": 2, "b": [[10**400, 0.0], [0.5, -0.5]]},
+     "strains.b: int too large to convert to float"),
 ], ids=["section-not-an-object", "N-0", "matrix-shape", "three-volumes", "scalar-volumes",
         "2d-volumes", "weights-shape", "infinite-volume", "nan-volume", "infinite-weight",
-        "overflowing-stencil", "overflowing-density", "overflowing-row-sums"])
+        "overflowing-stencil", "overflowing-density", "overflowing-row-sums", "bool-eps",
+        "string-eps", "bool-d", "string-d", "huge-integer-d", "bool-t_end",
+        "huge-integer-trait"])
 def test_malformed_sections_are_issues(section, value, message):
     doc = base_doc()
     doc[section] = value
     assert collect_issues(doc) == [message]
+
+
+def test_rates_must_be_json_numbers():
+    """Booleans, numeric strings and integers beyond the float range are
+    itemized per patch; integers pass as floats."""
+    doc = base_doc()
+    doc["patches"] = [{"r": True, "beta": 4.0, "gamma": 1.0, "k": 1.0},
+                      {"r": 0.5, "beta": "2.0", "gamma": 0.5, "k": 2.0},
+                      {"r": 1, "beta": 4, "gamma": 1, "k": False},
+                      {"r": 1.0, "beta": 4.0, "gamma": 10**400, "k": 1.0}]
+    doc["connectivity"] = {"matrix": (np.ones((4, 4)) - 4 * np.eye(4)).tolist()}
+    assert collect_issues(doc) == ["patch 0: r must be a number, got True",
+                                   "patch 1: beta must be a number, got '2.0'",
+                                   "patch 2: k must be a number, got False",
+                                   "patch 3: gamma is an integer beyond the float range"]
+    doc["patches"][2]["k"] = 1
+    del doc["patches"][:2], doc["patches"][1]
+    doc["connectivity"] = {"matrix": [[-1.0, 1.0], [1.0, -1.0]]}
+    doc["patches"].append(dict(doc["patches"][0]))
+    assert collect_issues(doc) == []
+    assert build_model(doc).r.tolist() == [1.0, 1.0]

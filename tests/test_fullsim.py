@@ -11,6 +11,7 @@ from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
                         extract_frequencies, full_state, init_on_manifold,
                         neutral_equilibrium, rhs_full, simulate_full,
                         transmissible_load)
+from straingrid.fullsim import ModelStack
 from straingrid.types import full_views
 
 from conftest import random_supercritical_patch, stacked
@@ -186,6 +187,44 @@ def test_migration_is_one_product_on_the_patch_index(worked_patch, second_patch)
             assert np.max(np.abs(part - delta * want)) < 1e-15
 
 
+def test_stacked_rhs_is_each_models_rhs_row_by_row():
+    """rhs_full on a ModelStack gives each member's rhs_full bit for bit,
+    also for a subset of members taken in another order."""
+    rng = np.random.default_rng(19)
+    model = random_model(rng, P=3, N=3, eps=0.05)
+    models = [model.with_eps(eps) for eps in (0.1, 0.05, 0.025)]
+    ys = np.stack([random_state(rng, 3, 3) for _ in models])
+    stack = ModelStack(models)
+    rows = rhs_full(0.0, ys, stack)
+    for m, y, row in zip(models, ys, rows):
+        assert np.array_equal(rhs_full(0.0, y, m), row)
+    assert np.array_equal(rhs_full(0.0, ys[[2, 0]], stack.take((2, 0))), rows[[2, 0]])
+    assert not any(getattr(stack, name).flags.writeable for name in ("r", "co_rate", "delta"))
+
+
+def test_rhs_constants_are_read_only_and_built_once(worked_patch):
+    model = neutral_model([worked_patch], N=2, eps=0.1)
+    for name in ("prob_second", "co_rate", "loss_I", "loss_D"):
+        assert name not in model.__dict__          # built on first use
+        assert getattr(model, name) is getattr(model, name)
+        assert not getattr(model, name).flags.writeable
+    assert np.array_equal(model.co_rate, model.k_ij * model.beta_i[:, :, None])
+    assert np.array_equal(model.loss_D, model.r[:, None, None] + model.gamma_ij)
+
+
+def test_stacked_models_must_share_their_layout(worked_patch, second_patch):
+    one = neutral_model([worked_patch], N=2)
+    with pytest.raises(ConfigError, match="share patches, strains and connectivity"):
+        ModelStack([one, neutral_model([worked_patch], N=3)])
+    two = neutral_model([worked_patch, second_patch], N=2)
+    with pytest.raises(ConfigError, match="share"):
+        ModelStack([two, replace(two, connectivity=ConnectivityMatrix(
+            entries=np.array([[-2.0, 2.0], [1.0, -1.0]])))])
+    with pytest.raises(ConfigError, match="integrator settings"):
+        simulate_full([one, one], init_on_manifold(np.array([[0.3, 0.7]]), one.background),
+                      [IntegratorConfig()])
+
+
 # ------------------------------------------------- manifold init / extraction
 
 def test_init_on_manifold_worked_values(worked_patch):
@@ -279,7 +318,7 @@ def test_simulate_full_rejects_wrongly_sized_state(worked_patch):
     cfg = IntegratorConfig(t_end=1.0, monitor_period=0.5)
     for bad in (y0[:-1], np.append(y0, 0.0), y0.reshape(1, -1)):
         with pytest.raises(ConfigError, match="y0 has shape"):
-            simulate_full(model, bad, cfg)
+            simulate_full([model], bad, [cfg])
 
 def test_single_strain_converges_to_endemic_point(worked_patch):
     rng = np.random.default_rng(21)
@@ -290,7 +329,7 @@ def test_single_strain_converges_to_endemic_point(worked_patch):
     y0 = full_state([S0], [[I0]], [[[D0]]])
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=200.0,
                            monitor_period=10.0)
-    traj = simulate_full(model, y0, cfg)
+    traj, = simulate_full([model], y0, [cfg])
     S_star, I_star, D_star, _ = neutral_equilibrium(stacked(worked_patch))
     S, I, D = full_views(traj.states[-1], 1, 1)
     assert abs(S[0] - S_star[0]) < 1e-6
@@ -310,7 +349,7 @@ def test_mass_and_negativity_monitors(worked_patch, second_patch,
     y0 = init_on_manifold(np.array([[0.3, 0.7], [0.6, 0.4]]), model.background)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=100.0,
                            monitor_period=5.0)
-    traj = simulate_full(model, y0, cfg)
+    traj, = simulate_full([model], y0, [cfg])
     assert traj.monitor_max[0] < 100 * (1e-10 + 1e-12)   # mass defect
     # min entry stays essentially nonnegative
     assert float(np.min(traj.states)) > -10 * (1e-10 + 1e-12)

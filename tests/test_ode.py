@@ -5,7 +5,7 @@ import pytest
 
 import straingrid.ode
 from straingrid import (ConfigError, IntegratorConfig, NumericalBlowup,
-                        StiffnessFailure, integrate)
+                        StiffnessFailure, StrainGridError, integrate)
 
 
 def test_config_validation():
@@ -221,3 +221,72 @@ def test_last_step_ends_on_t_end():
     traj = integrate(lambda t, y: -0.01 * y, [1.0], cfg)
     assert traj.times.size == 201
     assert traj.times[-1] == t_end
+
+
+# ------------------------------------------------------------------ ensembles
+
+OMEGA = np.array([1.0, 2.0, 3.0, 5.0])
+
+
+def rotation(t, y, members):
+    """y' = omega_b (y_1, -y_0) for member b, on stacked states (b, 2)."""
+    return OMEGA[list(members), None] * y[:, ::-1] * [1.0, -1.0]
+
+
+def alone(y0, cfg, b):
+    """Member b of the rotation ensemble, run through the 1-d contract."""
+    return integrate(lambda t, y: rotation(np.array([t]), y[None], (b,))[0], y0, cfg,
+                     monitors=[lambda y: float(y[0])])
+
+
+def test_members_leave_the_ensemble_at_their_own_t_end():
+    """Four members with t_end 1:2:4:8 leave in that order, each when it
+    reaches t_end, and each trajectory is bit-identical to its run alone."""
+    cfgs = [IntegratorConfig(t_end=t_end, monitor_period=t_end / 20) for t_end in (1, 2, 4, 8)]
+    y0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, -1.0]])
+    seen = []
+
+    def rhs(t, y, members):
+        assert t.shape == (len(members),) and y.shape == (len(members), 2)
+        seen.append(members)
+        return rotation(t, y, members)
+    trajs = integrate(rhs, y0, cfgs, monitors=[lambda y: float(y[0])])
+    for b, (traj, cfg) in enumerate(zip(trajs, cfgs)):
+        assert traj.times[-1] == cfg.t_end and traj.times.size == 21
+        solo = alone(y0[b], cfg, b)
+        for name in ("times", "states", "diagnostics", "monitor_max"):
+            assert np.array_equal(getattr(traj, name), getattr(solo, name)), name
+    # the member sets shrink one at a time, in t_end order, and never grow back
+    shrinking = [(0, 1, 2, 3), (1, 2, 3), (2, 3), (3,)]
+    assert [m for i, m in enumerate(seen) if i == 0 or m != seen[i - 1]] == shrinking
+
+
+def test_ensemble_checks_its_inputs():
+    cfg = IntegratorConfig(t_end=1.0)
+    with pytest.raises(ConfigError, match="integrator settings"):
+        integrate(rotation, np.ones((2, 2)), [cfg])
+    with pytest.raises(ConfigError, match="non-finite"):
+        integrate(rotation, np.array([[1.0, 0.0], [np.nan, 0.0]]), [cfg, cfg])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_failing_member_stops_the_ensemble_with_a_typed_error(monkeypatch):
+    """A member whose rhs turns non-finite, or that runs out of steps,
+    raises a StrainGridError out of the ensemble."""
+    cfgs = [IntegratorConfig(t_end=1.0, monitor_period=0.5),
+            IntegratorConfig(t_end=20.0, monitor_period=10.0)]
+
+    def blows_up(t, y, members):
+        out = rotation(t, y, members)
+        if len(members) == 1 and t[0] > 5.0:
+            out[0, 0] = np.nan
+        return out
+    with pytest.raises(NumericalBlowup):
+        integrate(blows_up, np.ones((2, 2)), cfgs)
+    calls = []
+    integrate(lambda t, y, members: calls.append(t) or rotation(t, y, members),
+              np.ones((2, 2)), cfgs)
+    attempts = (len(calls) - 1) // 6      # the longer member's attempted steps
+    monkeypatch.setattr(straingrid.ode, "MAX_STEPS", attempts - 1)
+    with pytest.raises(StrainGridError, match="step budget"):
+        integrate(rotation, np.ones((2, 2)), cfgs)

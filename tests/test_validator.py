@@ -2,6 +2,7 @@
 neutral-limit product structure."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from straingrid import (ConfigError, ConnectivityMatrix, FullModel, IntegratorCo
                         extract_frequencies, init_on_manifold,
                         reduction_error, setup_from_model,
                         simulate_full, simulate_replicator)
+from straingrid.fullsim import slow_observables
 from straingrid.types import full_views
 from straingrid.validate import VALIDATION_SAMPLES, _validation_cfg
 
@@ -110,7 +112,7 @@ def full_state_reduction_error(model, z0, eps, tau_window):
     model = model.with_eps(eps)
     P, N = model.n_patches, model.n_strains
     bg = model.background
-    full = simulate_full(model, init_on_manifold(z0, bg), _validation_cfg(T / eps))
+    full, = simulate_full([model], init_on_manifold(z0, bg), [_validation_cfg(T / eps)])
     red = simulate_replicator(setup_from_model(model), z0, _validation_cfg(T))
     first = int(np.searchsorted(red.times, tau0))
     y = full.states[first:]
@@ -128,9 +130,9 @@ def test_reduction_error_equals_the_full_state_reference(monkeypatch, P, N):
     tables = []
 
     def recorded(*args, **kwargs):
-        traj = simulate_full(*args, **kwargs)
-        tables.append(traj.states)
-        return traj
+        trajs = simulate_full(*args, **kwargs)
+        tables.extend(traj.states for traj in trajs)
+        return trajs
     monkeypatch.setattr(straingrid.validate, "simulate_full", recorded)
     errors, aggs = reduction_error(model, z0, [0.1, 0.05], (0.1, 1.0))
     assert list(zip(errors, aggs)) == \
@@ -149,7 +151,8 @@ def test_sample_budget_counts_the_observed_width(monkeypatch):
     reduction_error(model, z0, [eps], (0.1, T))
     model = model.with_eps(eps)
     with pytest.raises(ConfigError, match="exceed the budget"):
-        simulate_full(model, init_on_manifold(z0, model.background), _validation_cfg(T / eps))
+        simulate_full([model], init_on_manifold(z0, model.background),
+                      [_validation_cfg(T / eps)])
 
 
 def test_reduction_error_does_not_hold_the_full_state_table():
@@ -266,3 +269,58 @@ def test_reduction_error_rejects_runs_of_unequal_length(monkeypatch, worked_patc
                       eps=0.05, d=0.0, connectivity=ConnectivityMatrix(entries=np.zeros((1, 1))))
     with pytest.raises(StrainGridError, match="full and reduced runs have 201 and 101 samples"):
         reduction_error(model, np.array([[0.3, 0.7]]), [0.05], tau_window=(0.1, 1.0))
+
+
+# ------------------------------------------------------------------ ensembles
+
+def worked_model(worked_patch, second_patch, two_patch_conn):
+    return two_patch_model(worked_patch, second_patch, two_patch_conn), \
+        np.array([[0.3, 0.7], [0.6, 0.4]])
+
+
+@pytest.mark.parametrize("case", ["worked", "random-3x3"])
+@pytest.mark.parametrize("observed", [False, True], ids=["states", "observed"])
+def test_ensemble_members_equal_their_runs_alone(worked_patch, second_patch, two_patch_conn,
+                                                 case, observed):
+    """simulate_full of three eps runs gives each run's trajectory bit for
+    bit, on the worked model and on a random 3x3 model with d > 0."""
+    model, z0 = (worked_model(worked_patch, second_patch, two_patch_conn) if case == "worked"
+                 else random_model(3, 3, seed=7))
+    assert model.d > 0
+    bg = model.background
+    y0 = init_on_manifold(z0, bg)
+    observe = partial(slow_observables, background=bg) if observed else None
+    models = [model.with_eps(eps) for eps in (0.08, 0.04, 0.02)]
+    cfgs = [_validation_cfg(0.5 / m.eps) for m in models]
+    ensemble = simulate_full(models, y0, cfgs, observe=observe)
+    for m, cfg, traj in zip(models, cfgs, ensemble):
+        solo, = simulate_full([m], y0, [cfg], observe=observe)
+        for name in ("times", "states", "diagnostics", "monitor_max"):
+            assert np.array_equal(getattr(traj, name), getattr(solo, name)), name
+
+
+def test_long_eps_list_is_split_by_the_budget(worked_patch, second_patch, two_patch_conn,
+                                              monkeypatch):
+    """Ten eps values run as one ensemble, in groups of four under a budget
+    of four states, or one at a time, and give the same errors."""
+    model, z0 = worked_model(worked_patch, second_patch, two_patch_conn)
+    eps_list = list(np.geomspace(0.2, 0.05, 10))
+    groups = []
+
+    def recorded(models, *args, **kwargs):
+        groups.append([m.eps for m in models])
+        return simulate_full(models, *args, **kwargs)
+    monkeypatch.setattr(straingrid.validate, "simulate_full", recorded)
+    dim = init_on_manifold(z0, model.background).size
+    default = straingrid.validate.BATCH_VALUES
+    results = {}
+    for budget in (default, 4 * dim, 1):
+        monkeypatch.setattr(straingrid.validate, "BATCH_VALUES", budget)
+        groups.clear()
+        results[budget] = convergence_study(model, z0, eps_list, (0.1, 0.5)).as_dict()
+        assert sum(groups, []) == eps_list
+        results[budget, "sizes"] = [len(g) for g in groups]
+    assert results[default, "sizes"] == [10]
+    assert results[4 * dim, "sizes"] == [4, 4, 2]
+    assert results[1, "sizes"] == [1] * 10
+    assert results[default] == results[4 * dim] == results[1]
