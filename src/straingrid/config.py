@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -58,10 +59,39 @@ def load_config(path) -> dict:
     return doc
 
 
+# The canonical serialization: json.dumps(doc, sort_keys=True,
+# separators=(",", ":")) gives the same text in one piece.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _canonical_pieces(obj):
+    """The canonical text of obj, in pieces. An object holding an object
+    or array, and an array of objects or of arrays of arrays, are given
+    item by item; anything else is one piece, so a (P, N, N) trait array
+    goes as P pieces of N x N numbers."""
+    head = obj[0] if isinstance(obj, list) and obj else None
+    if isinstance(obj, dict) and any(isinstance(v, (dict, list)) for v in obj.values()):
+        for n, key in enumerate(sorted(obj)):
+            yield ("," if n else "{") + _CANONICAL.encode(key) + ":"
+            yield from _canonical_pieces(obj[key])
+        yield "}"
+    elif isinstance(head, dict) or isinstance(head, list) and head \
+            and isinstance(head[0], (dict, list)):
+        for n, item in enumerate(obj):
+            yield "," if n else "["
+            yield from _canonical_pieces(item)
+        yield "]"
+    else:
+        yield _CANONICAL.encode(obj)
+
+
 def config_hash(doc: dict) -> str:
-    """SHA-256 of the canonical (sorted-key) JSON serialization."""
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """SHA-256 of the canonical (sorted-key) JSON serialization, fed in
+    pieces rather than built whole."""
+    digest = hashlib.sha256()
+    for piece in _canonical_pieces(doc):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -89,6 +119,23 @@ def _number(what: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{what} is an integer beyond the float range") from None
+
+
+def _array(what: str, value) -> np.ndarray:
+    """A JSON number or nested array of numbers as a float array;
+    ConfigError naming what for any other entry, bools and numeric
+    strings included, for a ragged nesting, and for an integer beyond the
+    float range."""
+    level = [value]             # the entries at one depth of the nesting
+    while level:
+        kinds = set(map(type, level))
+        if not kinds <= {list, int, float}:
+            for v in level:
+                if isinstance(v, bool) or not isinstance(v, (list, int, float)):
+                    raise ConfigError(f"{what} must hold only numbers, got {v!r}")
+        level = list(chain.from_iterable(v for v in level if type(v) is list)) \
+            if list in kinds else []
+    return _parsed(what, value)
 
 
 def _integer(what: str, value) -> int:
@@ -120,7 +167,7 @@ def _strain_arrays(doc: dict, P: int):
         raw = strains.get(name)
         if raw is None:
             return np.zeros(shape)
-        a = _parsed(f"strains.{name}", raw)
+        a = _array(f"strains.{name}", raw)
         if a.shape != shape:
             raise ConfigError(f"strains.{name} must have shape {shape}, got {a.shape}")
         return a
@@ -147,14 +194,14 @@ def build_connectivity(doc: dict, P: int) -> ConnectivityMatrix:
     if has_matrix and has_volumes:
         raise ConfigError("connectivity: give either a matrix or volumes+weights, not both")
     if has_matrix:
-        entries = _parsed("connectivity.matrix", conn["matrix"])
+        entries = _array("connectivity.matrix", conn["matrix"])
         if entries.shape != (P, P):
             raise ConfigError(f"connectivity: expected {P}x{P} matrix, got {entries.shape}")
     elif has_volumes:
         if "volumes" not in conn or "weights" not in conn:
             raise ConfigError("connectivity: volumes and weights must both be given")
-        V = _parsed("connectivity.volumes", conn["volumes"])
-        x = _parsed("connectivity.weights", conn["weights"])
+        V = _array("connectivity.volumes", conn["volumes"])
+        x = _array("connectivity.weights", conn["weights"])
         if V.shape != (P,):
             raise ConfigError(f"connectivity: expected {P} volumes, got shape {V.shape}")
         try:
@@ -246,7 +293,7 @@ def initial_frequencies(doc: dict, P: int, N: int) -> np.ndarray:
     draw, or uniform when the init section is absent."""
     init = _section(doc, "init")
     if "z0" in init:
-        z = _parsed("init.z0", init["z0"])
+        z = _array("init.z0", init["z0"])
         if z.shape != (P, N):
             raise ConfigError(f"init.z0 must have shape {(P, N)}, got {z.shape}")
         return require_simplex(z)

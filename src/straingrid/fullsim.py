@@ -13,8 +13,8 @@ member; simulate_full integrates a list of models as one ensemble.
 Extraction is two maps, each taking a whole stack in one call:
 slow_observables projects flat states (..., dim) on the rows (S_p, u_p)
 (..., P, 1+N), and observed_frequencies renormalizes u_p to frequencies
-(..., P, N). A run can record only the first map's rows
-(simulate_full(..., observe=...)) and normalize afterwards.
+(..., P, N). A run can record, per sample, only what observe(i, state)
+makes of it (simulate_full(..., observe=...)).
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def observed_frequencies(obs: np.ndarray) -> np.ndarray:
     frequency state even off the attractor."""
     u = obs[..., 1:]
     total = u.sum(axis=-1)
-    if np.any(total < EXTINCTION_THRESHOLD):
+    if (total < EXTINCTION_THRESHOLD).any():
         dead = int(np.argmin(total)) % total.shape[-1]
         raise ExtinctPatch(f"no strain mass left in patch {dead}")
     return u / total[..., None]
@@ -268,7 +268,8 @@ def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory
     """Integrate the full system of each model from the flat state y0 under
     its IntegratorConfig in cfgs, all as one ode.integrate ensemble, with
     mass-defect (max_p |Sigma_p - 1|) and min-entry monitors; `observe`
-    goes to ode.integrate (the sample tables then hold observe(state)).
+    goes to ode.integrate (row i of a sample table then holds
+    observe(i, state) of sample i).
     The models must share patches, strains and connectivity (ModelStack).
     Returns one Trajectory per model, each bit-identical to its run alone."""
     if len(models) != len(cfgs):

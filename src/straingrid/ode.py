@@ -3,8 +3,8 @@
 Embedded Dormand-Prince 5(4) pair with PI step-size control. Monitors
 (scalar functionals of the state) are evaluated at every accepted step;
 the trajectory records states on a uniform sampling grid via linear
-interpolation between accepted steps, or only an observable of each
-such state when the caller passes `observe`. Conservation defects are
+interpolation between accepted steps, or only observe(i, state) of
+sample i when the caller passes `observe`. Conservation defects are
 measured, never corrected: they are observables of the discrete flow.
 
 One loop integrates an ensemble of independent members, stacked on a
@@ -83,8 +83,8 @@ class Trajectory:
     """Sampled solution with per-sample monitor values.
 
     times: sampling grid (strictly increasing, ends at t_end).
-    states: one row per sample: the state, or observe(state) flattened
-        when integrate was given an observable.
+    states: one row per sample: the state, or observe(i, state) of
+        sample i, flattened, when integrate was given an observable.
     diagnostics: (n_samples, n_monitors) monitor values at the samples.
     monitor_max: max |monitor| over all *accepted* steps, per monitor.
     """
@@ -103,6 +103,15 @@ class Trajectory:
         return out
 
 
+def sample_times(cfg) -> np.ndarray:
+    """The sampling grid of a run under cfg: every monitor_period from 0,
+    and t_end."""
+    # The grid ends on t_end; an arange point a rounding error short of
+    # it would be a near-duplicate last sample.
+    times = np.arange(0.0, cfg.t_end, cfg.monitor_period)
+    return np.append(times[times < cfg.t_end * (1.0 - 1e-12)], cfg.t_end)
+
+
 class _Member:
     """One member of an ensemble: its settings, clock, step control and
     sample table."""
@@ -114,10 +123,7 @@ class _Member:
         self.index, self.cfg = index, cfg
         self.t, self.err_prev, self.steps, self.next_sample = 0.0, 1.0, 0, 1
         self.h = min(cfg.initial_step, cfg.max_step, cfg.t_end)
-        # The grid ends on t_end; an arange point a rounding error short of
-        # it would be a near-duplicate last sample.
-        times = np.arange(0.0, cfg.t_end, cfg.monitor_period)
-        self.times = np.append(times[times < cfg.t_end * (1.0 - 1e-12)], cfg.t_end)
+        self.times = sample_times(cfg)
         self.states = np.empty((self.times.size, width))
         self.diagnostics = np.empty((self.times.size, n_mon))
         self.monitor_max = np.zeros(n_mon)
@@ -141,13 +147,14 @@ def _error_norms(K, h, y_old, y_new, rel_tol, abs_tol, err) -> np.ndarray:
 
 
 def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], float]] = (),
-              observe: Callable[[np.ndarray], np.ndarray] | None = None):
+              observe: Callable[[int, np.ndarray], np.ndarray] | None = None):
     """Integrate y' = rhs(t, y) from t=0 to cfg.t_end.
 
     Local error per step is kept below abs_tol + rel_tol * |y|. Monitors
-    see the full state. With `observe`, the sample table holds
-    observe(state).ravel() for each sampled state instead of the state,
-    and MAX_SAMPLE_VALUES counts that width, observe(y0).size. Raises
+    see the full state. With `observe`, row i of the sample table holds
+    observe(i, state).ravel() of sample i's state instead of the state,
+    and MAX_SAMPLE_VALUES counts that width, observe(0, y0).size (observe
+    is called once more for it, so it must not keep state). Raises
     StiffnessFailure on step underflow or past MAX_STEPS attempted steps,
     NumericalBlowup on non-finite right-hand sides, and ConfigError when
     the sample table would exceed MAX_SAMPLE_VALUES.
@@ -176,7 +183,7 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
                           f"{Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ConfigError("initial state has non-finite entries")
-    width = Y.shape[1] if observe is None else np.size(observe(Y[0]))
+    width = Y.shape[1] if observe is None else np.size(observe(0, Y[0]))
     for cfg in cfgs:
         if cfg.t_end / cfg.max_step > MAX_STEPS:
             raise StiffnessFailure(f"t_end / max_step exceeds the budget of {MAX_STEPS} steps")
@@ -185,7 +192,7 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
                               f"values exceed the budget of {MAX_SAMPLE_VALUES} values")
 
     def record(m, idx, state):
-        m.states[idx] = state if observe is None else np.ravel(observe(state))
+        m.states[idx] = state if observe is None else np.ravel(observe(idx, state))
         for j, mon in enumerate(monitors):
             m.diagnostics[idx, j] = mon(state)
 

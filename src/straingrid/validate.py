@@ -6,8 +6,10 @@ measures the sup-norm gap between the extracted and reduced frequencies
 over a slow-time window. The full runs are independent, so consecutive
 eps values go to simulate_full together, as one ensemble, while their
 stacked states hold at most BATCH_VALUES values; larger states run one
-eps at a time. The full runs record only the slow observables (S_p, u_p)
-of each sample, P(1+N) values instead of the P(1+N+N^2) of the state.
+eps at a time. Each sample of a full run is folded into its (gap,
+aggregate) pair as it is taken, so a run's table holds 2 values per
+sample instead of the P(1+N+N^2) of the state, and a run's error is the
+max of its window rows.
 convergence_study checks every eps, makes that one call and fits the
 log-log convergence order. These are the checks the CLI runs;
 the neutral-limit product-structure check is a test oracle
@@ -17,14 +19,13 @@ the neutral-limit product-structure check is a test oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, StrainGridError
+from .errors import ConfigError, ExtinctPatch, StrainGridError
 from .fullsim import (FullModel, init_on_manifold, observed_frequencies, simulate_full,
                       slow_observables)
-from .ode import IntegratorConfig
+from .ode import IntegratorConfig, sample_times
 # Re-exported, not called here: perfbench/spans.py still hooks these names.
 from .fullsim import extract_frequencies as extract_frequencies
 from .reduction import (left_eigenvector as left_eigenvector,
@@ -100,11 +101,10 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
     BATCH_VALUES stacked values. Every run takes VALIDATION_SAMPLES equal
     steps of its span, so sample i of each is at tau = i T /
     VALIDATION_SAMPLES; the gap is taken over the samples in [tau0, T].
-    The full runs record only slow_observables, from which both numbers
-    are read. The window and
-    every eps are checked before the first run. Returns (errors,
-    aggregates) in eps order, aggregate being the sup over the window of
-    max_p |S_p - S_p*|.
+    The window, every eps and the runs' sample counts are checked before
+    the first full run. Returns (errors, aggregates) in eps order,
+    aggregate being the sup over the window of max_p |S_p - S_p*|.
+    ExtinctPatch names the patch of the window's least strain mass.
     """
     tau0, T = tau_window
     if not (0 <= tau0 < T):
@@ -116,31 +116,50 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
     P, N = model.n_patches, model.n_strains
     bg = model.background
     y0 = init_on_manifold(z0, bg)
-    observe = partial(slow_observables, background=bg)
     red_traj = simulate_replicator(setup_from_model(model), z0, _validation_cfg(T))
+    red = red_traj.states.reshape(-1, P, N)
     first = int(np.searchsorted(red_traj.times, tau0))   # first sample with tau >= tau0
+    cfgs = [_validation_cfg(T / eps) for eps in eps_values]
+    for cfg in cfgs:
+        samples = sample_times(cfg).size
+        if samples != red.shape[0]:
+            raise StrainGridError(f"full and reduced runs have {samples} and {red.shape[0]} "
+                                  "samples")
+
+    def fold(i, y):
+        """Row i of a full run's table: (gap, aggregate) of sample i, the
+        max of |extracted - reduced frequencies| and of |S_p - S_p*|; (0,
+        0) before the window; (-1 - p, its total) when patch p holds the
+        sample's first least strain mass u_p below EXTINCTION_THRESHOLD."""
+        if i < first:
+            return 0.0, 0.0
+        obs = slow_observables(y, bg)
+        try:
+            gap = observed_frequencies(obs)
+        except ExtinctPatch:
+            total = obs[:, 1:].sum(axis=-1)
+            p = int(np.argmin(total))
+            return -1.0 - p, total[p]
+        gap -= red[i]
+        return np.abs(gap, out=gap).max(), np.abs(obs[:, 0] - bg.S_star).max()
 
     def gaps(full_traj):
-        """(error, aggregate) of one full run."""
-        if full_traj.times.size != red_traj.times.size:
-            raise StrainGridError(f"full and reduced runs have {full_traj.times.size} and "
-                                  f"{red_traj.times.size} samples")
-        obs = full_traj.states[first:].reshape(-1, P, 1 + N)
-        # In place: each (samples, P, N) array is 1.3 MB at P = N = 30, and
-        # three of them at once set the peak of a compare run.
-        gap = observed_frequencies(obs)
-        gap -= red_traj.states[first:].reshape(-1, P, N)
-        err = float(np.max(np.abs(gap, out=gap)))
-        return err, float(np.max(np.abs(obs[..., 0] - bg.S_star)))
+        """(error, aggregate) of one full run: the max of its window rows."""
+        rows = full_traj.states[first:]
+        dead = rows[rows[:, 0] < 0]
+        if dead.size:
+            # The first least total of the window, as observed_frequencies
+            # names it for all window samples at once.
+            patch = int(-1 - dead[np.argmin(dead[:, 1]), 0])
+            raise ExtinctPatch(f"no strain mass left in patch {patch}")
+        return float(rows[:, 0].max()), float(rows[:, 1].max())
 
     size = max(1, BATCH_VALUES // y0.size)
     results = []
     for start in range(0, len(eps_values), size):
-        group = eps_values[start:start + size]
-        # Each group's runs are freed before the next group starts.
-        results += map(gaps, simulate_full([model.with_eps(eps) for eps in group], y0,
-                                           [_validation_cfg(T / eps) for eps in group],
-                                           observe=observe))
+        group = slice(start, start + size)
+        results += map(gaps, simulate_full([model.with_eps(eps) for eps in eps_values[group]],
+                                           y0, cfgs[group], observe=fold))
     return tuple(r[0] for r in results), tuple(r[1] for r in results)
 
 

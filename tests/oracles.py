@@ -8,8 +8,12 @@
     simplex product (init_on_manifold is its checked counterpart).
   - neutral_limit_check: the residual of the product-structure attractor
     of the fully neutral, migration-free full system.
+  - one_shot_config_hash: the manifest's config hash from the whole
+    canonical text at once (config_hash feeds it to SHA-256 in pieces).
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -54,3 +58,10 @@ def neutral_limit_check(model, y0, t_end=200.0):
     target = manifold_state(extract_frequencies(y, bg), bg)
     return sum(float(np.max(np.abs(got - want))) for got, want in
                zip(full_views(y, P, N), full_views(target, P, N)))
+
+
+def one_shot_config_hash(doc):
+    """SHA-256 of json.dumps(doc, sort_keys=True, separators=(",", ":")),
+    built whole."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()

@@ -13,6 +13,7 @@ import pytest
 
 import straingrid.cli
 import straingrid.connectivity
+import straingrid.fullsim
 import straingrid.ode
 import straingrid.reduction
 import straingrid.validate
@@ -234,6 +235,76 @@ def test_compare_checks_every_eps_before_the_first_run(tmp_path, capsys, monkeyp
     assert "Warning" not in err
     assert runs == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold, code, err", [
+    (1.008, 1, "error: no strain mass left in patch 1\n"),
+    (1.001, 0, ""),
+], ids=["window-sample", "only-before-the-window"])
+def test_compare_names_the_patch_of_the_windows_least_strain_mass(tmp_path, capsys, monkeypatch,
+                                                                   threshold, code, err):
+    """A patch total u_p below the extinction threshold in the window stops
+    compare with exit 1, naming the patch of the window's least total: at
+    eps 0.08 that is patch 1 (1.0053), although patch 0 holds the least
+    total (1.0076) of the window's first sample and every sample before
+    the window starts at total 1. Samples before the window raise
+    nothing."""
+    monkeypatch.setattr(straingrid.fullsim, "EXTINCTION_THRESHOLD", threshold)
+    cfg = write_config(tmp_path, with_section("init", {"z0": [[0.1, 0.9], [0.9, 0.1]]}))
+    out = tmp_path / "cmp"
+    assert main(["compare", cfg, "--eps", "0.08,0.04,0.02", "--tau-end", "3.0",
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert (out / "reduction_report.json").exists() == (code == 0)
+
+
+def random_doc(P, N, seed):
+    """A valid (P, N) config on a ring, with trait deviations in [-1, 1]
+    and rates admissible for eps <= 0.2."""
+    rng = np.random.default_rng(seed)
+    patches = []
+    for _ in range(P):
+        r, gamma = rng.uniform(0.5, 1.5, size=2)
+        patches.append({"r": r, "beta": (r + gamma) * rng.uniform(2.0, 3.0), "gamma": gamma,
+                        "k": rng.uniform(0.5, 2.0)})
+    ring = np.roll(np.eye(P), 1, axis=1) + np.roll(np.eye(P), -1, axis=1) - 2 * np.eye(P)
+
+    def dev(*shape):
+        return rng.uniform(-1.0, 1.0, size=(P, *shape)).tolist()
+    return {"patches": patches,
+            "strains": {"N": N, "b": dev(N), "nu": dev(N), "c_pair": dev(N, N), "w": dev(N, N),
+                        "alpha": dev(N, N)},
+            "connectivity": {"matrix": ring.tolist()},
+            "scale": {"eps": 0.05, "d": 1.0},
+            "init": {"seed": seed}}
+
+
+def test_compare_working_set_is_the_integrations(tmp_path, capsys, monkeypatch):
+    """Each full run of a 12x12 compare, run alone, keeps 2 values per
+    sample, and the command's traced peak stays below 1 MB (0.72 MB
+    measured): holding the document through the study, a P(1+N)-wide
+    table per run and a window's (samples, P, N) gap arrays take it to
+    1.24 MB."""
+    monkeypatch.setattr(straingrid.validate, "BATCH_VALUES", 1)
+    tables = []
+    run = straingrid.validate.simulate_full
+
+    def recorded(*args, **kwargs):
+        trajs = run(*args, **kwargs)
+        tables.extend(traj.states.shape for traj in trajs)
+        return trajs
+    monkeypatch.setattr(straingrid.validate, "simulate_full", recorded)
+    cfg = write_config(tmp_path, random_doc(12, 12, seed=5))
+    argv = ["compare", cfg, "--eps", "0.2,0.1,0.05", "--tau-end", "0.5",
+            "--out", str(tmp_path / "cmp")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables == [(201, 2)] * 3
+    assert peak < 1e6
 
 
 def test_sweep_with_failing_row(tmp_path, capsys):

@@ -2,6 +2,7 @@
 reproducible initial frequencies."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from straingrid.config import (build_connectivity, build_model, collect_issues,
                                config_hash, initial_frequencies,
                                integrator_settings, load_config)
 from straingrid.ode import IntegratorConfig
+
+from oracles import one_shot_config_hash
+from test_cli import WORKED_DOC, random_doc
 
 
 def base_doc():
@@ -53,6 +57,37 @@ def test_config_hash_stable_under_key_order():
     changed = base_doc()
     changed["scale"]["eps"] = 0.1
     assert config_hash(doc) != config_hash(changed)
+
+
+EDGE_DOCS = [
+    {"patches": [{"r": 1.0}], "é": {"ключ": [1, 2], "名前": "値", "\u2028": None}},
+    {}, {"a": {}}, {"a": []}, {"a": [[]]}, {"a": [{}]}, {"a": [[], [[]], [{}]]},
+    {"a": {"b": {"c": {}}, "d": [[[]]]}},
+    {"x": [-0.0, 1e-300, 2**53 + 1, -(2**64), 10**30], "y": [[-0.0], [1e-300]],
+     "z": [float("inf"), float("nan")], "w": -0.0},
+    {"a": [[[{"b": 1}, {"c": [{"d": []}, {"e": -0.0}]}]], [[{"f": [[1.5]]}]]]},
+    {"ragged": [1, [2, [3]], {"k": [4]}], "rows": [[1], [[2]], []], "t": True, "s": "x"},
+]
+
+
+@pytest.mark.parametrize("doc", [WORKED_DOC, *(random_doc(P, N, seed=P) for P, N in
+                                               [(1, 1), (3, 3), (12, 5), (30, 30)]),
+                                 *EDGE_DOCS])
+def test_config_hash_equals_the_one_shot_hash(doc):
+    assert config_hash(doc) == one_shot_config_hash(doc)
+
+
+def test_config_hash_does_not_build_the_whole_text():
+    """On a 30x30 document, whose canonical text is 1.6 MB, the hash
+    allocates under 0.5 MB at its peak."""
+    doc = random_doc(30, 30, seed=0)
+    tracemalloc.start()
+    try:
+        config_hash(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e5
 
 
 def test_build_model_roundtrip():
@@ -228,11 +263,21 @@ def test_connectivity_issues_name_their_section_once(connectivity, message):
     ("integration", {"t_end": True}, "integration.t_end must be a number, got True"),
     ("strains", {"N": 2, "b": [[10**400, 0.0], [0.5, -0.5]]},
      "strains.b: int too large to convert to float"),
+    ("strains", {"N": 2, "b": [[True, 0.0], [0.5, -0.5]]},
+     "strains.b must hold only numbers, got True"),
+    ("strains", {"N": 2, "b": [["0.5", 0.0], [0.5, -0.5]]},
+     "strains.b must hold only numbers, got '0.5'"),
+    ("init", {"z0": [[True, False], [0.6, 0.4]]}, "init.z0 must hold only numbers, got True"),
+    ("init", {"z0": [["0.5", "0.5"], [0.6, 0.4]]},
+     "init.z0 must hold only numbers, got '0.5'"),
+    ("connectivity", {"matrix": [[-1.0, True], [1.0, -1.0]]},
+     "connectivity.matrix must hold only numbers, got True"),
 ], ids=["section-not-an-object", "N-0", "matrix-shape", "three-volumes", "scalar-volumes",
         "2d-volumes", "weights-shape", "infinite-volume", "nan-volume", "infinite-weight",
         "overflowing-stencil", "overflowing-density", "overflowing-row-sums", "bool-eps",
         "string-eps", "bool-d", "string-d", "huge-integer-d", "bool-t_end",
-        "huge-integer-trait"])
+        "huge-integer-trait", "bool-trait", "string-trait", "bool-z0", "string-z0",
+        "bool-matrix"])
 def test_malformed_sections_are_issues(section, value, message):
     doc = base_doc()
     doc[section] = value

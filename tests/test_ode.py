@@ -166,9 +166,9 @@ def test_sample_table_budget_checked_before_allocation(monkeypatch):
 
 
 def test_observed_table_holds_the_observable_of_each_sample(monkeypatch):
-    """With observe, the table holds observe(state) of the states the
-    plain run samples, monitors still see the full state, and the budget
-    counts the observed width."""
+    """With observe, row i of the table holds observe(i, state) of the
+    state the plain run samples as row i, monitors still see the full
+    state, and the budget counts the observed width."""
     cfg = IntegratorConfig(t_end=1.0, monitor_period=0.1)
     y0 = np.array([1.0, 2.0, 3.0])
     seen = []
@@ -177,12 +177,13 @@ def test_observed_table_holds_the_observable_of_each_sample(monkeypatch):
         seen.append(y.size)
         return float(y[0])
 
-    def observe(y):
-        return np.array([[y.sum()], [y[2]]])
+    def observe(i, y):
+        return np.array([[y.sum() + i], [y[2]]])
     plain = integrate(lambda t, y: -y, y0, cfg, monitors=[monitor])
     observed = integrate(lambda t, y: -y, y0, cfg, monitors=[monitor], observe=observe)
     assert observed.states.shape == (11, 2)
-    assert np.array_equal(observed.states, [observe(y).ravel() for y in plain.states])
+    assert np.array_equal(observed.states,
+                          [observe(i, y).ravel() for i, y in enumerate(plain.states)])
     assert np.array_equal(observed.diagnostics, plain.diagnostics)
     assert set(seen) == {3}
     monkeypatch.setattr(straingrid.ode, "MAX_SAMPLE_VALUES", 30)

@@ -2,7 +2,6 @@
 neutral-limit product structure."""
 
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -124,8 +123,8 @@ def full_state_reduction_error(model, z0, eps, tau_window):
 
 @pytest.mark.parametrize("P, N", [(2, 2), (10, 10)])
 def test_reduction_error_equals_the_full_state_reference(monkeypatch, P, N):
-    """The observed run gives the full-state result bit for bit, from a
-    table of P(1+N) columns."""
+    """The folded run gives the full-state result bit for bit, from a
+    table of 2 columns."""
     model, z0 = random_model(P, N, seed=P)
     tables = []
 
@@ -137,7 +136,7 @@ def test_reduction_error_equals_the_full_state_reference(monkeypatch, P, N):
     errors, aggs = reduction_error(model, z0, [0.1, 0.05], (0.1, 1.0))
     assert list(zip(errors, aggs)) == \
         [full_state_reduction_error(model, z0, eps, (0.1, 1.0)) for eps in (0.1, 0.05)]
-    assert [t.shape for t in tables] == [(VALIDATION_ROWS, P * (1 + N))] * 2
+    assert [t.shape for t in tables] == [(VALIDATION_ROWS, 2)] * 2
 
 
 def test_sample_budget_counts_the_observed_width(monkeypatch):
@@ -289,7 +288,7 @@ def test_ensemble_members_equal_their_runs_alone(worked_patch, second_patch, two
     assert model.d > 0
     bg = model.background
     y0 = init_on_manifold(z0, bg)
-    observe = partial(slow_observables, background=bg) if observed else None
+    observe = (lambda i, y: slow_observables(y, bg)) if observed else None
     models = [model.with_eps(eps) for eps in (0.08, 0.04, 0.02)]
     cfgs = [_validation_cfg(0.5 / m.eps) for m in models]
     ensemble = simulate_full(models, y0, cfgs, observe=observe)
