@@ -165,11 +165,10 @@ def _strain_arrays(doc: dict, P: int):
 
     def arr(name, shape):
         raw = strains.get(name)
-        if raw is None:
-            return np.zeros(shape)
-        a = _array(f"strains.{name}", raw)
+        a = np.zeros(shape) if raw is None else _array(f"strains.{name}", raw)
         if a.shape != shape:
             raise ConfigError(f"strains.{name} must have shape {shape}, got {a.shape}")
+        a.setflags(write=False)     # StrainPerturbations keeps it instead of a copy
         return a
 
     return StrainPerturbations(

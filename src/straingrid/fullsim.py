@@ -9,7 +9,12 @@ kernel eigenvectors, and a simulation driver with mass and negativity
 monitors. States are plain arrays: the flat full state, and (P, N)
 frequencies. rhs_full takes one model and one state, or a ModelStack
 (the arrays of B models on a leading member axis) and one state per
-member; simulate_full integrates a list of models as one ensemble.
+member, and writes into a given out with a given scratch, so a run's
+calls allocate nothing of the state's size; simulate_full integrates a
+list of models as one ensemble, with one scratch for the run. A
+FullModel checks its assembled rates when built but holds only the
+(P, N) ones: the (P, N, N) rates and the rhs constants are built on
+first use, so only a model that runs holds them.
 Extraction is two maps, each taking a whole stack in one call:
 slow_observables projects flat states (..., dim) on the rows (S_p, u_p)
 (..., P, 1+N), and observed_frequencies renormalizes u_p to frequencies
@@ -47,11 +52,12 @@ class FullModel:
     (clearance) and k (co-colonization susceptibility) are read-only (P,)
     arrays; eps is the quasi-neutrality scale and d the rescaled migration
     intensity, so the migration rate is delta = eps * d. Strain-specific
-    rates are baseline + eps * deviation: __post_init__ assembles them into
-    read-only attributes, not fields: beta_i, gamma_i (P, N), gamma_ij,
-    k_ij and prob_first = P^{(i,j)->i} = 1/2 + eps*w (P, N, N), and
-    the migration rate delta (a numpy scalar). rhs_full's other eps-level
-    constants are read-only attributes built on first use.
+    rates are baseline + eps * deviation, read-only attributes, not
+    fields: __post_init__ assembles beta_i and gamma_i (P, N) and the
+    migration rate delta (a numpy scalar), and checks every assembled
+    rate; gamma_ij, k_ij and prob_first = P^{(i,j)->i} = 1/2 + eps*w
+    (P, N, N), like rhs_full's other eps-level constants, are built on
+    first use.
     """
 
     r: np.ndarray
@@ -85,22 +91,25 @@ class FullModel:
             raise ConfigError(f"perturbations cover {self.pert.n_patches} patches, model has {P}")
         if self.connectivity.n_patches != P:
             raise ConfigError("connectivity size does not match patch count")
-        eps, beta, gamma, k = self.eps, beta[:, None], gamma[:, None], k[:, None, None]
+        eps, pert = self.eps, self.pert
+        object.__setattr__(self, "beta_i", _read_only(beta[:, None] + eps * pert.b))
+        object.__setattr__(self, "gamma_i", _read_only(gamma[:, None] + eps * pert.nu))
 
-        object.__setattr__(self, "beta_i", beta + eps * self.pert.b)
-        object.__setattr__(self, "gamma_i", gamma + eps * self.pert.nu)
-        object.__setattr__(self, "gamma_ij", gamma[..., None] + eps * self.pert.c_pair)
-        object.__setattr__(self, "k_ij", k + eps * self.pert.alpha)
-        object.__setattr__(self, "prob_first", 0.5 + eps * self.pert.w)
-
+        # The (P, N, N) rates are checked through each patch's extreme
+        # deviation: base + eps * x is monotone in x (eps >= 0, and so is
+        # rounding), so its extreme is the extreme entry's, bit for bit.
+        # The extremes include 0, which leaves every verdict as it is (the
+        # bases are admissible) and gives strainless patches one.
+        low = {name: getattr(pert, name).min(axis=(1, 2), initial=0.0)
+               for name in ("c_pair", "alpha", "w")}
         if np.any(self.beta_i <= 0) or np.any(self.gamma_i < 0) \
-                or np.any(self.gamma_ij < 0) or np.any(self.k_ij < 0):
+                or np.any(gamma + eps * low["c_pair"] < 0) or np.any(k + eps * low["alpha"] < 0):
             raise ConfigError("assembled strain rates leave the admissible range; reduce eps")
-        if np.any(self.prob_first < 0) or np.any(self.prob_first > 1):
+        if np.any(0.5 + eps * low["w"] < 0) \
+                or np.any(0.5 + eps * pert.w.max(axis=(1, 2), initial=0.0) > 1):
             raise ConfigError("transmission probabilities leave [0,1]; reduce eps or |w|")
         object.__setattr__(self, "delta", np.float64(self.eps * self.d))
-        for a in (self.r, self.beta, self.gamma, self.k, self.beta_i, self.gamma_i,
-                  self.gamma_ij, self.k_ij, self.prob_first):
+        for a in (self.r, self.beta, self.gamma, self.k):
             a.setflags(write=False)
 
     @property
@@ -117,8 +126,24 @@ class FullModel:
         return build_background((self.r, self.beta, self.gamma, self.k), self.pert,
                                 self.connectivity)
 
-    # rhs_full's eps-level constants, built on first use: a model that only
-    # checks an eps, or only gives the background, never holds them.
+    # The (P, N, N) strain rates and rhs_full's other eps-level constants,
+    # built on first use: a model that only checks an eps, or only gives
+    # the background, never holds them, and a run holds only what
+    # rhs_full reads (not k_ij: co_rate is built without it).
+    @cached_property
+    def gamma_ij(self) -> np.ndarray:
+        return _read_only(self.gamma[:, None, None] + self.eps * self.pert.c_pair)
+
+    @cached_property
+    def k_ij(self) -> np.ndarray:
+        return _read_only(self.k[:, None, None] + self.eps * self.pert.alpha)
+
+    @cached_property
+    def prob_first(self) -> np.ndarray:
+        """P^{(i,j)->i} = 1/2 + eps*w: the chance that an (i, j) host
+        transmits i."""
+        return _read_only(0.5 + self.eps * self.pert.w)
+
     @cached_property
     def prob_second(self) -> np.ndarray:
         return _read_only(1.0 - self.prob_first)
@@ -126,15 +151,30 @@ class FullModel:
     @cached_property
     def co_rate(self) -> np.ndarray:
         """k_ij beta_i, the rate at which i-singles are co-colonized by j."""
-        return _read_only(self.k_ij * self.beta_i[:, :, None])
+        rate = self.eps * self.pert.alpha
+        rate += self.k[:, None, None]
+        rate *= self.beta_i[:, :, None]
+        return _read_only(rate)
+
+    @cached_property
+    def loss(self) -> np.ndarray:
+        """The per-capita loss rates laid out as a flat state: 0 at S_p,
+        loss_I = r + gamma_i at I_p and loss_D = r + gamma_ij at D_p, so
+        that loss * y is every compartment's loss in one product."""
+        P, N = self.n_patches, self.n_strains
+        loss = np.zeros(P * (1 + N + N * N))
+        _, loss_I, loss_D = full_views(loss, P, N)
+        np.add(self.r[:, None], self.gamma_i, out=loss_I)
+        np.add(self.r[:, None, None], self.gamma_ij, out=loss_D)
+        return _read_only(loss)
 
     @cached_property
     def loss_I(self) -> np.ndarray:
-        return _read_only(self.r[:, None] + self.gamma_i)
+        return full_views(self.loss, self.n_patches, self.n_strains)[1]
 
     @cached_property
     def loss_D(self) -> np.ndarray:
-        return _read_only(self.r[:, None, None] + self.gamma_ij)
+        return full_views(self.loss, self.n_patches, self.n_strains)[2]
 
     def with_eps(self, eps: float) -> "FullModel":
         """Same model at a different eps."""
@@ -143,13 +183,13 @@ class FullModel:
 
 # The FullModel attributes rhs_full reads, stacked by ModelStack.
 _RHS_ARRAYS = ("r", "beta_i", "gamma_i", "gamma_ij", "prob_first", "prob_second", "co_rate",
-               "loss_I", "loss_D", "delta")
+               "loss", "delta")
 
 
 class ModelStack:
     """The arrays rhs_full reads (_RHS_ARRAYS) of B models that share
     patches, strains and connectivity, stacked read-only on a leading
-    member axis: r (B, P), ..., loss_D (B, P, N, N), and delta (B, 1) so
+    member axis: r (B, P), ..., loss (B, dim), and delta (B, 1) so
     that it scales one flat state per row."""
 
     def __init__(self, models):
@@ -191,30 +231,45 @@ def transmissible_load(model, I: np.ndarray, D: np.ndarray) -> np.ndarray:
             + np.einsum("...pji,...pji->...pi", model.prob_second, D))
 
 
-def rhs_full(t, y: np.ndarray, model) -> np.ndarray:
+def rhs_full(t, y: np.ndarray, model, out=None, scratch=None) -> np.ndarray:
     """Time derivative of the full system at the flat state y (dim,) of a
     FullModel, or at the flat states y (B, dim) of a ModelStack's members,
-    one per row (pure; the system is autonomous, so t is unused)."""
+    one per row (the system is autonomous, so t is unused).
+
+    The derivative is written into out and returned; out and the work
+    array scratch, each shaped like y with contiguous rows, are allocated
+    when not given. With both given, a call allocates nothing of the
+    state's size. The bits do not depend on which are given."""
     P, N = model.n_patches, model.n_strains
     S, I, D = full_views(y, P, N)
     J = transmissible_load(model, I, D)            # (..., P, N)
     infection = model.beta_i * J * S[..., None]    # (..., P, N)
 
-    dy = np.empty_like(y)
+    dy = np.empty_like(y) if out is None else out
+    work = np.empty_like(y) if scratch is None else scratch
     dS, dI, dD = full_views(dy, P, N)
-    # co-colonization influx into D[p, i, j]: susceptible-to-j of i-singles
-    np.multiply(model.co_rate, I[..., None], out=dD)
-    dD *= J[..., None, :]
-    dS[:] = (model.r * (1.0 - S)
-             + np.einsum("...pi,...pi->...p", model.gamma_i, I)
-             + np.einsum("...pij,...pij->...p", model.gamma_ij, D)
-             - infection.sum(axis=-1))
-    dI[:] = infection - model.loss_I * I - dD.sum(axis=-1)
-    dD -= model.loss_D * D
+    # co-colonization influx into D[p, i, j]: susceptible-to-j of i-singles,
+    # built in a contiguous block (numpy buffers products on strided views)
+    influx = work[..., :P * N * N].reshape(*y.shape[:-1], P, N, N)
+    np.multiply(model.co_rate, I[..., None], out=influx)
+    influx *= J[..., None, :]
+    co_colonized = influx.sum(axis=-1)
+    dD[...] = influx
+    dI[...] = infection
+    dS[...] = 0.0           # set below; the flat subtraction must read numbers here
+    # every compartment's loss in one flat product (0 at S)
+    np.multiply(model.loss, y, out=work)
+    dy -= work
+    dI -= co_colonized
+    dS[...] = (model.r * (1.0 - S)
+               + np.einsum("...pi,...pi->...p", model.gamma_i, I)
+               + np.einsum("...pij,...pij->...p", model.gamma_ij, D)
+               - infection.sum(axis=-1))
     if model.delta.any():   # migration acts on the patch index of every compartment at once
-        flow = model.connectivity.entries @ y.reshape(*y.shape[:-1], P, -1)
+        flow = work.reshape(*y.shape[:-1], P, -1)
+        np.matmul(model.connectivity.entries, y.reshape(flow.shape), out=flow)
         flow *= model.delta[..., None]
-        dy += flow.reshape(y.shape)
+        dy += work
     return dy
 
 
@@ -266,8 +321,10 @@ def extract_frequencies(y: np.ndarray, background: Background) -> np.ndarray:
 
 def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory]:
     """Integrate the full system of each model from the flat state y0 under
-    its IntegratorConfig in cfgs, all as one ode.integrate ensemble, with
-    mass-defect (max_p |Sigma_p - 1|) and min-entry monitors; `observe`
+    its IntegratorConfig in cfgs, all as one ode.integrate ensemble (each
+    stage's rhs_full writes into the stage array, with one scratch
+    allocated here), with mass-defect (max_p |Sigma_p - 1|) and min-entry
+    monitors; `observe`
     goes to ode.integrate (row i of a sample table then holds
     observe(i, state) of sample i).
     The models must share patches, strains and connectivity (ModelStack).
@@ -280,11 +337,12 @@ def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory
     if np.shape(y0) != (dim,):
         raise ConfigError(f"y0 has shape {np.shape(y0)}, the model expects {(dim,)}")
     subsets = {tuple(range(len(models))): stack}
+    scratch = np.empty((len(models), dim))
 
-    def rhs(t, y, members):
+    def rhs(t, y, members, out):
         if members not in subsets:
             subsets[members] = stack.take(members)
-        return rhs_full(t, y, subsets[members])
+        rhs_full(t, y, subsets[members], out=out, scratch=scratch[:len(members)])
 
     monitors = [partial(row_sum_defect, P=P), np.min]
     return integrate(rhs, np.broadcast_to(y0, (len(models), dim)), cfgs, monitors=monitors,

@@ -3,12 +3,14 @@
 Embedded Dormand-Prince 5(4) pair with PI step-size control. Monitors
 (scalar functionals of the state) are evaluated at every accepted step;
 the trajectory records states on a uniform sampling grid via linear
-interpolation between accepted steps, or only observe(i, state) of
-sample i when the caller passes `observe`. Conservation defects are
-measured, never corrected: they are observables of the discrete flow.
+interpolation between accepted steps (built in one reused buffer), or
+only observe(i, state) of sample i when the caller passes `observe`.
+Conservation defects are measured, never corrected: they are
+observables of the discrete flow.
 
 One loop integrates an ensemble of independent members, stacked on a
-leading axis: every stage makes one rhs call for all members, and each
+leading axis: every stage makes one rhs call for all members, which
+writes the stage's derivatives straight into the stage array, and each
 member accepts or rejects its own step and leaves at its own t_end. A
 single run is the ensemble of one. A member's trajectory does not
 depend on the others: identical inputs always produce bit-identical
@@ -154,7 +156,8 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
     see the full state. With `observe`, row i of the sample table holds
     observe(i, state).ravel() of sample i's state instead of the state,
     and MAX_SAMPLE_VALUES counts that width, observe(0, y0).size (observe
-    is called once more for it, so it must not keep state). Raises
+    is called once more for it). Neither may keep the state it is given:
+    interpolated samples share one buffer. Raises
     StiffnessFailure on step underflow or past MAX_STEPS attempted steps,
     NumericalBlowup on non-finite right-hand sides, and ConfigError when
     the sample table would exceed MAX_SAMPLE_VALUES.
@@ -165,17 +168,21 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
     members, returned as B Trajectories. Each member has its own clock,
     step size, step control, budgets and sample table, and its
     trajectory is bit-identical to its run alone; all members share
-    each stage's call rhs(t, y, members), with t (b,) and y (b, dim)
-    holding the rows of the b members still short of their t_end and
-    members the tuple of their indices. A single run is the ensemble
-    B = 1.
+    each stage's call rhs(t, y, members, out), with t (b,) and y (b, dim)
+    holding the rows of the b members still short of their t_end,
+    members the tuple of their indices, and out (b, dim) the stage's row
+    of the stage array, whose rows are contiguous but not adjacent: rhs
+    writes the derivatives into it (its return value is ignored). A
+    single run is the ensemble B = 1.
     """
     # C order: a member's bits must not depend on the layout of y0.
     Y = np.array(y0, dtype=float, order="C")
     single = Y.ndim == 1
     if single:
         Y, cfgs, one_rhs = Y[None], [cfg], rhs
-        rhs = lambda t, y, members: one_rhs(float(t[0]), y[0])
+
+        def rhs(t, y, members, out):
+            out[0] = one_rhs(float(t[0]), y[0])
     else:
         cfgs = list(cfg)
     if Y.ndim != 2 or Y.shape[0] != len(cfgs):
@@ -212,12 +219,13 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
     rel_tol = np.array([[cfg.rel_tol] for cfg in cfgs])
     abs_tol = np.array([[cfg.abs_tol] for cfg in cfgs])
     K = np.empty((len(runs), 7, Y.shape[1]))
-    K[:, 0] = rhs(np.zeros(len(runs)), Y, members)
+    rhs(np.zeros(len(runs)), Y, members, K[:, 0])
     if not np.all(np.isfinite(K[:, 0])):
         raise NumericalBlowup("non-finite right-hand side at t=0.0")
     # Every stage argument is built in Y_new; the last one is the step's
-    # solution y + h _B5 K. err is the error norm's scratch.
-    Y_new, err = np.empty_like(Y), np.empty_like(Y)
+    # solution y + h _B5 K. err is the error norm's scratch, and between
+    # holds each interpolated sample.
+    Y_new, err, between = np.empty_like(Y), np.empty_like(Y), np.empty(Y.shape[1])
 
     while runs:
         for m in runs:
@@ -232,7 +240,7 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
             np.matmul(_A[s], K[:, :s], out=Y_new)
             Y_new *= h
             Y_new += Y
-            K[:, s] = rhs(t_stages[:, s], Y_new, members)
+            rhs(t_stages[:, s], Y_new, members, K[:, s])
 
         norms = _error_norms(K, h, Y, Y_new, rel_tol, abs_tol, err)
         accepted = []
@@ -254,7 +262,11 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
                         and m.times[m.next_sample] <= t_new + 1e-15 * t_end:
                     ts = min(m.times[m.next_sample], t_new)
                     frac = (ts - m.t) / m.h
-                    record(m, m.next_sample, y + frac * (y_new - y))
+                    # y + frac * (y_new - y), bit for bit
+                    np.subtract(y_new, y, out=between)
+                    between *= frac
+                    between += y
+                    record(m, m.next_sample, between)
                     m.next_sample += 1
                 m.t = t_new
                 eval_monitors(m, y_new)

@@ -33,6 +33,11 @@ SIMPLEX_TOL = 1e-12
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
+    """a as a read-only array of dtype: a itself if it already is one that
+    owns its memory (so nothing else can write it), else a copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None \
+            and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out

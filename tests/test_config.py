@@ -12,6 +12,7 @@ from straingrid.config import (build_connectivity, build_model, collect_issues,
                                config_hash, initial_frequencies,
                                integrator_settings, load_config)
 from straingrid.ode import IntegratorConfig
+from straingrid.validate import reduction_error
 
 from oracles import one_shot_config_hash
 from test_cli import WORKED_DOC, random_doc
@@ -96,6 +97,37 @@ def test_build_model_roundtrip():
     assert model.eps == 0.05
     assert model.pert.b[0, 0] == 1.0
     assert np.all(model.pert.nu == 0)    # omitted arrays default to zero
+
+
+def test_built_model_holds_no_eps_level_arrays():
+    """build_model checks the assembled (P, N, N) rates without keeping
+    them, and a reduction study builds them only on its own eps models."""
+    doc = random_doc(2, 3, seed=4)
+    model = build_model(doc)
+    eps_level = {"gamma_ij", "k_ij", "prob_first", "co_rate"}
+    assert not eps_level & set(model.__dict__)
+    reduction_error(model, initial_frequencies(doc, 2, 3), [0.1, 0.05], (0.0, 0.05))
+    assert not eps_level & set(model.__dict__)
+
+
+def test_build_model_peaks_near_its_trait_arrays():
+    """At P = 1, N = 256, building a model peaks at about 3.1 times one
+    (P, N, N) trait array: the three parsed deviations, kept rather than
+    copied, with nothing assembled from them. Adding the background
+    peaks at about 10.0 times, set by reduction.fitness_matrix's
+    temporaries."""
+    doc = random_doc(1, 256, seed=1)
+    one = 256 * 256 * 8
+    tracemalloc.start()
+    try:
+        model = build_model(doc)
+        built = tracemalloc.get_traced_memory()[1]
+        model.background
+        with_background = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < 3.5 * one
+    assert with_background < 10.5 * one
 
 
 def test_build_model_missing_patches():

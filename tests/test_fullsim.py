@@ -1,6 +1,7 @@
 """Full co-colonization system: right-hand side identities, manifold
 initialization, frequency extraction and simulation behavior."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -79,6 +80,51 @@ def test_model_rejects_inadmissible_rates(worked_patch):
     with pytest.raises(ConfigError):
         FullModel(*stacked(worked_patch), pert=wpert, eps=0.2, d=0.0,
                   connectivity=ONE_PATCH)
+
+
+RATES_MESSAGE = "assembled strain rates leave the admissible range; reduce eps"
+PROB_MESSAGE = "transmission probabilities leave [0,1]; reduce eps or |w|"
+
+
+def zero_deviations(P, N):
+    """Writeable zero trait deviations, keyed by StrainPerturbations field."""
+    return {name: np.zeros((P, N) if name in ("b", "nu") else (P, N, N))
+            for name in ("b", "nu", "c_pair", "w", "alpha")}
+
+
+@pytest.mark.parametrize("trait, value, eps, message", [
+    ("b", -10.0, 1.0, RATES_MESSAGE),          # beta_i <= 0
+    ("nu", -10.0, 1.0, RATES_MESSAGE),         # gamma_i < 0
+    ("c_pair", -10.0, 1.0, RATES_MESSAGE),     # gamma_ij < 0
+    ("alpha", -10.0, 1.0, RATES_MESSAGE),      # k_ij < 0
+    ("w", 10.0, 0.2, PROB_MESSAGE),            # prob_first > 1
+    ("w", -10.0, 0.2, PROB_MESSAGE),           # prob_first < 0
+])
+def test_model_names_each_inadmissible_assembled_rate(worked_patch, two_patch_conn, trait,
+                                                     value, eps, message):
+    """One deviation of one strain pair, in the second of two patches,
+    takes its assembled rate out of range."""
+    arrays = zero_deviations(2, 2)
+    arrays[trait][(1, 1) if arrays[trait].ndim == 2 else (1, 1, 0)] = value
+    with pytest.raises(ConfigError) as info:
+        FullModel(*stacked(worked_patch, worked_patch), pert=StrainPerturbations(**arrays),
+                  eps=eps, d=0.0, connectivity=two_patch_conn)
+    assert str(info.value) == message
+
+
+def test_admissibility_is_checked_per_patch_and_exactly(worked_patch, two_patch_conn):
+    """A rate assembled to exactly 0 is admissible, and one patch's large
+    deviation is weighed against its own baseline only."""
+    low_gamma = (1.0, 4.0, 0.1, 0.1)
+    arrays = zero_deviations(2, 2)
+    arrays["c_pair"][0] = -2.0     # gamma + 0.5 * -2 = 0 in patch 0
+    arrays["alpha"][0] = -2.0
+    arrays["w"][0] = 1.0           # prob_first = 1
+    arrays["w"][1, 0, 1] = -1.0    # prob_first = 0
+    model = FullModel(*stacked(worked_patch, low_gamma), pert=StrainPerturbations(**arrays),
+                      eps=0.5, d=0.0, connectivity=two_patch_conn)
+    assert model.gamma_ij.min() == 0.0 and model.k_ij.min() == 0.0
+    assert model.prob_first.min() == 0.0 and model.prob_first.max() == 1.0
 
 
 def test_model_names_every_patch_with_inadmissible_rates(worked_patch):
@@ -210,6 +256,47 @@ def test_rhs_constants_are_read_only_and_built_once(worked_patch):
         assert not getattr(model, name).flags.writeable
     assert np.array_equal(model.co_rate, model.k_ij * model.beta_i[:, :, None])
     assert np.array_equal(model.loss_D, model.r[:, None, None] + model.gamma_ij)
+
+
+def test_rhs_writes_into_a_strided_stage_row():
+    """Given out and scratch, rhs_full writes what the allocating call
+    returns, bit for bit, into a stage row of a (B, 7, dim) array and
+    nowhere else: for one model into K[0, s], for a 3-member stack into
+    the strided rows K[:, s]."""
+    rng = np.random.default_rng(23)
+    model = random_model(rng, P=3, N=3, eps=0.05)
+    models = [model.with_eps(eps) for eps in (0.1, 0.05, 0.025)]
+    ys = np.stack([random_state(rng, 3, 3) for _ in models])
+    for target, y in ((model, ys[0]), (ModelStack(models), ys)):
+        K = np.full((len(np.atleast_2d(y)), 7, y.shape[-1]), np.nan)
+        out = K[:, 4] if y.ndim == 2 else K[0, 4]
+        scratch = np.empty_like(y)
+        assert rhs_full(0.0, y, target, out=out, scratch=scratch) is out
+        assert np.array_equal(out, rhs_full(0.0, y, target))
+        assert np.isnan(np.delete(K, 4, axis=1)).all()
+        # the scratch may hold anything: the result does not depend on it
+        scratch[...] = np.inf
+        assert np.array_equal(rhs_full(0.0, y, target, out=np.empty_like(y), scratch=scratch),
+                              out)
+
+
+def test_rhs_into_out_allocates_nothing_of_the_states_size():
+    """With out and scratch given, a call at P = N = 40 peaks below one
+    (P, N, N) array (512 KB; about 92 KB measured, most of it numpy's own
+    buffer for a broadcast product, at most 8192 values)."""
+    rng = np.random.default_rng(29)
+    P = N = 40
+    model = random_model(rng, P, N, eps=0.01)
+    y = random_state(rng, P, N)
+    out, scratch = np.empty_like(y), np.empty_like(y)
+    rhs_full(0.0, y, model, out=out, scratch=scratch)      # builds the model's constants
+    tracemalloc.start()
+    try:
+        rhs_full(0.0, y, model, out=out, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < P * N * N * 8
 
 
 def test_stacked_models_must_share_their_layout(worked_patch, second_patch):

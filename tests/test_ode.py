@@ -247,10 +247,10 @@ def test_members_leave_the_ensemble_at_their_own_t_end():
     y0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, -1.0]])
     seen = []
 
-    def rhs(t, y, members):
-        assert t.shape == (len(members),) and y.shape == (len(members), 2)
+    def rhs(t, y, members, out):
+        assert t.shape == (len(members),) and y.shape == out.shape == (len(members), 2)
         seen.append(members)
-        return rotation(t, y, members)
+        out[...] = rotation(t, y, members)
     trajs = integrate(rhs, y0, cfgs, monitors=[lambda y: float(y[0])])
     for b, (traj, cfg) in enumerate(zip(trajs, cfgs)):
         assert traj.times[-1] == cfg.t_end and traj.times.size == 21
@@ -277,17 +277,19 @@ def test_a_failing_member_stops_the_ensemble_with_a_typed_error(monkeypatch):
     cfgs = [IntegratorConfig(t_end=1.0, monitor_period=0.5),
             IntegratorConfig(t_end=20.0, monitor_period=10.0)]
 
-    def blows_up(t, y, members):
-        out = rotation(t, y, members)
+    def blows_up(t, y, members, out):
+        out[...] = rotation(t, y, members)
         if len(members) == 1 and t[0] > 5.0:
             out[0, 0] = np.nan
-        return out
     with pytest.raises(NumericalBlowup):
         integrate(blows_up, np.ones((2, 2)), cfgs)
     calls = []
-    integrate(lambda t, y, members: calls.append(t) or rotation(t, y, members),
-              np.ones((2, 2)), cfgs)
+
+    def counted(t, y, members, out):
+        calls.append(t)
+        out[...] = rotation(t, y, members)
+    integrate(counted, np.ones((2, 2)), cfgs)
     attempts = (len(calls) - 1) // 6      # the longer member's attempted steps
     monkeypatch.setattr(straingrid.ode, "MAX_STEPS", attempts - 1)
     with pytest.raises(StrainGridError, match="step budget"):
-        integrate(rotation, np.ones((2, 2)), cfgs)
+        integrate(counted, np.ones((2, 2)), cfgs)

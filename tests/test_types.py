@@ -70,6 +70,21 @@ def test_perturbation_arrays_immutable():
         pert.b[0, 0] = 1.0
 
 
+def test_perturbations_copy_any_array_another_owner_can_write():
+    """A read-only float array that owns its memory is kept; a writeable
+    array, a view and another dtype are copied."""
+    owned, view = np.zeros((1, 2, 2)), np.zeros((2, 2, 2))[:1]
+    owned.setflags(write=False)
+    view.setflags(write=False)
+    writeable = np.zeros((1, 2, 2))
+    pert = StrainPerturbations(b=np.zeros((1, 2)), nu=np.zeros((1, 2), dtype=np.float32),
+                               c_pair=owned, w=writeable, alpha=view)
+    assert pert.c_pair is owned
+    writeable[0, 0, 0] = 1.0
+    assert pert.w[0, 0, 0] == 0.0 and not pert.w.flags.writeable
+    assert pert.alpha.base is None and pert.nu.dtype == np.float64
+
+
 def test_scale_params():
     """eps and d are finite and >= 0; with_eps keeps d."""
     model = one_patch_model((1.0, 4.0, 1.0, 1.0), eps=0.1, d=2.0)
