@@ -10,8 +10,14 @@ monitors. States are plain arrays: the flat full state, and (P, N)
 frequencies. rhs_full takes one model and one state, or a ModelStack
 (the arrays of B models on a leading member axis) and one state per
 member, and writes into a given out with a given scratch, so a run's
-calls allocate nothing of the state's size; simulate_full integrates a
-list of models as one ensemble, with one scratch for the run. A
+calls allocate nothing of the state's size. simulate_full integrates a
+list of models as one ensemble. The field is quadratic: each term of dy
+is a rate times two entries of x = (y, J, 1), J the transmissible load,
+itself linear in y. So a small system (at most TABLE_MAX_TERMS terms per
+member) is evaluated from a term table built once per run, in nine numpy
+calls per stage where rhs_full makes about 48: at dim 39 the calls, not
+the arithmetic, are the cost. Above the gate, which depends on the size
+of one member only, rhs_full runs with one scratch for the run. A
 FullModel checks its assembled rates when built but holds only the
 (P, N) ones: the (P, N, N) rates and the rhs constants are built on
 first use, so only a model that runs holds them.
@@ -42,6 +48,15 @@ from .types import (ConnectivityMatrix, StrainPerturbations, full_state, full_vi
 # Below this total weighted strain mass in a patch, frequencies are
 # considered undefined.
 EXTINCTION_THRESHOLD = 1e-300
+
+# Most terms per member, (4P + nnz(connectivity)) (1 + N + N^2) - 2P,
+# that simulate_full evaluates from a _TermTable. A table call costs a
+# gather, two products and a sum per term and member, rhs_full ~48 numpy
+# calls plus array passes. In a ladder at B = 1, 3 and 6 members (numpy
+# 2.4, one thread of a 2-core Xeon), the table was faster at every size
+# up to 1,527 terms (3x8) and broke even or lost at B = 6 from 1,816
+# terms (4x7) on.
+TABLE_MAX_TERMS = 1600
 
 
 @dataclass(frozen=True, eq=False)     # array fields: compared by identity
@@ -273,6 +288,84 @@ def rhs_full(t, y: np.ndarray, model, out=None, scratch=None) -> np.ndarray:
     return dy
 
 
+class _TermTable:
+    """The full vector field of a ModelStack as a table of monomials,
+    built once per run: row b of dy[k] is the sum of the terms
+    coef[b, t] * x[a[t]] * x[c[t]] of output k over the extended state
+    x = (y, J, 1), where J[p, i] (transmissible_load) is itself the sum
+    of j_coef[b, t] * y[j_idx[t]] of its group. Terms are grouped by
+    output in a fixed order, so a member's bits do not depend on the
+    other members. A call is nine numpy calls into buffers of the run:
+    gathers (np.take with mode="clip", which writes straight into out;
+    "raise" buffers it), products and np.add.reduceat into out."""
+
+    def __init__(self, stack):
+        P, N, B = stack.n_patches, stack.n_strains, len(stack.r)
+        L = 1 + N + N * N
+        dim = P * L
+        S = np.arange(P) * L                                  # flat indices of S, I, D
+        I = S[:, None] + 1 + np.arange(N)
+        D = S[:, None, None] + 1 + N + np.arange(N * N).reshape(N, N)
+        J = dim + np.arange(P * N).reshape(P, N)              # and of J and 1 in x
+        ONE = dim + P * N
+        # J[p, i] = I[p, i] + sum_j prob_first[p,i,j] D[p,i,j] + prob_second[p,j,i] D[p,j,i]
+        self.j_idx = np.concatenate([I[..., None], D, D.swapaxes(1, 2)], axis=-1).ravel()
+        self.j_coef = np.concatenate([np.ones((B, P, N, 1)), stack.prob_first,
+                                      stack.prob_second.swapaxes(-1, -2)], axis=-1).reshape(B, -1)
+        self.j_starts = np.arange(0, self.j_idx.size, 2 * N + 1)
+        linear = -stack.loss                                  # losses and clearances, -r S at S
+        linear[:, S] = -stack.r
+        pq = np.nonzero(stack.connectivity.entries)
+        flow = stack.delta * stack.connectivity.entries[pq]   # (B, nnz)
+        IJ = (I[..., None], J[:, None, :])
+        terms = [  # (dy index, a, c, coef (B, ...)); indices broadcast to coef's trailing shape
+            (S, ONE, ONE, stack.r),
+            (np.arange(dim), np.arange(dim), ONE, linear),
+            (S[:, None], S[:, None] + np.arange(1, L), ONE,
+             np.concatenate([stack.gamma_i, stack.gamma_ij.reshape(B, P, -1)], axis=-1)),
+            (S[:, None], S[:, None], J, -stack.beta_i),
+            (I, S[:, None], J, stack.beta_i),
+            (I[..., None], *IJ, -stack.co_rate),
+            (D, *IJ, stack.co_rate),
+            (pq[0][:, None] * L + np.arange(L), pq[1][:, None] * L + np.arange(L), ONE,
+             np.repeat(flow[..., None], L, axis=-1)),
+        ]
+        out, a, c = (np.concatenate([np.broadcast_to(term[k], term[3].shape[1:]).ravel()
+                                     for term in terms]) for k in range(3))
+        order = np.argsort(out, kind="stable")
+        self.a, self.c = a[order], c[order]
+        self.coef = np.concatenate([term[3].reshape(B, -1) for term in terms], axis=1).take(
+            order, axis=1)                                    # C order: [:, order] is not
+        self.starts = np.searchsorted(out[order], np.arange(dim))
+        x = np.empty((B, ONE + 1))
+        x[:, ONE] = 1.0
+        self.buffers = (x, np.empty(self.j_coef.shape), np.empty(self.coef.shape),
+                        np.empty(self.coef.shape))
+
+    def take(self, members) -> "_TermTable":
+        """The table of the given members, in that order, on the first rows
+        of the same buffers."""
+        sub = copy.copy(self)
+        sub.j_coef, sub.coef = self.j_coef[list(members)], self.coef[list(members)]
+        sub.buffers = tuple(buf[:len(members)] for buf in self.buffers)
+        return sub
+
+    def __call__(self, y, out):
+        """Write the derivatives of the states y (b, dim), one per member,
+        into out (b, dim)."""
+        x, gj, ga, gc = self.buffers
+        dim = y.shape[1]
+        x[:, :dim] = y
+        np.take(x, self.j_idx, axis=1, mode="clip", out=gj)
+        gj *= self.j_coef
+        np.add.reduceat(gj, self.j_starts, axis=1, out=x[:, dim:-1])
+        np.take(x, self.a, axis=1, mode="clip", out=ga)
+        np.take(x, self.c, axis=1, mode="clip", out=gc)
+        ga *= gc
+        ga *= self.coef
+        np.add.reduceat(ga, self.starts, axis=1, out=out)
+
+
 def init_on_manifold(z0: np.ndarray, background: Background) -> np.ndarray:
     """Flat product state S = S*, I^i = I* z^i, D^{ij} = D* z^i z^j of the
     frequencies z0 (P, N), which must lie on the simplex product (up to
@@ -321,28 +414,44 @@ def extract_frequencies(y: np.ndarray, background: Background) -> np.ndarray:
 
 def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory]:
     """Integrate the full system of each model from the flat state y0 under
-    its IntegratorConfig in cfgs, all as one ode.integrate ensemble (each
-    stage's rhs_full writes into the stage array, with one scratch
-    allocated here), with mass-defect (max_p |Sigma_p - 1|) and min-entry
-    monitors; `observe`
+    its IntegratorConfig in cfgs, all as one ode.integrate ensemble, with
+    mass-defect (max_p |Sigma_p - 1|) and min-entry monitors; `observe`
     goes to ode.integrate (row i of a sample table then holds
     observe(i, state) of sample i).
+    Each stage's derivatives are written straight into the stage array.
+    A small system, at most TABLE_MAX_TERMS terms per member, is evaluated
+    from a _TermTable built here, because numpy's per-call overhead is
+    its cost and the table makes 9 calls per stage where rhs_full makes
+    about 48. A larger one runs rhs_full, with one scratch allocated
+    here. The gate reads one member's size, never the number of models.
     The models must share patches, strains and connectivity (ModelStack).
     Returns one Trajectory per model, each bit-identical to its run alone."""
     if len(models) != len(cfgs):
         raise ConfigError(f"{len(models)} models with {len(cfgs)} integrator settings")
     stack = ModelStack(models)
     P, N = stack.n_patches, stack.n_strains
-    dim = P * (1 + N + N * N)
+    L = 1 + N + N * N
+    dim = P * L
     if np.shape(y0) != (dim,):
         raise ConfigError(f"y0 has shape {np.shape(y0)}, the model expects {(dim,)}")
-    subsets = {tuple(range(len(models))): stack}
-    scratch = np.empty((len(models), dim))
+    everyone = tuple(range(len(models)))
+    terms = (4 * P + np.count_nonzero(stack.connectivity.entries)) * L - 2 * P
+    if terms <= TABLE_MAX_TERMS:
+        subsets = {everyone: _TermTable(stack)}
+
+        def evaluate(sub, y, out):
+            sub(y, out)
+    else:
+        subsets = {everyone: stack}
+        scratch = np.empty((len(models), dim))
+
+        def evaluate(sub, y, out):
+            rhs_full(None, y, sub, out=out, scratch=scratch[:len(y)])
 
     def rhs(t, y, members, out):
         if members not in subsets:
-            subsets[members] = stack.take(members)
-        rhs_full(t, y, subsets[members], out=out, scratch=scratch[:len(members)])
+            subsets[members] = subsets[everyone].take(members)
+        evaluate(subsets[members], y, out)
 
     monitors = [partial(row_sum_defect, P=P), np.min]
     return integrate(rhs, np.broadcast_to(y0, (len(models), dim)), cfgs, monitors=monitors,

@@ -7,12 +7,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import straingrid.fullsim
 from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
-                        FullModel, IntegratorConfig, StrainPerturbations,
+                        FullModel, IntegratorConfig, NumericalBlowup, StrainPerturbations,
                         extract_frequencies, full_state, init_on_manifold,
                         neutral_equilibrium, rhs_full, simulate_full,
                         transmissible_load)
-from straingrid.fullsim import ModelStack
+from straingrid.connectivity import renormalize_to_density, volume_matrix
+from straingrid.fullsim import ModelStack, _TermTable
 from straingrid.types import full_views
 
 from conftest import random_supercritical_patch, stacked
@@ -310,6 +312,132 @@ def test_stacked_models_must_share_their_layout(worked_patch, second_patch):
     with pytest.raises(ConfigError, match="integrator settings"):
         simulate_full([one, one], init_on_manifold(np.array([[0.3, 0.7]]), one.background),
                       [IntegratorConfig()])
+
+
+# ---------------------------------------------------------------- term table
+
+def ring(P):
+    """Unit-rate ring coupling: each patch exchanges with its two neighbours."""
+    M = np.roll(np.eye(P), 1, axis=1) + np.roll(np.eye(P), -1, axis=1)
+    return ConnectivityMatrix(entries=M - np.diag(M.sum(axis=1)))
+
+
+def volumes(P):
+    """Density-convention exchange of unequal volumes along a ring."""
+    V = np.linspace(0.5, 2.0, P)
+    x = np.roll(np.eye(P), 1, axis=1)
+    return ConnectivityMatrix(entries=renormalize_to_density(volume_matrix(V, np.triu(x + x.T)),
+                                                             V))
+
+
+TABLE_CASES = {   # (P, N, connectivity, eps of the three members, d)
+    "one patch": (1, 3, None, (0.04, 0.02, 0.01), 1.0),
+    "one strain": (3, 1, ring(3), (0.04, 0.02, 0.01), 1.0),
+    "3x3": (3, 3, ring(3), (0.04, 0.02, 0.01), 1.0),
+    "4x2 ring": (4, 2, ring(4), (0.04, 0.02, 0.01), 1.0),
+    "4x2 volumes": (4, 2, volumes(4), (0.04, 0.02, 0.01), 2.0),
+    "eps = 0": (3, 3, ring(3), (0.04, 0.0, 0.01), 1.0),
+    "d = 0": (3, 2, ring(3), (0.04, 0.02, 0.01), 0.0),
+}
+
+
+def table_case(name, seed=31):
+    """Three models of a TABLE_CASES entry and a random positive state each."""
+    P, N, conn, eps_list, d = TABLE_CASES[name]
+    rng = np.random.default_rng(seed)
+    r, gamma, k = rng.uniform(0.5, 1.5, size=(3, P))
+    pert = StrainPerturbations(*(rng.uniform(-1.0, 1.0, size=(P, N, N)[:n])
+                                 for n in (2, 2, 3, 3, 3)))
+    model = FullModel(r, (r + gamma) * rng.uniform(1.5, 3.0, size=P), gamma, k, pert=pert,
+                      eps=0.0, d=d, connectivity=conn or ONE_PATCH)
+    models = [model.with_eps(eps) for eps in eps_list]
+    return models, np.stack([random_state(rng, P, N) for _ in models])
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_term_table_agrees_with_rhs_full(case):
+    """Each member's row of a table call is its rhs_full within 1e-13 of
+    the largest derivative; a subset of members, taken in another order,
+    and a member alone give their rows of the full call bit for bit."""
+    models, ys = table_case(case)
+    table = _TermTable(ModelStack(models))
+    got = np.empty_like(ys)
+    table(ys, got)
+    for m, y, row in zip(models, ys, got):
+        want = rhs_full(0.0, y, m)
+        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
+    for members in ((2, 0), (1,)):
+        sub = np.empty((len(members), ys.shape[1]))
+        table.take(members)(ys[list(members)], sub)
+        assert np.array_equal(sub, got[list(members)])
+    alone = np.empty((1, ys.shape[1]))
+    _TermTable(ModelStack(models[1:2]))(ys[1:2], alone)
+    assert np.array_equal(alone[0], got[1])
+
+
+def counting_rhs_full(monkeypatch):
+    """Replace fullsim.rhs_full by a wrapper; returns its call list."""
+    calls = []
+    original = straingrid.fullsim.rhs_full
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(straingrid.fullsim, "rhs_full", counted)
+    return calls
+
+
+def test_simulate_full_takes_the_table_up_to_its_gate(monkeypatch):
+    """simulate_full evaluates a system of exactly TABLE_MAX_TERMS terms per
+    member (counted as the table counts them, here on a ring with fewer
+    nonzero couplings than P^2) from the table and never calls rhs_full,
+    and one term more calls rhs_full; both runs agree within tolerance."""
+    models, _ = table_case("4x2 ring")
+    terms = _TermTable(ModelStack(models[:1])).coef.shape[1]
+    y0 = init_on_manifold(np.full((4, 2), 0.5), models[0].background)
+    cfgs = [IntegratorConfig(t_end=2.0, monitor_period=0.5)] * 3
+    calls = counting_rhs_full(monkeypatch)
+    runs = {}
+    for limit in (terms, terms - 1):
+        monkeypatch.setattr(straingrid.fullsim, "TABLE_MAX_TERMS", limit)
+        del calls[:]
+        runs[limit] = simulate_full(models, y0, cfgs)
+        assert bool(calls) == (limit < terms)
+    for table, reference in zip(runs[terms], runs[terms - 1]):
+        assert np.allclose(table.states, reference.states, rtol=0, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_table_path_surfaces_a_non_finite_rhs(monkeypatch):
+    """A state whose products overflow gives a non-finite table rhs, which
+    still raises NumericalBlowup."""
+    models, ys = table_case("3x3")
+    calls = counting_rhs_full(monkeypatch)
+    with pytest.raises(NumericalBlowup):
+        simulate_full(models[:1], ys[0] * 1e200, [IntegratorConfig()])
+    assert not calls
+
+
+def test_table_call_allocates_nothing_of_the_states_size():
+    """A table call on three members (and on a taken subset) writes into
+    strided stage rows while peaking below one member's state."""
+    models, _ = table_case("one patch")
+    models = [replace(m, pert=StrainPerturbations.zeros(1, 20)) for m in models]
+    ys = np.stack([init_on_manifold(np.full((1, 20), 0.05), m.background) for m in models])
+    table = _TermTable(ModelStack(models))
+    sub, sub_ys = table.take((2, 0)), ys[[2, 0]]
+    K = np.empty((3, 7, ys.shape[1]))
+    table(ys, K[:, 3])                          # first calls, outside the trace
+    sub(sub_ys, K[:2, 4])
+    tracemalloc.start()
+    try:
+        table(ys, K[:, 3])
+        sub(sub_ys, K[:2, 4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ys[0].nbytes
 
 
 # ------------------------------------------------- manifold init / extraction

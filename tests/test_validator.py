@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import straingrid.fullsim
 import straingrid.ode
 import straingrid.validate
 from straingrid import (ConfigError, ConnectivityMatrix, FullModel, IntegratorConfig,
@@ -280,9 +281,13 @@ def worked_model(worked_patch, second_patch, two_patch_conn):
 @pytest.mark.parametrize("case", ["worked", "random-3x3"])
 @pytest.mark.parametrize("observed", [False, True], ids=["states", "observed"])
 def test_ensemble_members_equal_their_runs_alone(worked_patch, second_patch, two_patch_conn,
-                                                 case, observed):
+                                                 case, observed, monkeypatch):
     """simulate_full of three eps runs gives each run's trajectory bit for
-    bit, on the worked model and on a random 3x3 model with d > 0."""
+    bit, on the worked model and on a random 3x3 model with d > 0. Both
+    are small enough to run on the term table: rhs_full is never called."""
+    def unused(*args, **kwargs):
+        raise AssertionError("rhs_full called below the term table's gate")
+    monkeypatch.setattr(straingrid.fullsim, "rhs_full", unused)
     model, z0 = (worked_model(worked_patch, second_patch, two_patch_conn) if case == "worked"
                  else random_model(3, 3, seed=7))
     assert model.d > 0
