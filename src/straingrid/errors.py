@@ -32,8 +32,8 @@ class ExtinctPatch(StrainGridError):
 
 
 class StiffnessFailure(StrainGridError):
-    """The adaptive integrator's step size underflowed or its step budget
-    ran out."""
+    """The adaptive integrator's step size underflowed, its step budget
+    ran out or its error estimate overflowed."""
 
 
 class NumericalBlowup(StrainGridError):

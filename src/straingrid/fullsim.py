@@ -7,20 +7,16 @@ y.reshape(P, -1) is (S_p, I_p, D_p.ravel()), see types.full_views),
 slow-manifold initialization, frequency extraction through the left
 kernel eigenvectors, and a simulation driver with mass and negativity
 monitors. States are plain arrays: the flat full state, and (P, N)
-frequencies. rhs_full takes one model and one state, or a ModelStack
-(the arrays of B models on a leading member axis) and one state per
-member, and writes into a given out with a given scratch, so a run's
-calls allocate nothing of the state's size. simulate_full integrates a
-list of models as one ensemble. The field is quadratic: each term of dy
-is a rate times two entries of x = (y, J, 1), J the transmissible load,
-itself linear in y. So a small system (at most TABLE_MAX_TERMS terms per
-member) is evaluated from a term table built once per run, in nine numpy
-calls per stage where rhs_full makes about 48: at dim 39 the calls, not
-the arithmetic, are the cost. Above the gate, which depends on the size
-of one member only, rhs_full runs with one scratch for the run. A
-FullModel checks its assembled rates when built but holds only the
-(P, N) ones: the (P, N, N) rates and the rhs constants are built on
-first use, so only a model that runs holds them.
+frequencies. rhs_full takes a ModelStack (the rates of B models on a
+leading member axis) and one state per member, or one model and one
+state, and writes into a given out with a given scratch, so a run's
+calls allocate nothing of the state's size. simulate_full, the one
+planner of full runs, splits its models into ode.integrate ensembles of
+at most BATCH_VALUES stacked values, and evaluates a small system (up to
+TABLE_MAX_TERMS terms per member) from a term table: the field is
+quadratic, each term of dy a rate times two entries of x = (y, J, 1), J
+the transmissible load. A FullModel checks its assembled rates but holds
+only the (P, N) ones: each ModelStack builds the (P, N, N) rates it runs.
 Extraction is two maps, each taking a whole stack in one call:
 slow_observables projects flat states (..., dim) on the rows (S_p, u_p)
 (..., P, 1+N), and observed_frequencies renormalizes u_p to frequencies
@@ -38,7 +34,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ConfigError, ExtinctPatch
-from .ode import Trajectory, integrate
+from .ode import Trajectory, check_budgets, integrate
 # Re-exported, not used here: perfbench's self-tests reach it through this module.
 from .ode import IntegratorConfig as IntegratorConfig
 from .reduction import Background, build_background
@@ -58,6 +54,11 @@ EXTINCTION_THRESHOLD = 1e-300
 # terms (4x7) on.
 TABLE_MAX_TERMS = 1600
 
+# Values in the stacked states of one ensemble of full runs (B * dim).
+# Stacking pays while the per-call overhead of the rhs dominates, which
+# ends between P = N = 10 (dim 1,110) and P = N = 20 (dim 8,420).
+BATCH_VALUES = 4096
+
 
 @dataclass(frozen=True, eq=False)     # array fields: compared by identity
 class FullModel:
@@ -70,9 +71,9 @@ class FullModel:
     rates are baseline + eps * deviation, read-only attributes, not
     fields: __post_init__ assembles beta_i and gamma_i (P, N) and the
     migration rate delta (a numpy scalar), and checks every assembled
-    rate; gamma_ij, k_ij and prob_first = P^{(i,j)->i} = 1/2 + eps*w
-    (P, N, N), like rhs_full's other eps-level constants, are built on
-    first use.
+    rate. The (P, N, N) rates are checked, not kept: a ModelStack builds
+    them for its run (_rhs_arrays), so a model held through a study holds
+    none.
     """
 
     r: np.ndarray
@@ -86,7 +87,7 @@ class FullModel:
 
     def __post_init__(self):
         for name in ("r", "beta", "gamma", "k"):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         r, beta, gamma, k = self.r, self.beta, self.gamma, self.k
         if r.ndim != 1 or not r.shape == beta.shape == gamma.shape == k.shape:
             raise ConfigError(f"r, beta, gamma and k must be (P,) arrays, got shapes "
@@ -124,8 +125,6 @@ class FullModel:
                 or np.any(0.5 + eps * pert.w.max(axis=(1, 2), initial=0.0) > 1):
             raise ConfigError("transmission probabilities leave [0,1]; reduce eps or |w|")
         object.__setattr__(self, "delta", np.float64(self.eps * self.d))
-        for a in (self.r, self.beta, self.gamma, self.k):
-            a.setflags(write=False)
 
     @property
     def n_patches(self) -> int:
@@ -141,86 +140,64 @@ class FullModel:
         return build_background((self.r, self.beta, self.gamma, self.k), self.pert,
                                 self.connectivity)
 
-    # The (P, N, N) strain rates and rhs_full's other eps-level constants,
-    # built on first use: a model that only checks an eps, or only gives
-    # the background, never holds them, and a run holds only what
-    # rhs_full reads (not k_ij: co_rate is built without it).
-    @cached_property
-    def gamma_ij(self) -> np.ndarray:
-        return _read_only(self.gamma[:, None, None] + self.eps * self.pert.c_pair)
-
-    @cached_property
-    def k_ij(self) -> np.ndarray:
-        return _read_only(self.k[:, None, None] + self.eps * self.pert.alpha)
-
-    @cached_property
-    def prob_first(self) -> np.ndarray:
-        """P^{(i,j)->i} = 1/2 + eps*w: the chance that an (i, j) host
-        transmits i."""
-        return _read_only(0.5 + self.eps * self.pert.w)
-
-    @cached_property
-    def prob_second(self) -> np.ndarray:
-        return _read_only(1.0 - self.prob_first)
-
-    @cached_property
-    def co_rate(self) -> np.ndarray:
-        """k_ij beta_i, the rate at which i-singles are co-colonized by j."""
-        rate = self.eps * self.pert.alpha
-        rate += self.k[:, None, None]
-        rate *= self.beta_i[:, :, None]
-        return _read_only(rate)
-
-    @cached_property
-    def loss(self) -> np.ndarray:
-        """The per-capita loss rates laid out as a flat state: 0 at S_p,
-        loss_I = r + gamma_i at I_p and loss_D = r + gamma_ij at D_p, so
-        that loss * y is every compartment's loss in one product."""
-        P, N = self.n_patches, self.n_strains
-        loss = np.zeros(P * (1 + N + N * N))
-        _, loss_I, loss_D = full_views(loss, P, N)
-        np.add(self.r[:, None], self.gamma_i, out=loss_I)
-        np.add(self.r[:, None, None], self.gamma_ij, out=loss_D)
-        return _read_only(loss)
-
-    @cached_property
-    def loss_I(self) -> np.ndarray:
-        return full_views(self.loss, self.n_patches, self.n_strains)[1]
-
-    @cached_property
-    def loss_D(self) -> np.ndarray:
-        return full_views(self.loss, self.n_patches, self.n_strains)[2]
-
     def with_eps(self, eps: float) -> "FullModel":
         """Same model at a different eps."""
         return replace(self, eps=eps)
 
 
-# The FullModel attributes rhs_full reads, stacked by ModelStack.
+# The arrays rhs_full reads, built by _rhs_arrays and stacked by ModelStack.
 _RHS_ARRAYS = ("r", "beta_i", "gamma_i", "gamma_ij", "prob_first", "prob_second", "co_rate",
                "loss", "delta")
 
 
+def _rhs_arrays(model: FullModel) -> dict:
+    """The _RHS_ARRAYS of one model, its eps-level rates built anew: the
+    (P, N, N) gamma_ij, prob_first = 1/2 + eps*w (an (i, j) host transmits
+    i), prob_second and co_rate = k_ij beta_i, and loss, the per-capita
+    loss rate at each entry of a flat state (0 at S_p)."""
+    P, N, eps, pert = model.n_patches, model.n_strains, model.eps, model.pert
+    gamma_ij = model.gamma[:, None, None] + eps * pert.c_pair
+    prob_first = 0.5 + eps * pert.w
+    co_rate = eps * pert.alpha
+    co_rate += model.k[:, None, None]
+    co_rate *= model.beta_i[:, :, None]
+    loss = np.zeros(P * (1 + N + N * N))
+    _, loss_I, loss_D = full_views(loss, P, N)
+    np.add(model.r[:, None], model.gamma_i, out=loss_I)
+    np.add(model.r[:, None, None], gamma_ij, out=loss_D)
+    return {"r": model.r, "beta_i": model.beta_i, "gamma_i": model.gamma_i,
+            "gamma_ij": gamma_ij, "prob_first": prob_first, "prob_second": 1.0 - prob_first,
+            "co_rate": co_rate, "loss": loss, "delta": model.delta}
+
+
+def _check_layout(models):
+    """ConfigError unless the models share patches, strains and connectivity."""
+    first = models[0]
+    for m in models[1:]:
+        if m.pert.b.shape != first.pert.b.shape or not np.array_equal(
+                m.connectivity.entries, first.connectivity.entries):
+            raise ConfigError("stacked models must share patches, strains and connectivity")
+
+
 class ModelStack:
     """The arrays rhs_full reads (_RHS_ARRAYS) of B models that share
-    patches, strains and connectivity, stacked read-only on a leading
-    member axis: r (B, P), ..., loss (B, dim), and delta (B, 1) so
-    that it scales one flat state per row."""
+    patches, strains and connectivity, each member's built by _rhs_arrays
+    and stacked read-only on a leading member axis: r (B, P), ..., loss
+    (B, dim), and delta (B, 1) so that it scales one flat state per row.
+    The stack holds the only copy of its members' eps-level rates, so
+    they live as long as the stack."""
 
     def __init__(self, models):
-        first = models[0]
-        for m in models[1:]:
-            if m.pert.b.shape != first.pert.b.shape or not np.array_equal(
-                    m.connectivity.entries, first.connectivity.entries):
-                raise ConfigError("stacked models must share patches, strains and connectivity")
+        _check_layout(models)
+        rates = [_rhs_arrays(m) for m in models]
         # One member's arrays are viewed, not copied: at P = N = 30 the
         # copies would add 1 MB to a run's peak.
         for name in _RHS_ARRAYS:
-            setattr(self, name, _read_only(np.stack([getattr(m, name) for m in models])
-                                           if len(models) > 1 else getattr(first, name)[None]))
+            setattr(self, name, _read_only(np.stack([r[name] for r in rates])
+                                           if len(models) > 1 else rates[0][name][None]))
         self.delta = self.delta[:, None]
-        self.connectivity = first.connectivity
-        self.n_patches, self.n_strains = first.n_patches, first.n_strains
+        self.connectivity = models[0].connectivity
+        self.n_patches, self.n_strains = models[0].n_patches, models[0].n_strains
 
     def take(self, members) -> "ModelStack":
         """The stack of the given members, in that order."""
@@ -237,24 +214,33 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def transmissible_load(model, I: np.ndarray, D: np.ndarray) -> np.ndarray:
     """J[..., p, i]: proportion of hosts transmitting strain i in patch p,
-    for a FullModel or a ModelStack.
+    for a ModelStack and one (I, D) per member, or for a FullModel (as a
+    one-member stack) and one (I, D).
 
     Single-infected transmit their strain; co-infected (i then j) hosts
     transmit i with probability prob_first[p, i, j] and j otherwise.
     """
+    if isinstance(model, FullModel):
+        return transmissible_load(ModelStack([model]), I[None], D[None])[0]
     return (I + np.einsum("...pij,...pij->...pi", model.prob_first, D)
             + np.einsum("...pji,...pji->...pi", model.prob_second, D))
 
 
 def rhs_full(t, y: np.ndarray, model, out=None, scratch=None) -> np.ndarray:
-    """Time derivative of the full system at the flat state y (dim,) of a
-    FullModel, or at the flat states y (B, dim) of a ModelStack's members,
-    one per row (the system is autonomous, so t is unused).
+    """Time derivative of the full system at the flat states y (B, dim) of
+    a ModelStack's members, one per row, or at the flat state y (dim,) of a
+    FullModel (the system is autonomous, so t is unused).
 
     The derivative is written into out and returned; out and the work
     array scratch, each shaped like y with contiguous rows, are allocated
     when not given. With both given, a call allocates nothing of the
-    state's size. The bits do not depend on which are given."""
+    state's size. The bits do not depend on which are given. A FullModel
+    runs as a one-member stack, whose rates each call builds anew."""
+    if isinstance(model, FullModel):
+        dy = np.empty_like(y) if out is None else out
+        rhs_full(t, y[None], ModelStack([model]), dy[None],
+                 None if scratch is None else scratch[None])
+        return dy
     P, N = model.n_patches, model.n_strains
     S, I, D = full_views(y, P, N)
     J = transmissible_load(model, I, D)            # (..., P, N)
@@ -414,45 +400,52 @@ def extract_frequencies(y: np.ndarray, background: Background) -> np.ndarray:
 
 def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory]:
     """Integrate the full system of each model from the flat state y0 under
-    its IntegratorConfig in cfgs, all as one ode.integrate ensemble, with
-    mass-defect (max_p |Sigma_p - 1|) and min-entry monitors; `observe`
-    goes to ode.integrate (row i of a sample table then holds
-    observe(i, state) of sample i).
-    Each stage's derivatives are written straight into the stage array.
-    A small system, at most TABLE_MAX_TERMS terms per member, is evaluated
-    from a _TermTable built here, because numpy's per-call overhead is
-    its cost and the table makes 9 calls per stage where rhs_full makes
-    about 48. A larger one runs rhs_full, with one scratch allocated
-    here. The gate reads one member's size, never the number of models.
-    The models must share patches, strains and connectivity (ModelStack).
-    Returns one Trajectory per model, each bit-identical to its run alone."""
+    its IntegratorConfig in cfgs, with mass-defect (max_p |Sigma_p - 1|)
+    and min-entry monitors; `observe` goes to ode.integrate. The one
+    planner of full runs: it checks that the models share patches, strains
+    and connectivity, and every run's budgets (observe is called once
+    more for them), then runs consecutive models as one ensemble while
+    their stacked states hold at most BATCH_VALUES values, each from a
+    _TermTable when a member has at most TABLE_MAX_TERMS terms (9 numpy
+    calls per stage where rhs_full makes about 48), else by rhs_full. Both
+    gates read one member's size, so each Trajectory is bit-identical to
+    its run alone."""
     if len(models) != len(cfgs):
         raise ConfigError(f"{len(models)} models with {len(cfgs)} integrator settings")
-    stack = ModelStack(models)
-    P, N = stack.n_patches, stack.n_strains
+    if not models:
+        return []
+    _check_layout(models)
+    P, N = models[0].n_patches, models[0].n_strains
     L = 1 + N + N * N
     dim = P * L
     if np.shape(y0) != (dim,):
         raise ConfigError(f"y0 has shape {np.shape(y0)}, the model expects {(dim,)}")
+    check_budgets(cfgs, dim if observe is None else np.size(observe(0, y0)))
+    terms = (4 * P + np.count_nonzero(models[0].connectivity.entries)) * L - 2 * P
+    size = max(1, BATCH_VALUES // dim)
+    monitors = [partial(row_sum_defect, P=P), np.min]
+    trajs = []
+    for start in range(0, len(models), size):
+        trajs += _run_ensemble(models[start:start + size], y0, cfgs[start:start + size],
+                               terms <= TABLE_MAX_TERMS, monitors, observe)
+    return trajs
+
+
+def _run_ensemble(models, y0, cfgs, table, monitors, observe) -> list[Trajectory]:
+    """One ode.integrate ensemble, its stage derivatives written straight
+    into the stage array; its stack, table and scratch go when it returns."""
+    stack = ModelStack(models)
     everyone = tuple(range(len(models)))
-    terms = (4 * P + np.count_nonzero(stack.connectivity.entries)) * L - 2 * P
-    if terms <= TABLE_MAX_TERMS:
-        subsets = {everyone: _TermTable(stack)}
-
-        def evaluate(sub, y, out):
-            sub(y, out)
-    else:
-        subsets = {everyone: stack}
-        scratch = np.empty((len(models), dim))
-
-        def evaluate(sub, y, out):
-            rhs_full(None, y, sub, out=out, scratch=scratch[:len(y)])
+    subsets = {everyone: _TermTable(stack) if table else stack}
+    scratch = None if table else np.empty((len(models), y0.size))
 
     def rhs(t, y, members, out):
         if members not in subsets:
             subsets[members] = subsets[everyone].take(members)
-        evaluate(subsets[members], y, out)
+        if table:
+            subsets[members](y, out)
+        else:
+            rhs_full(None, y, subsets[members], out=out, scratch=scratch[:len(y)])
 
-    monitors = [partial(row_sum_defect, P=P), np.min]
-    return integrate(rhs, np.broadcast_to(y0, (len(models), dim)), cfgs, monitors=monitors,
+    return integrate(rhs, np.broadcast_to(y0, (len(models), y0.size)), cfgs, monitors=monitors,
                      observe=observe)

@@ -74,6 +74,8 @@ class IntegratorConfig:
             raise ConfigError("tolerances must be positive")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
+        if self.initial_step <= 0 or self.max_step <= 0:
+            raise ConfigError("initial_step and max_step must be positive")
         if self.initial_step > self.max_step:
             raise ConfigError("initial_step must not exceed max_step")
         if self.monitor_period <= 0:
@@ -114,6 +116,17 @@ def sample_times(cfg) -> np.ndarray:
     return np.append(times[times < cfg.t_end * (1.0 - 1e-12)], cfg.t_end)
 
 
+def check_budgets(cfgs, width):
+    """StiffnessFailure or ConfigError if a run under one of cfgs, keeping
+    width values per sample, would pass MAX_STEPS or MAX_SAMPLE_VALUES."""
+    for cfg in cfgs:
+        if cfg.t_end / cfg.max_step > MAX_STEPS:
+            raise StiffnessFailure(f"t_end / max_step exceeds the budget of {MAX_STEPS} steps")
+        if (cfg.t_end / cfg.monitor_period + 2) * width > MAX_SAMPLE_VALUES:
+            raise ConfigError(f"{cfg.t_end / cfg.monitor_period:.3g} samples of {width} "
+                              f"values exceed the budget of {MAX_SAMPLE_VALUES} values")
+
+
 class _Member:
     """One member of an ensemble: its settings, clock, step control and
     sample table."""
@@ -135,17 +148,18 @@ def _error_norms(K, h, y_old, y_new, rel_tol, abs_tol, err) -> np.ndarray:
     """Per member, the RMS of the error estimate h (_E K) over
     abs_tol + rel_tol * max(|y_old|, |y_new|), computed in the scratch
     array err and in K[:, 1]: stage 1 is spent once stage 6 is built
-    (_E and _B5 give it weight 0)."""
+    (_E and _B5 give it weight 0). Overflow gives inf, without a warning."""
     scale = K[:, 1]
     np.abs(y_old, out=scale)
     np.maximum(scale, np.abs(y_new, out=err), out=scale)
     scale *= rel_tol
     scale += abs_tol
-    np.matmul(_E, K, out=err)
-    err *= h
-    err /= scale
-    np.square(err, out=err)
-    return np.sqrt(err.mean(axis=1))
+    with np.errstate(over="ignore"):
+        np.matmul(_E, K, out=err)
+        err *= h
+        err /= scale
+        np.square(err, out=err)
+        return np.sqrt(err.mean(axis=1))
 
 
 def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], float]] = (),
@@ -158,7 +172,8 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
     and MAX_SAMPLE_VALUES counts that width, observe(0, y0).size (observe
     is called once more for it). Neither may keep the state it is given:
     interpolated samples share one buffer. Raises
-    StiffnessFailure on step underflow or past MAX_STEPS attempted steps,
+    StiffnessFailure on step underflow, past MAX_STEPS attempted steps or
+    when the error estimate of finite stages overflows,
     NumericalBlowup on non-finite right-hand sides, and ConfigError when
     the sample table would exceed MAX_SAMPLE_VALUES.
 
@@ -191,12 +206,7 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
     if not np.all(np.isfinite(Y)):
         raise ConfigError("initial state has non-finite entries")
     width = Y.shape[1] if observe is None else np.size(observe(0, Y[0]))
-    for cfg in cfgs:
-        if cfg.t_end / cfg.max_step > MAX_STEPS:
-            raise StiffnessFailure(f"t_end / max_step exceeds the budget of {MAX_STEPS} steps")
-        if (cfg.t_end / cfg.monitor_period + 2) * width > MAX_SAMPLE_VALUES:
-            raise ConfigError(f"{cfg.t_end / cfg.monitor_period:.3g} samples of {width} "
-                              f"values exceed the budget of {MAX_SAMPLE_VALUES} values")
+    check_budgets(cfgs, width)
 
     def record(m, idx, state):
         m.states[idx] = state if observe is None else np.ravel(observe(idx, state))
@@ -252,10 +262,14 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
         for i, m in enumerate(runs):
             norm = float(norms[i])
             # A non-finite stage reaches the error estimate (every later
-            # stage and y_new depend on it), so one scalar test replaces a
-            # scan of K.
+            # stage and y_new depend on it), so K is scanned only to tell
+            # it from an estimate that overflowed on finite stages.
             if not math.isfinite(norm):
-                raise NumericalBlowup(f"non-finite right-hand side at t={m.t}")
+                if not np.isfinite(K[i]).all():
+                    raise NumericalBlowup(f"non-finite right-hand side at t={m.t}")
+                raise StiffnessFailure(
+                    f"error estimate overflowed at t={m.t}: rel_tol={m.cfg.rel_tol:g} and "
+                    f"abs_tol={m.cfg.abs_tol:g} are too small")
             t_end = m.cfg.t_end
             if norm <= 1.0:
                 # A step clipped to t_end ends there: t + (t_end - t) can

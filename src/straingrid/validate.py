@@ -3,15 +3,14 @@
 reduction_error integrates the reduced replicator once (it has no eps)
 and the full system once per eps, from matched initial data, and
 measures the sup-norm gap between the extracted and reduced frequencies
-over a slow-time window. The full runs are independent, so consecutive
-eps values go to simulate_full together, as one ensemble, while their
-stacked states hold at most BATCH_VALUES values; larger states run one
-eps at a time. Each sample of a full run is folded into its (gap,
-aggregate) pair as it is taken, so a run's table holds 2 values per
-sample instead of the P(1+N+N^2) of the state, and a run's error is the
-max of its window rows.
-convergence_study checks every eps, makes that one call and fits the
-log-log convergence order. These are the checks the CLI runs;
+over a slow-time window. Each eps model is built once, and all of them
+go to one simulate_full call, which plans the runs (which eps share an
+ensemble, and how each is evaluated). Each sample of a full run is
+folded into its (gap, aggregate) pair as it is taken, so a run's table
+holds 2 values per sample instead of the P(1+N+N^2) of the state, and a
+run's error is the max of its window rows.
+convergence_study checks every eps, calls reduction_error once and fits
+the log-log convergence order. These are the checks the CLI runs;
 the neutral-limit product-structure check is a test oracle
 (tests/oracles.py).
 """
@@ -43,11 +42,6 @@ VALIDATION_SAMPLES = 200
 # Below this sup error the configuration is effectively neutral and a
 # convergence order is meaningless.
 DEGENERATE_ERROR = 1e-7
-
-# Values in the stacked states of one ensemble of full runs (B * dim).
-# Stacking pays while the per-call overhead of the rhs dominates, which
-# ends between P = N = 10 (dim 1,110) and P = N = 20 (dim 8,420).
-BATCH_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -96,10 +90,9 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
     """Sup-norm frequency gaps between full and reduced dynamics, per eps.
 
     The replicator runs once, from z0 over tau in [0, T]; the full system
-    runs at each eps from the slow-manifold state of z0 over t in
-    [0, T/eps], consecutive eps values in one ensemble of at most
-    BATCH_VALUES stacked values. Every run takes VALIDATION_SAMPLES equal
-    steps of its span, so sample i of each is at tau = i T /
+    runs at each eps, all in one simulate_full call, from the slow-manifold
+    state of z0 over t in [0, T/eps]. Every run takes VALIDATION_SAMPLES
+    equal steps of its span, so sample i of each is at tau = i T /
     VALIDATION_SAMPLES; the gap is taken over the samples in [tau0, T].
     The window, every eps and the runs' sample counts are checked before
     the first full run. Returns (errors, aggregates) in eps order,
@@ -111,8 +104,8 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
         raise ConfigError(f"invalid tau window {tau_window}")
     if not all(np.isfinite(eps) and eps > 0 for eps in eps_values):
         raise ConfigError("reduction error requires finite eps > 0")
-    for eps in eps_values:
-        model.with_eps(eps)     # raises if eps leaves the strain rates inadmissible
+    # Built once each; building raises if eps leaves the strain rates inadmissible.
+    models = [model.with_eps(eps) for eps in eps_values]
     P, N = model.n_patches, model.n_strains
     bg = model.background
     y0 = init_on_manifold(z0, bg)
@@ -154,12 +147,7 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
             raise ExtinctPatch(f"no strain mass left in patch {patch}")
         return float(rows[:, 0].max()), float(rows[:, 1].max())
 
-    size = max(1, BATCH_VALUES // y0.size)
-    results = []
-    for start in range(0, len(eps_values), size):
-        group = slice(start, start + size)
-        results += map(gaps, simulate_full([model.with_eps(eps) for eps in eps_values[group]],
-                                           y0, cfgs[group], observe=fold))
+    results = [gaps(traj) for traj in simulate_full(models, y0, cfgs, observe=fold)]
     return tuple(r[0] for r in results), tuple(r[1] for r in results)
 
 

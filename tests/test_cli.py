@@ -17,6 +17,7 @@ import straingrid.fullsim
 import straingrid.ode
 import straingrid.reduction
 import straingrid.validate
+from straingrid import FullModel
 from straingrid.cli import main
 from straingrid.errors import ConfigError
 from straingrid.config import initial_frequencies
@@ -287,7 +288,7 @@ def test_compare_working_set_is_the_integrations(tmp_path, capsys, monkeypatch):
     measured): holding the document through the study, a P(1+N)-wide
     table per run and a window's (samples, P, N) gap arrays take it to
     1.24 MB."""
-    monkeypatch.setattr(straingrid.validate, "BATCH_VALUES", 1)
+    monkeypatch.setattr(straingrid.fullsim, "BATCH_VALUES", 1)
     tables = []
     run = straingrid.validate.simulate_full
 
@@ -602,6 +603,23 @@ def test_step_budget_exits_1(tmp_path, capsys, monkeypatch):
         assert not (out / f"trajectory_{mode}.csv").exists()
 
 
+def test_overflowing_error_estimate_exits_1(tmp_path, capsys):
+    """At rel_tol = abs_tol = 1e-300 the error norm of finite stages
+    overflows: both systems stop on that, with no numpy warning."""
+    cfg = write_config(tmp_path, with_section(
+        "integration", {"t_end": 5.0, "rel_tol": 1e-300, "abs_tol": 1e-300}))
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    for mode in ("reduced", "full"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", cfg, "--mode", mode, "--out", str(tmp_path / mode)]) == 1
+        assert not caught
+        assert capsys.readouterr().err == (
+            "error: error estimate overflowed at t=0.0: rel_tol=1e-300 and abs_tol=1e-300 "
+            "are too small\n")
+
+
 def test_first_step_below_the_underflow_floor_runs(tmp_path, capsys):
     """At t_end = 1e11 the floor 1e-14 t_end lies above the default first
     step of 1e-4; only a step shrunk after a rejection is held to it."""
@@ -664,6 +682,7 @@ def call_counts(monkeypatch):
     count_calls(monkeypatch, counts, straingrid.connectivity, "validate_connectivity")
     for name in ("init_on_manifold", "simulate_full", "simulate_replicator"):
         count_calls(monkeypatch, counts, straingrid.validate, name)
+    count_calls(monkeypatch, counts, FullModel, "with_eps")
     return counts
 
 
@@ -673,12 +692,12 @@ def test_compare_builds_model_and_background_once(tmp_path, capsys, call_counts)
                  "--out", str(tmp_path / "cmp")]) == 0
     # each closed form runs once over all patches, the replicator once per
     # study and the full system once per study: its three eps runs are one
-    # ensemble
+    # ensemble, of eps models built once each
     assert call_counts == {"neutral_equilibrium": 1, "left_eigenvector": 1,
                            "fitness_structure": 1, "migration_matrix": 1,
                            "build_model": 1, "validate_connectivity": 1,
                            "init_on_manifold": 1, "simulate_replicator": 1,
-                           "simulate_full": 1}
+                           "simulate_full": 1, "with_eps": 3}
 
 
 def test_simulate_builds_model_once(tmp_path, capsys, call_counts):

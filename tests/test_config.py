@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from straingrid import ConfigError, ConfigParseError
+from straingrid import ConfigError, ConfigParseError, FullModel
 from straingrid.config import (build_connectivity, build_model, collect_issues,
                                config_hash, initial_frequencies,
                                integrator_settings, load_config)
@@ -99,15 +99,26 @@ def test_build_model_roundtrip():
     assert np.all(model.pert.nu == 0)    # omitted arrays default to zero
 
 
-def test_built_model_holds_no_eps_level_arrays():
+def test_built_model_holds_no_eps_level_arrays(monkeypatch):
     """build_model checks the assembled (P, N, N) rates without keeping
-    them, and a reduction study builds them only on its own eps models."""
+    them, and after a reduction study neither the config's model nor any
+    of the study's eps models holds a (P, N, N) array."""
     doc = random_doc(2, 3, seed=4)
     model = build_model(doc)
-    eps_level = {"gamma_ij", "k_ij", "prob_first", "co_rate"}
-    assert not eps_level & set(model.__dict__)
+    eps_models = []
+    with_eps = FullModel.with_eps
+
+    def recorded(self, eps):
+        eps_models.append(with_eps(self, eps))
+        return eps_models[-1]
+    monkeypatch.setattr(FullModel, "with_eps", recorded)
+
+    def eps_level(m):
+        return [name for name, value in vars(m).items() if np.shape(value) == (2, 3, 3)]
+    assert not eps_level(model)
     reduction_error(model, initial_frequencies(doc, 2, 3), [0.1, 0.05], (0.0, 0.05))
-    assert not eps_level & set(model.__dict__)
+    assert len(eps_models) == 2
+    assert not eps_level(model) and not any(map(eps_level, eps_models))
 
 
 def test_build_model_peaks_near_its_trait_arrays():
@@ -293,6 +304,11 @@ def test_connectivity_issues_name_their_section_once(connectivity, message):
     ("scale", {"eps": 0.05, "d": "1"}, "scale.d must be a number, got '1'"),
     ("scale", {"eps": 0.05, "d": 10**400}, "scale.d is an integer beyond the float range"),
     ("integration", {"t_end": True}, "integration.t_end must be a number, got True"),
+    ("integration", {"initial_step": 0}, "initial_step and max_step must be positive"),
+    ("integration", {"max_step": 0, "initial_step": 0},
+     "initial_step and max_step must be positive"),
+    ("integration", {"initial_step": -1e-3}, "initial_step and max_step must be positive"),
+    ("integration", {"max_step": -1.0}, "initial_step and max_step must be positive"),
     ("strains", {"N": 2, "b": [[10**400, 0.0], [0.5, -0.5]]},
      "strains.b: int too large to convert to float"),
     ("strains", {"N": 2, "b": [[True, 0.0], [0.5, -0.5]]},
@@ -308,6 +324,7 @@ def test_connectivity_issues_name_their_section_once(connectivity, message):
         "2d-volumes", "weights-shape", "infinite-volume", "nan-volume", "infinite-weight",
         "overflowing-stencil", "overflowing-density", "overflowing-row-sums", "bool-eps",
         "string-eps", "bool-d", "string-d", "huge-integer-d", "bool-t_end",
+        "zero-initial_step", "zero-steps", "negative-initial_step", "negative-max_step",
         "huge-integer-trait", "bool-trait", "string-trait", "bool-z0", "string-z0",
         "bool-matrix"])
 def test_malformed_sections_are_issues(section, value, message):

@@ -2,6 +2,7 @@
 initialization, frequency extraction and simulation behavior."""
 
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 import straingrid.fullsim
 from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
-                        FullModel, IntegratorConfig, NumericalBlowup, StrainPerturbations,
-                        extract_frequencies, full_state, init_on_manifold,
+                        FullModel, IntegratorConfig, NumericalBlowup, StiffnessFailure,
+                        StrainPerturbations, extract_frequencies, full_state, init_on_manifold,
                         neutral_equilibrium, rhs_full, simulate_full,
                         transmissible_load)
 from straingrid.connectivity import renormalize_to_density, volume_matrix
@@ -64,9 +65,10 @@ def test_model_assembles_strain_rates(worked_patch):
                       connectivity=ONE_PATCH)
     assert np.allclose(model.beta_i, [[4.1, 3.95]])
     assert np.allclose(model.gamma_i, [[1.02, 1.0]])
-    assert np.allclose(model.gamma_ij, 1.03)
-    assert np.allclose(model.k_ij, 0.98)
-    assert np.allclose(model.prob_first, 0.51)
+    rates = ModelStack([model])
+    assert np.allclose(rates.gamma_ij, 1.03)
+    assert np.allclose(rates.co_rate, 0.98 * model.beta_i[:, :, None])     # k_ij beta_i
+    assert np.allclose(rates.prob_first, 0.51)
 
 
 def test_model_rejects_inadmissible_rates(worked_patch):
@@ -125,8 +127,9 @@ def test_admissibility_is_checked_per_patch_and_exactly(worked_patch, two_patch_
     arrays["w"][1, 0, 1] = -1.0    # prob_first = 0
     model = FullModel(*stacked(worked_patch, low_gamma), pert=StrainPerturbations(**arrays),
                       eps=0.5, d=0.0, connectivity=two_patch_conn)
-    assert model.gamma_ij.min() == 0.0 and model.k_ij.min() == 0.0
-    assert model.prob_first.min() == 0.0 and model.prob_first.max() == 1.0
+    rates = ModelStack([model])
+    assert rates.gamma_ij.min() == 0.0 and rates.co_rate.min() == 0.0     # k_ij = 0
+    assert rates.prob_first.min() == 0.0 and rates.prob_first.max() == 1.0
 
 
 def test_model_names_every_patch_with_inadmissible_rates(worked_patch):
@@ -251,13 +254,18 @@ def test_stacked_rhs_is_each_models_rhs_row_by_row():
 
 
 def test_rhs_constants_are_read_only_and_built_once(worked_patch):
+    """A ModelStack builds its members' eps-level rates once, read-only,
+    and no model keeps them, not even after rhs_full ran on it."""
     model = neutral_model([worked_patch], N=2, eps=0.1)
-    for name in ("prob_second", "co_rate", "loss_I", "loss_D"):
-        assert name not in model.__dict__          # built on first use
-        assert getattr(model, name) is getattr(model, name)
-        assert not getattr(model, name).flags.writeable
-    assert np.array_equal(model.co_rate, model.k_ij * model.beta_i[:, :, None])
-    assert np.array_equal(model.loss_D, model.r[:, None, None] + model.gamma_ij)
+    rhs_full(0.0, init_on_manifold(np.array([[0.3, 0.7]]), model.background), model)
+    assert not [name for name, value in vars(model).items() if np.ndim(value) == 3]
+    rates = ModelStack([model])
+    for name in ("prob_second", "co_rate", "loss"):
+        assert not getattr(rates, name).flags.writeable
+    k_ij = model.k[:, None, None] + model.eps * model.pert.alpha
+    assert np.array_equal(rates.co_rate[0], k_ij * model.beta_i[:, :, None])
+    loss_D = full_views(rates.loss[0], 1, 2)[2]
+    assert np.array_equal(loss_D, model.r[:, None, None] + rates.gamma_ij[0])
 
 
 def test_rhs_writes_into_a_strided_stage_row():
@@ -283,18 +291,18 @@ def test_rhs_writes_into_a_strided_stage_row():
 
 
 def test_rhs_into_out_allocates_nothing_of_the_states_size():
-    """With out and scratch given, a call at P = N = 40 peaks below one
-    (P, N, N) array (512 KB; about 92 KB measured, most of it numpy's own
-    buffer for a broadcast product, at most 8192 values)."""
+    """With out and scratch given, a call on a ModelStack at P = N = 40
+    peaks below one (P, N, N) array (512 KB; about 92 KB measured, most of
+    it numpy's own buffer for a broadcast product, at most 8192 values)."""
     rng = np.random.default_rng(29)
     P = N = 40
-    model = random_model(rng, P, N, eps=0.01)
-    y = random_state(rng, P, N)
+    stack = ModelStack([random_model(rng, P, N, eps=0.01)])
+    y = random_state(rng, P, N)[None]
     out, scratch = np.empty_like(y), np.empty_like(y)
-    rhs_full(0.0, y, model, out=out, scratch=scratch)      # builds the model's constants
+    rhs_full(0.0, y, stack, out=out, scratch=scratch)
     tracemalloc.start()
     try:
-        rhs_full(0.0, y, model, out=out, scratch=scratch)
+        rhs_full(0.0, y, stack, out=out, scratch=scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,9 +317,50 @@ def test_stacked_models_must_share_their_layout(worked_patch, second_patch):
     with pytest.raises(ConfigError, match="share"):
         ModelStack([two, replace(two, connectivity=ConnectivityMatrix(
             entries=np.array([[-2.0, 2.0], [1.0, -1.0]])))])
+    y0 = init_on_manifold(np.array([[0.3, 0.7]]), one.background)
     with pytest.raises(ConfigError, match="integrator settings"):
-        simulate_full([one, one], init_on_manifold(np.array([[0.3, 0.7]]), one.background),
-                      [IntegratorConfig()])
+        simulate_full([one, one], y0, [IntegratorConfig()])
+    assert simulate_full([], y0, []) == []
+
+
+def test_simulate_full_checks_every_model_before_the_first_run(worked_patch, monkeypatch):
+    """Under a budget that runs each model alone, a layout mismatch in the
+    last model, or settings past its step budget, still stop simulate_full
+    before any integration."""
+    def unused(*args, **kwargs):
+        raise AssertionError("integrated before every model was checked")
+    monkeypatch.setattr(straingrid.fullsim, "BATCH_VALUES", 1)
+    monkeypatch.setattr(straingrid.fullsim, "integrate", unused)
+    one = neutral_model([worked_patch], N=2)
+    y0 = init_on_manifold(np.array([[0.3, 0.7]]), one.background)
+    with pytest.raises(ConfigError, match="share"):
+        simulate_full([one, one, neutral_model([worked_patch], N=3)], y0,
+                      [IntegratorConfig()] * 3)
+    tiny_steps = IntegratorConfig(t_end=5.0, max_step=1e-12, initial_step=1e-12)
+    with pytest.raises(StiffnessFailure, match="budget"):
+        simulate_full([one] * 3, y0, [IntegratorConfig()] * 2 + [tiny_steps])
+
+
+@pytest.mark.parametrize("limit", [straingrid.fullsim.TABLE_MAX_TERMS, 0],
+                         ids=["table", "rhs_full"])
+def test_each_ensembles_rates_are_freed_before_the_next_is_built(monkeypatch, limit):
+    """Run one model at a time, an ensemble's stack (and with it its
+    rates, table and scratch) is gone when the next one is built, and so
+    is the last one when simulate_full returns."""
+    stacks = []
+
+    class Recorded(ModelStack):
+        def __init__(self, models):
+            assert all(ref() is None for ref in stacks)
+            super().__init__(models)
+            stacks.append(weakref.ref(self))
+    monkeypatch.setattr(straingrid.fullsim, "ModelStack", Recorded)
+    monkeypatch.setattr(straingrid.fullsim, "BATCH_VALUES", 1)
+    monkeypatch.setattr(straingrid.fullsim, "TABLE_MAX_TERMS", limit)
+    models, _ = table_case("3x3")
+    y0 = init_on_manifold(np.full((3, 3), 1 / 3), models[0].background)
+    assert len(simulate_full(models, y0, [IntegratorConfig(t_end=0.5)] * 3)) == 3
+    assert len(stacks) == 3 and all(ref() is None for ref in stacks)
 
 
 # ---------------------------------------------------------------- term table

@@ -1,7 +1,7 @@
 """Source hygiene: every package module uses each name it imports, every
-package function has a caller outside the tests, the package exports
-exactly what it imports, every name the benchmark's tracer hooks still
-exists, and the CLI writes files through one path."""
+package function and method has a caller outside the tests, the package
+exports exactly what it imports, every name the benchmark's tracer hooks
+still exists, and the CLI writes files through one path."""
 
 import ast
 import importlib.util
@@ -55,6 +55,32 @@ def test_every_package_function_has_a_caller():
     assert not uncalled, f"package functions only tests call: {uncalled}"
 
 
+def benchmark_hooks():
+    """(module, attribute) of every name perfbench/spans.py wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans, [(module, attribute)
+                   for module, attribute, _ in spans.CALL_SITES + spans.INTEGRATE_SITES]
+
+
+def test_every_package_method_has_a_caller():
+    """A method or property of a package class that neither package code
+    nor a demo names as an attribute serves only the tests. Python calls
+    the dunder methods, and a method the benchmark's tracer hooks by its
+    dotted path (Trajectory.at) must stay for the hook to resolve."""
+    named = {node.attr for path in [*SRC.glob("*.py"), *DEMOS]
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
+    hooked = {attribute for _, attribute in benchmark_hooks()[1]}
+    unnamed = [f"{path.name}:{cls.name}.{node.name}" for path in MODULES
+               for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("__") and node.name not in named
+               and f"{cls.name}.{node.name}" not in hooked]
+    assert not unnamed, f"package methods only tests call: {unnamed}"
+
+
 def test_package_exports_exactly_its_imports():
     """A name deleted from a module cannot linger in straingrid.__all__."""
     import straingrid
@@ -69,11 +95,7 @@ def test_package_exports_exactly_its_imports():
 def test_benchmark_hooks_resolve():
     """perfbench/spans.py wraps these module-level names; a refactor that
     drops one would leave the traced benchmark run silently incomplete."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    sites = [(module, attribute) for module, attribute, _ in spans.CALL_SITES + spans.INTEGRATE_SITES]
+    spans, sites = benchmark_hooks()
     missing = [f"{m}.{a}" for m, a in sites if spans._resolve(m, a) is None]
     assert sites and not missing, f"hooked names that no longer resolve: {missing}"
 

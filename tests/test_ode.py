@@ -24,6 +24,16 @@ def test_config_validation():
     assert IntegratorConfig().max_step == np.inf
 
 
+@pytest.mark.parametrize("steps", [{"initial_step": 0.0}, {"initial_step": -1e-3},
+                                   {"max_step": 0.0, "initial_step": 0.0},
+                                   {"max_step": -1.0, "initial_step": -2.0}])
+def test_steps_must_be_positive(steps):
+    """A zero first step would step in place up to MAX_STEPS, a zero
+    max_step divides t_end by 0, and a negative step underflows at t = 0."""
+    with pytest.raises(ConfigError, match="initial_step and max_step must be positive"):
+        IntegratorConfig(**steps)
+
+
 def test_zero_field_constant():
     cfg = IntegratorConfig(t_end=3.0, monitor_period=0.5)
     traj = integrate(lambda t, y: np.zeros_like(y), np.array([1.0, -2.0]), cfg)

@@ -305,24 +305,25 @@ def test_ensemble_members_equal_their_runs_alone(worked_patch, second_patch, two
 
 def test_long_eps_list_is_split_by_the_budget(worked_patch, second_patch, two_patch_conn,
                                               monkeypatch):
-    """Ten eps values run as one ensemble, in groups of four under a budget
-    of four states, or one at a time, and give the same errors."""
+    """Ten eps values run as one ensemble, in ensembles of four under a
+    budget of four states, or one at a time, and give the same errors."""
     model, z0 = worked_model(worked_patch, second_patch, two_patch_conn)
     eps_list = list(np.geomspace(0.2, 0.05, 10))
     groups = []
+    run = straingrid.fullsim.integrate
 
-    def recorded(models, *args, **kwargs):
-        groups.append([m.eps for m in models])
-        return simulate_full(models, *args, **kwargs)
-    monkeypatch.setattr(straingrid.validate, "simulate_full", recorded)
+    def recorded(rhs, y0, cfgs, **kwargs):
+        groups.append(list(cfgs))
+        return run(rhs, y0, cfgs, **kwargs)
+    monkeypatch.setattr(straingrid.fullsim, "integrate", recorded)
     dim = init_on_manifold(z0, model.background).size
-    default = straingrid.validate.BATCH_VALUES
+    default = straingrid.fullsim.BATCH_VALUES
     results = {}
     for budget in (default, 4 * dim, 1):
-        monkeypatch.setattr(straingrid.validate, "BATCH_VALUES", budget)
+        monkeypatch.setattr(straingrid.fullsim, "BATCH_VALUES", budget)
         groups.clear()
         results[budget] = convergence_study(model, z0, eps_list, (0.1, 0.5)).as_dict()
-        assert sum(groups, []) == eps_list
+        assert sum(groups, []) == [_validation_cfg(0.5 / eps) for eps in eps_list]
         results[budget, "sizes"] = [len(g) for g in groups]
     assert results[default, "sizes"] == [10]
     assert results[4 * dim, "sizes"] == [4, 4, 2]
