@@ -282,8 +282,8 @@ class _TermTable:
     of j_coef[b, t] * y[j_idx[t]] of its group. Terms are grouped by
     output in a fixed order, so a member's bits do not depend on the
     other members. A call is nine numpy calls into buffers of the run:
-    gathers (np.take with mode="clip", which writes straight into out;
-    "raise" buffers it), products and np.add.reduceat into out."""
+    gathers (ndarray.take with mode="clip", which writes straight into
+    out; "raise" buffers it), products and np.add.reduceat into out."""
 
     def __init__(self, stack):
         P, N, B = stack.n_patches, stack.n_strains, len(stack.r)
@@ -325,8 +325,8 @@ class _TermTable:
         self.starts = np.searchsorted(out[order], np.arange(dim))
         x = np.empty((B, ONE + 1))
         x[:, ONE] = 1.0
-        self.buffers = (x, np.empty(self.j_coef.shape), np.empty(self.coef.shape),
-                        np.empty(self.coef.shape))
+        self.buffers = (x[:, :dim], x[:, dim:-1], x, np.empty(self.j_coef.shape),
+                        np.empty(self.coef.shape), np.empty(self.coef.shape))
 
     def take(self, members) -> "_TermTable":
         """The table of the given members, in that order, on the first rows
@@ -337,16 +337,14 @@ class _TermTable:
         return sub
 
     def __call__(self, y, out):
-        """Write the derivatives of the states y (b, dim), one per member,
-        into out (b, dim)."""
-        x, gj, ga, gc = self.buffers
-        dim = y.shape[1]
-        x[:, :dim] = y
-        np.take(x, self.j_idx, axis=1, mode="clip", out=gj)
+        """Write the derivatives of the states y (b, dim), one per member, into out."""
+        x_y, x_J, x, gj, ga, gc = self.buffers
+        x_y[...] = y
+        x.take(self.j_idx, axis=1, mode="clip", out=gj)
         gj *= self.j_coef
-        np.add.reduceat(gj, self.j_starts, axis=1, out=x[:, dim:-1])
-        np.take(x, self.a, axis=1, mode="clip", out=ga)
-        np.take(x, self.c, axis=1, mode="clip", out=gc)
+        np.add.reduceat(gj, self.j_starts, axis=1, out=x_J)
+        x.take(self.a, axis=1, mode="clip", out=ga)
+        x.take(self.c, axis=1, mode="clip", out=gc)
         ga *= gc
         ga *= self.coef
         np.add.reduceat(ga, self.starts, axis=1, out=out)
@@ -401,15 +399,15 @@ def extract_frequencies(y: np.ndarray, background: Background) -> np.ndarray:
 def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory]:
     """Integrate the full system of each model from the flat state y0 under
     its IntegratorConfig in cfgs, with mass-defect (max_p |Sigma_p - 1|)
-    and min-entry monitors; `observe` goes to ode.integrate. The one
-    planner of full runs: it checks that the models share patches, strains
-    and connectivity, and every run's budgets (observe is called once
-    more for them), then runs consecutive models as one ensemble while
-    their stacked states hold at most BATCH_VALUES values, each from a
-    _TermTable when a member has at most TABLE_MAX_TERMS terms (9 numpy
-    calls per stage where rhs_full makes about 48), else by rhs_full. Both
-    gates read one member's size, so each Trajectory is bit-identical to
-    its run alone."""
+    and min-entry monitors, each per row of a stack; `observe` goes to
+    ode.integrate. The one planner of full runs: it checks that the models
+    share patches, strains and connectivity, and every run's budgets
+    (observe is called once more for them), then runs consecutive models
+    as one ensemble while their stacked states hold at most BATCH_VALUES
+    values, each from a _TermTable when a member has at most
+    TABLE_MAX_TERMS terms (9 numpy calls per stage where rhs_full makes
+    about 48), else by rhs_full. Both gates read one member's size, so
+    each Trajectory is bit-identical to its run alone."""
     if len(models) != len(cfgs):
         raise ConfigError(f"{len(models)} models with {len(cfgs)} integrator settings")
     if not models:
@@ -423,7 +421,7 @@ def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory
     check_budgets(cfgs, dim if observe is None else np.size(observe(0, y0)))
     terms = (4 * P + np.count_nonzero(models[0].connectivity.entries)) * L - 2 * P
     size = max(1, BATCH_VALUES // dim)
-    monitors = [partial(row_sum_defect, P=P), np.min]
+    monitors = [partial(row_sum_defect, P=P), lambda ys: ys.min(axis=1)]
     trajs = []
     for start in range(0, len(models), size):
         trajs += _run_ensemble(models[start:start + size], y0, cfgs[start:start + size],

@@ -1,7 +1,7 @@
 """Adaptive explicit ODE integration.
 
 Embedded Dormand-Prince 5(4) pair with PI step-size control. Monitors
-(scalar functionals of the state) are evaluated at every accepted step;
+(functionals of the state) are evaluated at every accepted step;
 the trajectory records states on a uniform sampling grid via linear
 interpolation between accepted steps (built in one reused buffer), or
 only observe(i, state) of sample i when the caller passes `observe`.
@@ -10,11 +10,12 @@ observables of the discrete flow.
 
 One loop integrates an ensemble of independent members, stacked on a
 leading axis: every stage makes one rhs call for all members, which
-writes the stage's derivatives straight into the stage array, and each
-member accepts or rejects its own step and leaves at its own t_end. A
-single run is the ensemble of one. A member's trajectory does not
-depend on the others: identical inputs always produce bit-identical
-trajectories, alone or in any ensemble.
+writes the stage's derivatives straight into the stage array, each
+member accepts or rejects its own step and leaves at its own t_end, and
+each monitor sees the stack of accepted rows once per step. A single
+run is the ensemble of one, whose monitors see one state. A member's
+trajectory does not depend on the others: identical inputs always
+produce bit-identical trajectories, alone or in any ensemble.
 """
 
 from __future__ import annotations
@@ -148,26 +149,26 @@ def _error_norms(K, h, y_old, y_new, rel_tol, abs_tol, err) -> np.ndarray:
     """Per member, the RMS of the error estimate h (_E K) over
     abs_tol + rel_tol * max(|y_old|, |y_new|), computed in the scratch
     array err and in K[:, 1]: stage 1 is spent once stage 6 is built
-    (_E and _B5 give it weight 0). Overflow gives inf, without a warning."""
+    (_E and _B5 give it weight 0). Overflow gives inf, silenced by integrate."""
     scale = K[:, 1]
     np.abs(y_old, out=scale)
     np.maximum(scale, np.abs(y_new, out=err), out=scale)
     scale *= rel_tol
     scale += abs_tol
-    with np.errstate(over="ignore"):
-        np.matmul(_E, K, out=err)
-        err *= h
-        err /= scale
-        np.square(err, out=err)
-        return np.sqrt(err.mean(axis=1))
+    np.matmul(_E, K, out=err)
+    err *= h
+    err /= scale
+    np.square(err, out=err)
+    # err.mean(axis=1), bit for bit, without its Python-level wrapper
+    return np.sqrt(np.add.reduce(err, axis=1) / err.shape[1])
 
 
-def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], float]] = (),
+def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
               observe: Callable[[int, np.ndarray], np.ndarray] | None = None):
     """Integrate y' = rhs(t, y) from t=0 to cfg.t_end.
 
     Local error per step is kept below abs_tol + rel_tol * |y|. Monitors
-    see the full state. With `observe`, row i of the sample table holds
+    see full states. With `observe`, row i of the sample table holds
     observe(i, state).ravel() of sample i's state instead of the state,
     and MAX_SAMPLE_VALUES counts that width, observe(0, y0).size (observe
     is called once more for it). Neither may keep the state it is given:
@@ -175,20 +176,24 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
     StiffnessFailure on step underflow, past MAX_STEPS attempted steps or
     when the error estimate of finite stages overflows,
     NumericalBlowup on non-finite right-hand sides, and ConfigError when
-    the sample table would exceed MAX_SAMPLE_VALUES.
+    the sample table would exceed MAX_SAMPLE_VALUES. One np.errstate
+    silences overflow and invalid values from the first rhs call on.
 
     A 1-d y0 with one IntegratorConfig is one run: rhs(t, y) takes a
-    float and a 1-d state, and a Trajectory is returned. A stacked y0
-    (B, dim) with a sequence of B configs is an ensemble of B independent
-    members, returned as B Trajectories. Each member has its own clock,
-    step size, step control, budgets and sample table, and its
-    trajectory is bit-identical to its run alone; all members share
-    each stage's call rhs(t, y, members, out), with t (b,) and y (b, dim)
-    holding the rows of the b members still short of their t_end,
-    members the tuple of their indices, and out (b, dim) the stage's row
-    of the stage array, whose rows are contiguous but not adjacent: rhs
-    writes the derivatives into it (its return value is ignored). A
-    single run is the ensemble B = 1.
+    float and a 1-d state, each monitor maps one state to a float, and a
+    Trajectory is returned. A stacked y0 (B, dim) with a sequence of B
+    configs is an ensemble of B independent members, returned as B
+    Trajectories. Each member has its own clock, step size, step
+    control, budgets and sample table, and its trajectory is
+    bit-identical to its run alone; all members share each stage's call
+    rhs(t, y, members, out), with t (b,) and y (b, dim) holding the rows
+    of the b members still short of their t_end, members the tuple of
+    their indices, and out (b, dim) the stage's row of the stage array,
+    whose rows are contiguous but not adjacent: rhs writes the
+    derivatives into it (its return value is ignored). Each monitor maps
+    a stack of states (k, dim) to k values: it is called once per step,
+    on the rows of the members that accepted it, and once per sample, on
+    its (1, dim) row. A single run is the ensemble B = 1.
     """
     # C order: a member's bits must not depend on the layout of y0.
     Y = np.array(y0, dtype=float, order="C")
@@ -198,6 +203,7 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
 
         def rhs(t, y, members, out):
             out[0] = one_rhs(float(t[0]), y[0])
+        monitors = [lambda ys, mon=mon: (mon(ys[0]),) for mon in monitors]
     else:
         cfgs = list(cfg)
     if Y.ndim != 2 or Y.shape[0] != len(cfgs):
@@ -211,110 +217,116 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable[[np.ndarray], 
     def record(m, idx, state):
         m.states[idx] = state if observe is None else np.ravel(observe(idx, state))
         for j, mon in enumerate(monitors):
-            m.diagnostics[idx, j] = mon(state)
+            m.diagnostics[idx, j] = mon(state[None])[0]
 
-    def eval_monitors(m, state):
+    def eval_monitors(ms, rows):
         for j, mon in enumerate(monitors):
-            m.monitor_max[j] = max(m.monitor_max[j], abs(mon(state)))
+            for m, value in zip(ms, mon(rows)):
+                m.monitor_max[j] = max(m.monitor_max[j], abs(value))
 
     ensemble = [_Member(b, cfg, width, len(monitors)) for b, cfg in enumerate(cfgs)]
-    for m, y in zip(ensemble, Y):
-        record(m, 0, y)
-        eval_monitors(m, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, y in zip(ensemble, Y):
+            record(m, 0, y)
+        eval_monitors(ensemble, Y)
 
-    # Row i of every array below belongs to runs[i], the members still
-    # short of their t_end; a member that reaches it leaves them all.
-    runs = ensemble
-    members = tuple(range(len(runs)))
-    rel_tol = np.array([[cfg.rel_tol] for cfg in cfgs])
-    abs_tol = np.array([[cfg.abs_tol] for cfg in cfgs])
-    K = np.empty((len(runs), 7, Y.shape[1]))
-    rhs(np.zeros(len(runs)), Y, members, K[:, 0])
-    if not np.all(np.isfinite(K[:, 0])):
-        raise NumericalBlowup("non-finite right-hand side at t=0.0")
-    # Every stage argument is built in Y_new; the last one is the step's
-    # solution y + h _B5 K. err is the error norm's scratch, and between
-    # holds each interpolated sample.
-    Y_new, err, between = np.empty_like(Y), np.empty_like(Y), np.empty(Y.shape[1])
+        # Row i of every array below belongs to runs[i], the members still
+        # short of their t_end; a member that reaches it leaves them all.
+        runs = ensemble
+        members = tuple(range(len(runs)))
+        rel_tol = np.array([[cfg.rel_tol] for cfg in cfgs])
+        abs_tol = np.array([[cfg.abs_tol] for cfg in cfgs])
+        K = np.empty((len(runs), 7, Y.shape[1]))
+        rhs(np.zeros(len(runs)), Y, members, K[:, 0])
+        if not np.all(np.isfinite(K[:, 0])):
+            raise NumericalBlowup("non-finite right-hand side at t=0.0")
+        # Stage s's argument is built in Y_new from the views K[:, :s] and
+        # K[:, s] in stages, remade only with K (a view costs about a tenth of
+        # a small product); the last one is the step's solution y + h _B5 K.
+        # err is the error norm's scratch, and between holds each sample.
+        stages = [(K[:, :s], K[:, s]) for s in range(1, 7)]
+        Y_new, err, between = np.empty_like(Y), np.empty_like(Y), np.empty(Y.shape[1])
 
-    while runs:
-        for m in runs:
-            m.h = min(m.h, m.cfg.t_end - m.t)
-            m.steps += 1
-            if m.steps > MAX_STEPS:
-                raise StiffnessFailure(f"step budget of {MAX_STEPS} steps exhausted at t={m.t}")
-        h = np.array([[m.h] for m in runs])
-        t_stages = np.array([[m.t] for m in runs]) + h * _C
+        while runs:
+            for m in runs:
+                m.h = min(m.h, m.cfg.t_end - m.t)
+                m.steps += 1
+                if m.steps > MAX_STEPS:
+                    raise StiffnessFailure(f"step budget of {MAX_STEPS} steps exhausted at "
+                                           f"t={m.t}")
+            h = np.array([[m.h] for m in runs])
+            t_stages = np.array([m.t for m in runs]) + _C[:, None] * h[:, 0]
 
-        for s in range(1, 7):
-            # Stage 1 is one product: as a matmul over one stage it costs
-            # about six times as much at large dim, for the same bits.
-            if s == 1:
-                np.multiply(K[:, 0], _A[1][0], out=Y_new)
-            else:
-                np.matmul(_A[s], K[:, :s], out=Y_new)
-            Y_new *= h
-            Y_new += Y
-            rhs(t_stages[:, s], Y_new, members, K[:, s])
+            for s, (earlier, row) in enumerate(stages, 1):
+                # Stage 1 is one product: as a matmul over one stage it costs
+                # about six times as much at large dim, for the same bits.
+                if s == 1:
+                    np.multiply(earlier[:, 0], _A[1][0], out=Y_new)
+                else:
+                    np.matmul(_A[s], earlier, out=Y_new)
+                Y_new *= h
+                Y_new += Y
+                rhs(t_stages[s], Y_new, members, row)
 
-        norms = _error_norms(K, h, Y, Y_new, rel_tol, abs_tol, err)
-        accepted = []
-        for i, m in enumerate(runs):
-            norm = float(norms[i])
-            # A non-finite stage reaches the error estimate (every later
-            # stage and y_new depend on it), so K is scanned only to tell
-            # it from an estimate that overflowed on finite stages.
-            if not math.isfinite(norm):
-                if not np.isfinite(K[i]).all():
-                    raise NumericalBlowup(f"non-finite right-hand side at t={m.t}")
-                raise StiffnessFailure(
-                    f"error estimate overflowed at t={m.t}: rel_tol={m.cfg.rel_tol:g} and "
-                    f"abs_tol={m.cfg.abs_tol:g} are too small")
-            t_end = m.cfg.t_end
-            if norm <= 1.0:
-                # A step clipped to t_end ends there: t + (t_end - t) can
-                # round an ulp short, which would leave a step of ~1e-17.
-                t_new = t_end if m.h == t_end - m.t else m.t + m.h
-                y, y_new = Y[i], Y_new[i]
-                # interpolate any samples inside (t, t_new]
-                while m.next_sample < m.times.size \
-                        and m.times[m.next_sample] <= t_new + 1e-15 * t_end:
-                    ts = min(m.times[m.next_sample], t_new)
-                    frac = (ts - m.t) / m.h
-                    # y + frac * (y_new - y), bit for bit
-                    np.subtract(y_new, y, out=between)
-                    between *= frac
-                    between += y
-                    record(m, m.next_sample, between)
-                    m.next_sample += 1
-                m.t = t_new
-                eval_monitors(m, y_new)
-                accepted.append(i)
-                factor = _SAFETY * (norm ** -_PI_ALPHA if norm > 0 else _MAX_FACTOR) \
-                    * (m.err_prev ** _PI_BETA)
-                m.err_prev = max(norm, 1e-10)
-            else:
-                factor = max(_MIN_FACTOR, _SAFETY * norm ** (-1.0 / _ORDER))
-            m.h = min(m.cfg.max_step, m.h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)))
-            # Only a step shrunk after a rejection meets the floor: a
-            # configured first step may lie below it when t_end is large.
-            if norm > 1.0 and m.h < 1e-14 * t_end:
-                raise StiffnessFailure(f"step size underflow at t={m.t} (h={m.h})")
+            norms = _error_norms(K, h, Y, Y_new, rel_tol, abs_tol, err)
+            accepted = []
+            for i, m in enumerate(runs):
+                norm = float(norms[i])
+                # A non-finite stage reaches the error estimate (every later
+                # stage and y_new depend on it), so K is scanned only to tell
+                # it from an estimate that overflowed on finite stages.
+                if not math.isfinite(norm):
+                    if not np.isfinite(K[i]).all():
+                        raise NumericalBlowup(f"non-finite right-hand side at t={m.t}")
+                    raise StiffnessFailure(
+                        f"error estimate overflowed at t={m.t}: rel_tol={m.cfg.rel_tol:g} and "
+                        f"abs_tol={m.cfg.abs_tol:g} are too small")
+                t_end = m.cfg.t_end
+                if norm <= 1.0:
+                    # A step clipped to t_end ends there: t + (t_end - t) can
+                    # round an ulp short, which would leave a step of ~1e-17.
+                    t_new = t_end if m.h == t_end - m.t else m.t + m.h
+                    y, y_new = Y[i], Y_new[i]
+                    # interpolate any samples inside (t, t_new]
+                    while m.next_sample < m.times.size \
+                            and m.times[m.next_sample] <= t_new + 1e-15 * t_end:
+                        ts = min(m.times[m.next_sample], t_new)
+                        frac = (ts - m.t) / m.h
+                        # y + frac * (y_new - y), bit for bit
+                        np.subtract(y_new, y, out=between)
+                        between *= frac
+                        between += y
+                        record(m, m.next_sample, between)
+                        m.next_sample += 1
+                    m.t = t_new
+                    accepted.append(i)
+                    factor = _SAFETY * (norm ** -_PI_ALPHA if norm > 0 else _MAX_FACTOR) \
+                        * (m.err_prev ** _PI_BETA)
+                    m.err_prev = max(norm, 1e-10)
+                else:
+                    factor = max(_MIN_FACTOR, _SAFETY * norm ** (-1.0 / _ORDER))
+                m.h = min(m.cfg.max_step, m.h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)))
+                # Only a step shrunk after a rejection meets the floor: a
+                # configured first step may lie below it when t_end is large.
+                if norm > 1.0 and m.h < 1e-14 * t_end:
+                    raise StiffnessFailure(f"step size underflow at t={m.t} (h={m.h})")
 
-        if len(accepted) == len(runs):
-            Y, Y_new = Y_new, Y
-            K[:, 0] = K[:, 6]  # FSAL
-        elif accepted:
-            Y[accepted] = Y_new[accepted]
-            K[accepted, 0] = K[accepted, 6]
+            if len(accepted) == len(runs):
+                Y, Y_new = Y_new, Y
+                K[:, 0] = K[:, 6]  # FSAL
+                eval_monitors(runs, Y)
+            elif accepted:
+                Y[accepted] = rows = Y_new[accepted]
+                K[accepted, 0] = K[accepted, 6]
+                eval_monitors([runs[i] for i in accepted], rows)
 
-        keep = [i for i, m in enumerate(runs) if m.t < m.cfg.t_end]
-        if len(keep) < len(runs):
-            runs = [runs[i] for i in keep]
-            members = tuple(m.index for m in runs)
-            Y, K, rel_tol, abs_tol = Y[keep], K[keep], rel_tol[keep], abs_tol[keep]
-            Y_new, err = np.empty_like(Y), np.empty_like(Y)
+            keep = [i for i, m in enumerate(runs) if m.t < m.cfg.t_end]
+            if len(keep) < len(runs):
+                runs = [runs[i] for i in keep]
+                members = tuple(m.index for m in runs)
+                Y, K, rel_tol, abs_tol = Y[keep], K[keep], rel_tol[keep], abs_tol[keep]
+                stages = [(K[:, :s], K[:, s]) for s in range(1, 7)]
+                Y_new, err = np.empty_like(Y), np.empty_like(Y)
 
-    trajs = [Trajectory(times=m.times, states=m.states, diagnostics=m.diagnostics,
-                        monitor_max=m.monitor_max) for m in ensemble]
+    trajs = [Trajectory(m.times, m.states, m.diagnostics, m.monitor_max) for m in ensemble]
     return trajs[0] if single else trajs

@@ -154,10 +154,10 @@ def full_views(y: np.ndarray, P: int, N: int) -> tuple[np.ndarray, np.ndarray, n
     return Y[..., 0], Y[..., 1:1 + N], Y[..., 1 + N:].reshape(*Y.shape[:-1], N, N)
 
 
-def row_sum_defect(y: np.ndarray, P: int) -> float:
-    """max_p |sum of row p - 1| of a flat state: the full system's mass
-    defect and the replicator's simplex defect."""
-    return float(np.max(np.abs(y.reshape(P, -1).sum(axis=1) - 1.0)))
+def row_sum_defect(y: np.ndarray, P: int):
+    """max_p |sum of row p - 1| of a flat state (dim,), or per row of a stack
+    (k, dim): the full system's mass defect and the replicator's simplex defect."""
+    return np.abs(y.reshape(*y.shape[:-1], P, -1).sum(axis=-1) - 1.0).max(axis=-1)
 
 
 def require_simplex(z) -> np.ndarray:
@@ -167,6 +167,6 @@ def require_simplex(z) -> np.ndarray:
     if z.ndim != 2:
         raise ConfigError(f"z must be 2-d (patch, strain), got shape {z.shape}")
     if not (z.min() >= -SIMPLEX_TOL and z.max() <= 1.0 + SIMPLEX_TOL
-            and row_sum_defect(z, z.shape[0]) <= SIMPLEX_TOL):
+            and row_sum_defect(z.ravel(), len(z)) <= SIMPLEX_TOL):
         raise ConfigError("initial frequencies are off the simplex product")
     return z

@@ -620,6 +620,25 @@ def test_overflowing_error_estimate_exits_1(tmp_path, capsys):
             "are too small\n")
 
 
+@pytest.mark.parametrize("dotted", ["patches.0.k", "patches.0.beta", "strains.b.0.1", "scale.d"])
+def test_huge_rates_fail_at_t0_without_a_numpy_warning(tmp_path, capsys, dotted):
+    """validate accepts 1e300 in a rate or a scale; the runs of simulate
+    --mode full and compare then turn non-finite at t=0, which exits 1
+    with the typed message and no numpy warning."""
+    cfg = write_config(tmp_path, with_value(dotted, 1e300))
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    for argv in (["simulate", cfg, "--mode", "full", "--out", str(tmp_path / "sim")],
+                 ["compare", cfg, "--eps", "0.05,0.025,0.0125", "--tau-end", "1",
+                  "--out", str(tmp_path / "cmp")]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert err == "error: non-finite right-hand side at t=0.0\n" and "Warning" not in err
+
+
 def test_first_step_below_the_underflow_floor_runs(tmp_path, capsys):
     """At t_end = 1e11 the floor 1e-14 t_end lies above the default first
     step of 1e-4; only a step shrunk after a rejection is held to it."""

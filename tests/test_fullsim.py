@@ -16,7 +16,7 @@ from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
                         transmissible_load)
 from straingrid.connectivity import renormalize_to_density, volume_matrix
 from straingrid.fullsim import ModelStack, _TermTable
-from straingrid.types import full_views
+from straingrid.types import full_views, row_sum_defect
 
 from conftest import random_supercritical_patch, stacked
 from oracles import manifold_state
@@ -456,8 +456,6 @@ def test_simulate_full_takes_the_table_up_to_its_gate(monkeypatch):
         assert np.allclose(table.states, reference.states, rtol=0, atol=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_table_path_surfaces_a_non_finite_rhs(monkeypatch):
     """A state whose products overflow gives a non-finite table rhs, which
     still raises NumericalBlowup."""
@@ -617,6 +615,26 @@ def test_mass_and_negativity_monitors(worked_patch, second_patch,
     assert traj.monitor_max[0] < 100 * (1e-10 + 1e-12)   # mass defect
     # min entry stays essentially nonnegative
     assert float(np.min(traj.states)) > -10 * (1e-10 + 1e-12)
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_stacked_monitors_are_the_scalar_ones_row_by_row(monkeypatch, P):
+    """simulate_full's monitors map a stack (k, dim) to k values, each the
+    bits of row_sum_defect(y, P) and np.min(y) of its row."""
+    rng = np.random.default_rng(P)
+    handed = []
+
+    def spy(rhs, y0, cfgs, monitors, observe):
+        handed.append(monitors)
+        return [None] * len(cfgs)
+    monkeypatch.setattr(straingrid.fullsim, "integrate", spy)
+    simulate_full([random_model(rng, P, 2, 0.05)], random_state(rng, P, 2), [IntegratorConfig()])
+    mass, least = handed[0]
+    for B in (1, 2, 3):
+        ys = rng.uniform(-0.5, 1.5, size=(B, 7 * P))
+        assert np.array_equal(mass(ys), [row_sum_defect(y, P) for y in ys])
+        assert np.array_equal(least(ys), [np.min(y) for y in ys])
+        assert mass(ys).shape == least(ys).shape == (B,)
 
 
 def test_model_parts_sized_for_another_patch_count(worked_patch, second_patch):

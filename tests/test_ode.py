@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import straingrid.ode
+from straingrid.ode import _E, _error_norms
 from straingrid import (ConfigError, IntegratorConfig, NumericalBlowup,
                         StiffnessFailure, StrainGridError, integrate)
 
@@ -127,6 +128,47 @@ def test_blowup_surfaced():
         integrate(lambda t, y: np.array([np.nan]), np.array([1.0]), cfg)
 
 
+def test_integrate_keeps_one_error_state_and_restores_it():
+    """One np.errstate covers the run from the t=0 rhs call on, and the
+    caller's error state is back when integrate returns or raises."""
+    before, inside = np.geterr(), []
+
+    def rhs(t, y):
+        inside.append(np.geterr())
+        return -y
+    cfg = IntegratorConfig(t_end=1.0, monitor_period=0.5, initial_step=1e-3)
+    integrate(rhs, np.array([1.0]), cfg)
+    assert np.geterr() == before
+    assert all(state == {**before, "over": "ignore", "invalid": "ignore"} for state in inside)
+    with pytest.raises(NumericalBlowup):
+        integrate(lambda t, y: np.array([np.nan]), np.array([1.0]), cfg)
+    assert np.geterr() == before
+    with pytest.raises(StiffnessFailure):
+        integrate(lambda t, y: -1e16 * y, np.array([1.0]),
+                  IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, initial_step=1e-3))
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("B, dim", [(1, 1), (3, 39), (2, 1000)])
+def test_error_norm_is_the_mean_form_bit_for_bit(B, dim):
+    """_error_norms reduces with np.add.reduce / n, which are the bits of
+    err.mean(axis=1) on the same scratch."""
+    rng = np.random.default_rng(B * dim)
+    K = rng.normal(size=(B, 7, dim)) * 10.0 ** rng.integers(-6, 6, size=(B, 7, dim))
+    y_old, y_new = rng.normal(size=(2, B, dim))
+    h = rng.uniform(1e-6, 1e-1, size=(B, 1))
+    rel_tol, abs_tol = np.full((B, 1), 1e-8), np.full((B, 1), 1e-10)
+    got = _error_norms(K.copy(), h, y_old, y_new, rel_tol, abs_tol, np.empty((B, dim)))
+    # the same steps, ending in err.mean(axis=1); stage 1 holds the scale
+    K[:, 1] = np.maximum(np.abs(y_old), np.abs(y_new))
+    K[:, 1] *= rel_tol
+    K[:, 1] += abs_tol
+    err = np.matmul(_E, K)
+    err *= h
+    err /= K[:, 1]
+    assert np.array_equal(got, np.sqrt(np.square(err).mean(axis=1)))
+
+
 def test_nonfinite_initial_state_rejected():
     cfg = IntegratorConfig(t_end=1.0, monitor_period=1.0)
     with pytest.raises(ConfigError):
@@ -202,7 +244,6 @@ def test_observed_table_holds_the_observable_of_each_sample(monkeypatch):
         integrate(lambda t, y: -y, y0, cfg)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("stage", range(1, 7))
 def test_non_finite_stage_stops_its_step(bad, stage):
@@ -261,7 +302,7 @@ def test_members_leave_the_ensemble_at_their_own_t_end():
         assert t.shape == (len(members),) and y.shape == out.shape == (len(members), 2)
         seen.append(members)
         out[...] = rotation(t, y, members)
-    trajs = integrate(rhs, y0, cfgs, monitors=[lambda y: float(y[0])])
+    trajs = integrate(rhs, y0, cfgs, monitors=[lambda ys: ys[:, 0]])  # a stacked monitor
     for b, (traj, cfg) in enumerate(zip(trajs, cfgs)):
         assert traj.times[-1] == cfg.t_end and traj.times.size == 21
         solo = alone(y0[b], cfg, b)
@@ -280,7 +321,6 @@ def test_ensemble_checks_its_inputs():
         integrate(rotation, np.array([[1.0, 0.0], [np.nan, 0.0]]), [cfg, cfg])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_failing_member_stops_the_ensemble_with_a_typed_error(monkeypatch):
     """A member whose rhs turns non-finite, or that runs out of steps,
     raises a StrainGridError out of the ensemble."""
@@ -303,3 +343,25 @@ def test_a_failing_member_stops_the_ensemble_with_a_typed_error(monkeypatch):
     monkeypatch.setattr(straingrid.ode, "MAX_STEPS", attempts - 1)
     with pytest.raises(StrainGridError, match="step budget"):
         integrate(counted, np.ones((2, 2)), cfgs)
+
+
+def test_ensemble_monitors_see_stacks_once_per_step():
+    """In an ensemble a monitor maps a stack (k, dim) to k values: it runs
+    once per step on the accepted rows and once per sample on its row,
+    never once per member and step."""
+    cfgs = [IntegratorConfig(t_end=t_end, monitor_period=t_end / 4) for t_end in (1, 2, 4)]
+    calls, stacks = [], []
+
+    def rhs(t, y, members, out):
+        calls.append(members)
+        out[...] = rotation(t, y, members)
+
+    def monitor(ys):
+        stacks.append(ys.shape)
+        return ys[:, 0]
+    trajs = integrate(rhs, np.ones((3, 2)), cfgs, monitors=[monitor])
+    steps = (len(calls) - 1) // 6
+    samples = sum(traj.times.size for traj in trajs)
+    assert len(stacks) <= 1 + steps + samples
+    assert {(3, 2), (2, 2), (1, 2)} <= set(stacks)
+    assert all(np.array_equal(traj.diagnostics[:, 0], traj.states[:, 0]) for traj in trajs)
