@@ -20,8 +20,8 @@ only the (P, N) ones: each ModelStack builds the (P, N, N) rates it runs.
 Extraction is two maps, each taking a whole stack in one call:
 slow_observables projects flat states (..., dim) on the rows (S_p, u_p)
 (..., P, 1+N), and observed_frequencies renormalizes u_p to frequencies
-(..., P, N). A run can record, per sample, only what observe(i, state)
-makes of it (simulate_full(..., observe=...)).
+(..., P, N). A run can record, per block of consecutive samples, only
+what observe(first, states) makes of it (simulate_full(..., observe=...)).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ConfigError, ExtinctPatch
-from .ode import Trajectory, check_budgets, integrate
+from .ode import BATCH_VALUES, Trajectory, check_budgets, integrate
 # Re-exported, not used here: perfbench's self-tests reach it through this module.
 from .ode import IntegratorConfig as IntegratorConfig
 from .reduction import Background, build_background
@@ -53,11 +53,6 @@ EXTINCTION_THRESHOLD = 1e-300
 # up to 1,527 terms (3x8) and broke even or lost at B = 6 from 1,816
 # terms (4x7) on.
 TABLE_MAX_TERMS = 1600
-
-# Values in the stacked states of one ensemble of full runs (B * dim).
-# Stacking pays while the per-call overhead of the rhs dominates, which
-# ends between P = N = 10 (dim 1,110) and P = N = 20 (dim 8,420).
-BATCH_VALUES = 4096
 
 
 @dataclass(frozen=True, eq=False)     # array fields: compared by identity
@@ -373,7 +368,7 @@ def slow_observables(y: np.ndarray, background: Background) -> np.ndarray:
     S, I, D = full_views(y, P, N)
     out = np.empty(S.shape + (1 + N,))
     out[..., 0] = S
-    Dsym = 0.5 * (D.sum(axis=-1) + D.sum(axis=-2))
+    Dsym = 0.5 * (np.add.reduce(D, axis=-1) + np.add.reduce(D, axis=-2))
     out[..., 1:] = background.phi[:, None] * I + background.psi[:, None] * Dsym
     return out
 
@@ -384,7 +379,7 @@ def observed_frequencies(obs: np.ndarray) -> np.ndarray:
     Each u_p is renormalized to the simplex, so the result is a valid
     frequency state even off the attractor."""
     u = obs[..., 1:]
-    total = u.sum(axis=-1)
+    total = np.add.reduce(u, axis=-1)
     if (total < EXTINCTION_THRESHOLD).any():
         dead = int(np.argmin(total)) % total.shape[-1]
         raise ExtinctPatch(f"no strain mass left in patch {dead}")
@@ -399,12 +394,12 @@ def extract_frequencies(y: np.ndarray, background: Background) -> np.ndarray:
 def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory]:
     """Integrate the full system of each model from the flat state y0 under
     its IntegratorConfig in cfgs, with mass-defect (max_p |Sigma_p - 1|)
-    and min-entry monitors, each per row of a stack; `observe` goes to
-    ode.integrate. The one planner of full runs: it checks that the models
-    share patches, strains and connectivity, and every run's budgets
-    (observe is called once more for them), then runs consecutive models
-    as one ensemble while their stacked states hold at most BATCH_VALUES
-    values, each from a _TermTable when a member has at most
+    and min-entry monitors of stacks; `observe` goes to ode.integrate. The
+    one planner of full runs: it checks that the models share patches,
+    strains and connectivity, and every run's budgets (observe is called
+    once more for them), then runs consecutive models as one ensemble
+    while their stacked states hold at most BATCH_VALUES values (ode's
+    block budget), each from a _TermTable when a member has at most
     TABLE_MAX_TERMS terms (9 numpy calls per stage where rhs_full makes
     about 48), else by rhs_full. Both gates read one member's size, so
     each Trajectory is bit-identical to its run alone."""
@@ -418,10 +413,10 @@ def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory
     dim = P * L
     if np.shape(y0) != (dim,):
         raise ConfigError(f"y0 has shape {np.shape(y0)}, the model expects {(dim,)}")
-    check_budgets(cfgs, dim if observe is None else np.size(observe(0, y0)))
+    check_budgets(cfgs, dim if observe is None else np.size(observe(0, y0[None])))
     terms = (4 * P + np.count_nonzero(models[0].connectivity.entries)) * L - 2 * P
     size = max(1, BATCH_VALUES // dim)
-    monitors = [partial(row_sum_defect, P=P), lambda ys: ys.min(axis=1)]
+    monitors = [partial(row_sum_defect, P=P), partial(np.minimum.reduce, axis=-1)]
     trajs = []
     for start in range(0, len(models), size):
         trajs += _run_ensemble(models[start:start + size], y0, cfgs[start:start + size],

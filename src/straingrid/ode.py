@@ -3,18 +3,17 @@
 Embedded Dormand-Prince 5(4) pair with PI step-size control. Monitors
 (functionals of the state) are evaluated at every accepted step;
 the trajectory records states on a uniform sampling grid via linear
-interpolation between accepted steps (built in one reused buffer), or
-only observe(i, state) of sample i when the caller passes `observe`.
-Conservation defects are measured, never corrected: they are
-observables of the discrete flow.
+interpolation between accepted steps, or only what the caller's
+`observe` makes of them. Conservation defects are measured, never
+corrected: they are observables of the discrete flow.
 
 One loop integrates an ensemble of independent members, stacked on a
 leading axis: every stage makes one rhs call for all members, which
-writes the stage's derivatives straight into the stage array, each
-member accepts or rejects its own step and leaves at its own t_end, and
-each monitor sees the stack of accepted rows once per step. A single
-run is the ensemble of one, whose monitors see one state. A member's
-trajectory does not depend on the others: identical inputs always
+writes the stage's derivatives straight into the stage array, and each
+member accepts or rejects its own step and leaves at its own t_end.
+observe and each monitor see a stack of samples or accepted rows once
+per block of at most BATCH_VALUES values. A member's trajectory depends
+neither on the others nor on the block size: identical inputs always
 produce bit-identical trajectories, alone or in any ensemble.
 """
 
@@ -57,6 +56,11 @@ _MAX_FACTOR = 10.0
 MAX_STEPS = 10**6
 MAX_SAMPLE_VALUES = 2**27
 
+# Values in a block of samples or monitored rows and in the stacked states
+# of an ensemble of full runs. Stacking pays while the per-call overhead of
+# the rhs dominates: up to between dim 1,110 (10x10) and 8,420 (20x20).
+BATCH_VALUES = 4096
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -88,10 +92,9 @@ class Trajectory:
     """Sampled solution with per-sample monitor values.
 
     times: sampling grid (strictly increasing, ends at t_end).
-    states: one row per sample: the state, or observe(i, state) of
-        sample i, flattened, when integrate was given an observable.
+    states: one row per sample: the state, or its row of observe's.
     diagnostics: (n_samples, n_monitors) monitor values at the samples.
-    monitor_max: max |monitor| over all *accepted* steps, per monitor.
+    monitor_max: max |monitor| over y0 and all *accepted* steps, per monitor.
     """
 
     times: np.ndarray
@@ -129,20 +132,19 @@ def check_budgets(cfgs, width):
 
 
 class _Member:
-    """One member of an ensemble: its settings, clock, step control and
-    sample table."""
+    """One member of an ensemble: its settings, clock, step control, sample
+    table, and block of the samples start, ..., next_sample - 1."""
 
     __slots__ = ("index", "cfg", "t", "h", "err_prev", "steps", "times", "next_sample",
-                 "states", "diagnostics", "monitor_max")
+                 "start", "block", "states", "diagnostics")
 
-    def __init__(self, index, cfg, width, n_mon):
-        self.index, self.cfg = index, cfg
-        self.t, self.err_prev, self.steps, self.next_sample = 0.0, 1.0, 0, 1
+    def __init__(self, index, cfg, width, n_mon, block):
+        self.index, self.cfg, self.block = index, cfg, np.empty(block)
+        self.t, self.err_prev, self.steps, self.next_sample, self.start = 0.0, 1.0, 0, 0, 0
         self.h = min(cfg.initial_step, cfg.max_step, cfg.t_end)
         self.times = sample_times(cfg)
         self.states = np.empty((self.times.size, width))
         self.diagnostics = np.empty((self.times.size, n_mon))
-        self.monitor_max = np.zeros(n_mon)
 
 
 def _error_norms(K, h, y_old, y_new, rel_tol, abs_tol, err) -> np.ndarray:
@@ -168,11 +170,11 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
     """Integrate y' = rhs(t, y) from t=0 to cfg.t_end.
 
     Local error per step is kept below abs_tol + rel_tol * |y|. Monitors
-    see full states. With `observe`, row i of the sample table holds
-    observe(i, state).ravel() of sample i's state instead of the state,
-    and MAX_SAMPLE_VALUES counts that width, observe(0, y0).size (observe
-    is called once more for it). Neither may keep the state it is given:
-    interpolated samples share one buffer. Raises
+    see full states. With `observe`, the sample table holds the k rows
+    observe(first, states) makes of each block of k samples first, ...
+    (k, dim) instead of the states, and MAX_SAMPLE_VALUES counts their
+    width, observe(0, y0[None]).size (observe is called once more for
+    it). Neither may keep the states it is given. Raises
     StiffnessFailure on step underflow, past MAX_STEPS attempted steps or
     when the error estimate of finite stages overflows,
     NumericalBlowup on non-finite right-hand sides, and ConfigError when
@@ -191,9 +193,12 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
     their indices, and out (b, dim) the stage's row of the stage array,
     whose rows are contiguous but not adjacent: rhs writes the
     derivatives into it (its return value is ignored). Each monitor maps
-    a stack of states (k, dim) to k values: it is called once per step,
-    on the rows of the members that accepted it, and once per sample, on
-    its (1, dim) row. A single run is the ensemble B = 1.
+    a stack of states (k, dim) to k values. A single run is the ensemble
+    B = 1.
+
+    The members' sample blocks hold at most BATCH_VALUES values together
+    (or a row each), the initial and accepted rows one more block (or go
+    to the monitors as they are): no block size changes a bit.
     """
     # C order: a member's bits must not depend on the layout of y0.
     Y = np.array(y0, dtype=float, order="C")
@@ -203,7 +208,7 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
 
         def rhs(t, y, members, out):
             out[0] = one_rhs(float(t[0]), y[0])
-        monitors = [lambda ys, mon=mon: (mon(ys[0]),) for mon in monitors]
+        monitors = [lambda ys, mon=mon: [mon(y) for y in ys] for mon in monitors]
     else:
         cfgs = list(cfg)
     if Y.ndim != 2 or Y.shape[0] != len(cfgs):
@@ -211,24 +216,46 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
                           f"{Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ConfigError("initial state has non-finite entries")
-    width = Y.shape[1] if observe is None else np.size(observe(0, Y[0]))
+    dim = Y.shape[1]
+    width = dim if observe is None else np.size(observe(0, Y[:1]))
     check_budgets(cfgs, width)
+    block = (max(1, BATCH_VALUES // (len(cfgs) * dim)), dim)
+    ensemble = [_Member(b, cfg, width, len(monitors), block) for b, cfg in enumerate(cfgs)]
+    watched = np.empty((BATCH_VALUES // dim if monitors else 0, dim))   # the monitored block
+    owners, filled = np.empty(len(watched), dtype=np.intp), 0
+    maxima = np.zeros((len(ensemble), len(monitors)))
 
-    def record(m, idx, state):
-        m.states[idx] = state if observe is None else np.ravel(observe(idx, state))
-        for j, mon in enumerate(monitors):
-            m.diagnostics[idx, j] = mon(state[None])[0]
+    def sampled(m):
+        """Count the sample just written to m's block; record a full block."""
+        m.next_sample += 1
+        k = m.next_sample - m.start
+        if k == len(m.block) or m.next_sample == m.times.size:
+            rows = m.block[:k]
+            m.states[m.start:m.next_sample] = rows if observe is None \
+                else np.reshape(observe(m.start, rows), (k, -1))
+            for j, mon in enumerate(monitors):
+                m.diagnostics[m.start:m.next_sample, j] = mon(rows)
+            m.start = m.next_sample
 
-    def eval_monitors(ms, rows):
-        for j, mon in enumerate(monitors):
-            for m, value in zip(ms, mon(rows)):
-                m.monitor_max[j] = max(m.monitor_max[j], abs(value))
+    def monitor(members, rows, end=False):
+        """Stack the members' rows in the monitored block, or reduce block and
+        rows into the members' maxima (fmax skips NaN, as max did)."""
+        nonlocal filled
+        if not end and filled + len(rows) <= len(watched):
+            watched[filled:filled + len(rows)], owners[filled:filled + len(rows)] = rows, members
+            filled += len(rows)
+            return
+        for idx, stack in ((owners[:filled], watched[:filled]), (members, rows)):
+            for j, mon in enumerate(monitors if len(stack) else ()):
+                np.fmax.at(maxima[:, j], idx, np.abs(mon(stack)))
+        filled = 0
 
-    ensemble = [_Member(b, cfg, width, len(monitors)) for b, cfg in enumerate(cfgs)]
+    live = np.arange(len(ensemble))
     with np.errstate(over="ignore", invalid="ignore"):
         for m, y in zip(ensemble, Y):
-            record(m, 0, y)
-        eval_monitors(ensemble, Y)
+            m.block[0] = y
+            sampled(m)
+        monitor(live, Y)
 
         # Row i of every array below belongs to runs[i], the members still
         # short of their t_end; a member that reaches it leaves them all.
@@ -236,16 +263,16 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
         members = tuple(range(len(runs)))
         rel_tol = np.array([[cfg.rel_tol] for cfg in cfgs])
         abs_tol = np.array([[cfg.abs_tol] for cfg in cfgs])
-        K = np.empty((len(runs), 7, Y.shape[1]))
+        K = np.empty((len(runs), 7, dim))
         rhs(np.zeros(len(runs)), Y, members, K[:, 0])
         if not np.all(np.isfinite(K[:, 0])):
             raise NumericalBlowup("non-finite right-hand side at t=0.0")
         # Stage s's argument is built in Y_new from the views K[:, :s] and
         # K[:, s] in stages, remade only with K (a view costs about a tenth of
         # a small product); the last one is the step's solution y + h _B5 K.
-        # err is the error norm's scratch, and between holds each sample.
+        # err is the error norm's scratch.
         stages = [(K[:, :s], K[:, s]) for s in range(1, 7)]
-        Y_new, err, between = np.empty_like(Y), np.empty_like(Y), np.empty(Y.shape[1])
+        Y_new, err = np.empty_like(Y), np.empty_like(Y)
 
         while runs:
             for m in runs:
@@ -293,11 +320,11 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
                         ts = min(m.times[m.next_sample], t_new)
                         frac = (ts - m.t) / m.h
                         # y + frac * (y_new - y), bit for bit
-                        np.subtract(y_new, y, out=between)
-                        between *= frac
-                        between += y
-                        record(m, m.next_sample, between)
-                        m.next_sample += 1
+                        row = m.block[m.next_sample - m.start]
+                        np.subtract(y_new, y, out=row)
+                        row *= frac
+                        row += y
+                        sampled(m)
                     m.t = t_new
                     accepted.append(i)
                     factor = _SAFETY * (norm ** -_PI_ALPHA if norm > 0 else _MAX_FACTOR) \
@@ -314,19 +341,20 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
             if len(accepted) == len(runs):
                 Y, Y_new = Y_new, Y
                 K[:, 0] = K[:, 6]  # FSAL
-                eval_monitors(runs, Y)
+                monitor(live, Y)
             elif accepted:
                 Y[accepted] = rows = Y_new[accepted]
                 K[accepted, 0] = K[accepted, 6]
-                eval_monitors([runs[i] for i in accepted], rows)
+                monitor(live[accepted], rows)
 
             keep = [i for i, m in enumerate(runs) if m.t < m.cfg.t_end]
             if len(keep) < len(runs):
-                runs = [runs[i] for i in keep]
+                runs, live = [runs[i] for i in keep], live[keep]
                 members = tuple(m.index for m in runs)
                 Y, K, rel_tol, abs_tol = Y[keep], K[keep], rel_tol[keep], abs_tol[keep]
                 stages = [(K[:, :s], K[:, s]) for s in range(1, 7)]
                 Y_new, err = np.empty_like(Y), np.empty_like(Y)
+        monitor(live[:0], Y[:0], end=True)
 
-    trajs = [Trajectory(m.times, m.states, m.diagnostics, m.monitor_max) for m in ensemble]
+    trajs = [Trajectory(m.times, m.states, m.diagnostics, maxima[m.index]) for m in ensemble]
     return trajs[0] if single else trajs

@@ -75,10 +75,12 @@ def rhs_replicator(tau: float, y: np.ndarray, setup: ReplicatorSetup) -> np.ndar
 def simulate_replicator(setup: ReplicatorSetup, z0: np.ndarray,
                         cfg: IntegratorConfig) -> Trajectory:
     """Integrate the reduced system in slow time tau from the frequencies
-    z0 (P, N) with simplex-defect and min-entry monitors."""
+    z0 (P, N) as a one-member ensemble with simplex-defect and min-entry monitors."""
     P, N = setup.n_patches, setup.n_strains
     if np.shape(z0) != (P, N):
         raise ConfigError(f"z0 has shape {np.shape(z0)}, setup expects {(P, N)}")
-    monitors = [partial(row_sum_defect, P=P), np.min]
-    return integrate(partial(rhs_replicator, setup=setup), require_simplex(z0).ravel(), cfg,
-                     monitors=monitors)
+
+    def rhs(tau, z, members, out):
+        out[0] = rhs_replicator(tau[0], z[0], setup)
+    monitors = [partial(row_sum_defect, P=P), partial(np.minimum.reduce, axis=-1)]
+    return integrate(rhs, require_simplex(z0).reshape(1, -1), [cfg], monitors=monitors)[0]

@@ -157,7 +157,8 @@ def full_views(y: np.ndarray, P: int, N: int) -> tuple[np.ndarray, np.ndarray, n
 def row_sum_defect(y: np.ndarray, P: int):
     """max_p |sum of row p - 1| of a flat state (dim,), or per row of a stack
     (k, dim): the full system's mass defect and the replicator's simplex defect."""
-    return np.abs(y.reshape(*y.shape[:-1], P, -1).sum(axis=-1) - 1.0).max(axis=-1)
+    return np.maximum.reduce(np.abs(np.add.reduce(y.reshape(*y.shape[:-1], P, -1), axis=-1)
+                                    - 1.0), axis=-1)
 
 
 def require_simplex(z) -> np.ndarray:

@@ -5,9 +5,9 @@ and the full system once per eps, from matched initial data, and
 measures the sup-norm gap between the extracted and reduced frequencies
 over a slow-time window. Each eps model is built once, and all of them
 go to one simulate_full call, which plans the runs (which eps share an
-ensemble, and how each is evaluated). Each sample of a full run is
-folded into its (gap, aggregate) pair as it is taken, so a run's table
-holds 2 values per sample instead of the P(1+N+N^2) of the state, and a
+ensemble, and how each is evaluated). A full run's samples are folded
+into (gap, aggregate) pairs block by block, as they are recorded, so its
+table holds 2 values per sample, not the P(1+N+N^2) of the state, and a
 run's error is the max of its window rows.
 convergence_study checks every eps, calls reduction_error once and fits
 the log-log convergence order. These are the checks the CLI runs;
@@ -119,22 +119,26 @@ def reduction_error(model: FullModel, z0: np.ndarray, eps_values,
             raise StrainGridError(f"full and reduced runs have {samples} and {red.shape[0]} "
                                   "samples")
 
-    def fold(i, y):
-        """Row i of a full run's table: (gap, aggregate) of sample i, the
-        max of |extracted - reduced frequencies| and of |S_p - S_p*|; (0,
-        0) before the window; (-1 - p, its total) when patch p holds the
-        sample's first least strain mass u_p below EXTINCTION_THRESHOLD."""
-        if i < first:
-            return 0.0, 0.0
-        obs = slow_observables(y, bg)
+    def fold(start, ys):
+        """Rows start, start + 1, ... of a full run's table, one per sample
+        in the stack ys: (gap, aggregate), the max of |extracted - reduced
+        frequencies| and of |S_p - S_p*|; (0, 0) before the window; (-1 -
+        p, its total) when patch p holds the sample's first least strain
+        mass u_p below EXTINCTION_THRESHOLD."""
+        table = np.zeros((len(ys), 2))
+        skip = min(max(first - start, 0), len(ys))       # samples before the window
+        obs = slow_observables(ys[skip:], bg)
         try:
             gap = observed_frequencies(obs)
         except ExtinctPatch:
-            total = obs[:, 1:].sum(axis=-1)
-            p = int(np.argmin(total))
-            return -1.0 - p, total[p]
-        gap -= red[i]
-        return np.abs(gap, out=gap).max(), np.abs(obs[:, 0] - bg.S_star).max()
+            if len(ys) > 1:      # the block holds an extinct sample: fold each alone
+                return np.concatenate([fold(start + r, ys[r:r + 1]) for r in range(len(ys))])
+            total = np.add.reduce(obs[0, :, 1:], axis=-1)    # the first least one's patch
+            return np.array([[-1.0 - np.argmin(total), np.min(total)]])
+        gap -= red[start + skip:start + len(ys)]
+        table[skip:, 0] = np.maximum.reduce(np.abs(gap, out=gap), axis=(1, 2))
+        table[skip:, 1] = np.maximum.reduce(np.abs(obs[..., 0] - bg.S_star), axis=1)
+        return table
 
     def gaps(full_traj):
         """(error, aggregate) of one full run: the max of its window rows."""

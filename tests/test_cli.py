@@ -261,6 +261,24 @@ def test_compare_names_the_patch_of_the_windows_least_strain_mass(tmp_path, caps
     assert (out / "reduction_report.json").exists() == (code == 0)
 
 
+@pytest.mark.parametrize("budget", [14, 3 * 42, None], ids=["one-row", "few-rows", "default"])
+def test_an_extinct_sample_in_a_block_names_the_same_patch(tmp_path, capsys, monkeypatch,
+                                                           budget):
+    """The window-sample compare of
+    test_compare_names_the_patch_of_the_windows_least_strain_mass stops
+    with exit 1 naming patch 1 whether its three full runs (14 values a
+    state) are folded in blocks of one sample, of three or of the default
+    97: a block that holds an extinct sample is folded one sample at a
+    time."""
+    if budget is not None:
+        monkeypatch.setattr(straingrid.ode, "BATCH_VALUES", budget)
+    monkeypatch.setattr(straingrid.fullsim, "EXTINCTION_THRESHOLD", 1.008)
+    cfg = write_config(tmp_path, with_section("init", {"z0": [[0.1, 0.9], [0.9, 0.1]]}))
+    assert main(["compare", cfg, "--eps", "0.08,0.04,0.02", "--tau-end", "3.0",
+                 "--out", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr().err == "error: no strain mass left in patch 1\n"
+
+
 def random_doc(P, N, seed):
     """A valid (P, N) config on a ring, with trait deviations in [-1, 1]
     and rates admissible for eps <= 0.2."""

@@ -218,24 +218,28 @@ def test_sample_table_budget_checked_before_allocation(monkeypatch):
 
 
 def test_observed_table_holds_the_observable_of_each_sample(monkeypatch):
-    """With observe, row i of the table holds observe(i, state) of the
-    state the plain run samples as row i, monitors still see the full
-    state, and the budget counts the observed width."""
+    """With observe, rows first, ..., first + k - 1 of the table hold
+    observe(first, states) of the k consecutive states the plain run
+    samples as those rows, monitors still see full states, and the budget
+    counts the observed width."""
     cfg = IntegratorConfig(t_end=1.0, monitor_period=0.1)
     y0 = np.array([1.0, 2.0, 3.0])
-    seen = []
+    seen, firsts = [], []
 
     def monitor(y):
         seen.append(y.size)
         return float(y[0])
 
-    def observe(i, y):
-        return np.array([[y.sum() + i], [y[2]]])
+    def observe(first, ys):
+        firsts.append((first, len(ys)))
+        return np.stack([ys.sum(axis=1) + first + np.arange(len(ys)), ys[:, 2]], axis=1)
     plain = integrate(lambda t, y: -y, y0, cfg, monitors=[monitor])
+    monkeypatch.setattr(straingrid.ode, "BATCH_VALUES", 12)     # blocks of 4 samples
     observed = integrate(lambda t, y: -y, y0, cfg, monitors=[monitor], observe=observe)
+    # the width call on y0, then blocks that cover the 11 samples in order
+    assert firsts == [(0, 1), (0, 4), (4, 4), (8, 3)]
     assert observed.states.shape == (11, 2)
-    assert np.array_equal(observed.states,
-                          [observe(i, y).ravel() for i, y in enumerate(plain.states)])
+    assert np.array_equal(observed.states, observe(0, plain.states))
     assert np.array_equal(observed.diagnostics, plain.diagnostics)
     assert set(seen) == {3}
     monkeypatch.setattr(straingrid.ode, "MAX_SAMPLE_VALUES", 30)
@@ -345,10 +349,12 @@ def test_a_failing_member_stops_the_ensemble_with_a_typed_error(monkeypatch):
         integrate(counted, np.ones((2, 2)), cfgs)
 
 
-def test_ensemble_monitors_see_stacks_once_per_step():
+def test_ensemble_monitors_see_stacks_once_per_block(monkeypatch):
     """In an ensemble a monitor maps a stack (k, dim) to k values: it runs
-    once per step on the accepted rows and once per sample on its row,
-    never once per member and step."""
+    once per member's block of samples and once per block of the initial
+    and accepted rows, never once per member and step. Under a block
+    budget below one row, each step's accepted rows go to it as they are,
+    and every value recorded is the same."""
     cfgs = [IntegratorConfig(t_end=t_end, monitor_period=t_end / 4) for t_end in (1, 2, 4)]
     calls, stacks = [], []
 
@@ -360,8 +366,50 @@ def test_ensemble_monitors_see_stacks_once_per_step():
         stacks.append(ys.shape)
         return ys[:, 0]
     trajs = integrate(rhs, np.ones((3, 2)), cfgs, monitors=[monitor])
-    steps = (len(calls) - 1) // 6
-    samples = sum(traj.times.size for traj in trajs)
-    assert len(stacks) <= 1 + steps + samples
-    assert {(3, 2), (2, 2), (1, 2)} <= set(stacks)
     assert all(np.array_equal(traj.diagnostics[:, 0], traj.states[:, 0]) for traj in trajs)
+    # each member's 5 samples are one block; the 3 initial rows and every
+    # accepted row (at least one per step) are one more
+    steps = (len(calls) - 1) // 6
+    assert stacks.count((5, 2)) == 3 and len(stacks) == 4
+    assert 3 + steps <= max(k for k, _ in stacks)
+
+    monkeypatch.setattr(straingrid.ode, "BATCH_VALUES", 1)
+    calls.clear(), stacks.clear()
+    unblocked = integrate(rhs, np.ones((3, 2)), cfgs, monitors=[monitor])
+    assert {(3, 2), (2, 2), (1, 2)} <= set(stacks)
+    assert len(stacks) <= 1 + steps + sum(traj.times.size for traj in trajs)
+    for traj, again in zip(trajs, unblocked):
+        for name in ("states", "diagnostics", "monitor_max"):
+            assert np.array_equal(getattr(traj, name), getattr(again, name)), name
+
+
+@pytest.mark.parametrize("budget", [1, 2, 30, None], ids=["below-a-row", "one-row", "few-rows",
+                                                            "default"])
+def test_block_size_changes_no_bit(budget, monkeypatch):
+    """A 1-d run, and a 3-member ensemble with observe whose members leave
+    with a block part full, record the same states, diagnostics and
+    monitor maxima under every block budget (BATCH_VALUES, here in values
+    of 2-value states) as under the default."""
+    def runs():
+        cfg = IntegratorConfig(t_end=1.0, monitor_period=0.05)
+        one = integrate(lambda t, y: -y, np.array([1.0, -2.0]), cfg,
+                        monitors=[lambda y: float(y.sum()), np.min])
+        cfgs = [IntegratorConfig(t_end=t_end, monitor_period=t_end / 21) for t_end in (1, 2, 4)]
+
+        def observe(first, ys):
+            return np.stack([ys.sum(axis=1) * (first + np.arange(1, len(ys) + 1)), ys[:, 1]],
+                            axis=1)    # row r is sample first + r
+
+        def rhs(t, y, members, out):
+            out[...] = rotation(t, y, members)
+        y0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
+        return [one, *integrate(rhs, y0, cfgs, monitors=[lambda ys: ys[:, 0],
+                                                         lambda ys: ys.min(axis=1)],
+                                observe=observe)]
+    default = runs()
+    assert np.array_equal(default[0].monitor_max, [1.0, 2.0])   # |sum| and |min| of y0
+    if budget is not None:
+        monkeypatch.setattr(straingrid.ode, "BATCH_VALUES", budget)
+    for traj, again in zip(default, runs()):
+        for name in ("times", "states", "diagnostics", "monitor_max"):
+            assert np.array_equal(getattr(traj, name), getattr(again, name)), name

@@ -293,7 +293,7 @@ def test_ensemble_members_equal_their_runs_alone(worked_patch, second_patch, two
     assert model.d > 0
     bg = model.background
     y0 = init_on_manifold(z0, bg)
-    observe = (lambda i, y: slow_observables(y, bg)) if observed else None
+    observe = (lambda first, ys: slow_observables(ys, bg)) if observed else None
     models = [model.with_eps(eps) for eps in (0.08, 0.04, 0.02)]
     cfgs = [_validation_cfg(0.5 / m.eps) for m in models]
     ensemble = simulate_full(models, y0, cfgs, observe=observe)
@@ -301,6 +301,35 @@ def test_ensemble_members_equal_their_runs_alone(worked_patch, second_patch, two
         solo, = simulate_full([m], y0, [cfg], observe=observe)
         for name in ("times", "states", "diagnostics", "monitor_max"):
             assert np.array_equal(getattr(traj, name), getattr(solo, name)), name
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 97], ids=["below-a-row", "one-row", "few-rows",
+                                                    "default"])
+def test_compare_tables_do_not_depend_on_the_block_size(worked_patch, second_patch,
+                                                        two_patch_conn, rows, monkeypatch):
+    """The three full runs of a worked compare fold their samples in
+    blocks of `rows` samples each (the default budget holds 97 of these
+    14-value states per member), or, below a row, fold one sample at a
+    time and give each step's accepted rows to the monitors as they are.
+    The window starts at sample 20, inside a block of 3 and of 97, and
+    the tables, diagnostics, maxima and errors are those of the default."""
+    model, z0 = worked_model(worked_patch, second_patch, two_patch_conn)
+    trajs = []
+    run = straingrid.validate.simulate_full
+
+    def recorded(*args, **kwargs):
+        trajs.append(run(*args, **kwargs))
+        return trajs[-1]
+    monkeypatch.setattr(straingrid.validate, "simulate_full", recorded)
+    study = (model, z0, [0.08, 0.04, 0.02], (0.1, 1.0))
+    default = reduction_error(*study)
+    dim = init_on_manifold(z0, model.background).size
+    assert straingrid.ode.BATCH_VALUES // (3 * dim) == 97
+    monkeypatch.setattr(straingrid.ode, "BATCH_VALUES", 1 if rows is None else rows * 3 * dim)
+    assert reduction_error(*study) == default
+    for traj, again in zip(*trajs):
+        for name in ("states", "diagnostics", "monitor_max"):
+            assert np.array_equal(getattr(traj, name), getattr(again, name)), name
 
 
 def test_long_eps_list_is_split_by_the_budget(worked_patch, second_patch, two_patch_conn,
