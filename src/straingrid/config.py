@@ -9,6 +9,16 @@ that validation checks the settings every run uses.
 One pass parses and validates a document: ``collect_issues`` returns
 its itemized report, ``build_model`` the model it built or a ConfigError
 listing the issues. Hashing is canonical (stable under key reordering).
+
+Every number is read by one rule, ``_read``: a number is a JSON number
+(a bool, string, null, object or array is not), an array field is a
+rectangular nesting of numbers of its shape, an integer must lie in the
+float range, and ``strains.N`` and ``init.seed`` must be integral. Each
+fault has one message, which names the entry inside an array:
+``strains.b[0][1] must be a number, got True``, ``scale.d is an integer
+beyond the float range``, ``init.z0 is a ragged array``, ``init.z0 must
+have shape (2, 2), got (1, 2)``, ``strains.N must be an integer, got 2.5``.
+
 Random initial frequencies come from a named, versioned generator so
 results are portable.
 """
@@ -17,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -36,6 +45,9 @@ FREQUENCY_GENERATOR = "dirichlet-pcg64-v1"
 # allocated: 2**24 float64 values are 128 MiB.
 MAX_TRAIT_VALUES = 2**24
 
+# The least integer whose float() rounds past the float range.
+FLOAT_INT_LIMIT = 2**1024 - 2**970
+
 # The keys each object of a document may hold.
 PATCH_KEYS = {"r", "beta", "gamma", "k"}
 SECTION_KEYS = {
@@ -52,7 +64,8 @@ def load_config(path) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # Bad JSON or UTF-8, an integer past Python's digit limit, too deep a nesting
+        except (ValueError, RecursionError) as exc:
             raise ConfigParseError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -101,50 +114,46 @@ def _section(doc: dict, name: str) -> dict:
     return value
 
 
-def _parsed(what: str, value, convert=partial(np.asarray, dtype=float)):
-    """convert(value), a float array by default, with a value of the wrong
-    type, or an integer beyond the float range, reported as ConfigError."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+def _fault(where: str, value, nested: bool) -> ConfigError | None:
+    """The ConfigError of the first entry of value, in document order, that
+    is not a number or is an integer beyond the float range, or None; with
+    nested, an entry of an array is named where[i][j]..."""
+    stack = [(where, value)]
+    while stack:
+        where, v = stack.pop()
+        if nested and type(v) is list:
+            stack += reversed([(f"{where}[{n}]", e) for n, e in enumerate(v)])
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            return ConfigError(f"{where} must be a number, got {v!r}")
+        elif isinstance(v, int) and abs(v) >= FLOAT_INT_LIMIT:
+            return ConfigError(f"{where} is an integer beyond the float range")
+    return None
 
 
-def _number(what: str, value) -> float:
-    """A JSON number as float; ConfigError for anything else, bools and
-    numeric strings included, and for an integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{what} is an integer beyond the float range") from None
-
-
-def _array(what: str, value) -> np.ndarray:
-    """A JSON number or nested array of numbers as a float array;
-    ConfigError naming what for any other entry, bools and numeric
-    strings included, for a ragged nesting, and for an integer beyond the
-    float range."""
+def _read(what: str, value, kind=float):
+    """The field `what` under the rule for numbers, as kind: float, int (an
+    integral number) or a shape tuple (a float array of that shape, from a
+    number or nested array). One walk over the nesting checks every entry."""
+    nested = isinstance(kind, tuple)
+    allowed = {list, int, float} if nested else {int, float}
     level = [value]             # the entries at one depth of the nesting
     while level:
         kinds = set(map(type, level))
-        if not kinds <= {list, int, float}:
-            for v in level:
-                if isinstance(v, bool) or not isinstance(v, (list, int, float)):
-                    raise ConfigError(f"{what} must hold only numbers, got {v!r}")
+        if not kinds <= allowed and (fault := _fault(what, value, nested)):
+            raise fault         # else a float subclass, such as np.float64
         level = list(chain.from_iterable(v for v in level if type(v) is list)) \
             if list in kinds else []
-    return _parsed(what, value)
-
-
-def _integer(what: str, value) -> int:
-    """An integral number as int (2.0 passes); ConfigError for anything
-    else, bools included."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+    try:
+        x = np.asarray(value, dtype=float) if nested else float(value)
+    except OverflowError:
+        raise _fault(what, value, nested) from None
+    except ValueError:          # ragged, or nested past numpy's 64 dimensions
+        raise ConfigError(f"{what} is a ragged array") from None
+    if kind is int and not x.is_integer():
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    if nested and x.shape != kind:
+        raise ConfigError(f"{what} must have shape {kind}, got {x.shape}")
+    return int(value) if kind is int else x
 
 
 def _unknown_keys(what: str, obj, allowed: set) -> list[str]:
@@ -156,7 +165,7 @@ def _unknown_keys(what: str, obj, allowed: set) -> list[str]:
 
 def _strain_arrays(doc: dict, P: int):
     strains = _section(doc, "strains")
-    N = _integer("strains.N", strains.get("N", 1))
+    N = _read("strains.N", strains.get("N", 1), int)
     if N < 1:
         raise ConfigError("strains.N must be >= 1")
     if P * N * N > MAX_TRAIT_VALUES:
@@ -164,10 +173,7 @@ def _strain_arrays(doc: dict, P: int):
                           f"exceed the budget of {MAX_TRAIT_VALUES}")
 
     def arr(name, shape):
-        raw = strains.get(name)
-        a = np.zeros(shape) if raw is None else _array(f"strains.{name}", raw)
-        if a.shape != shape:
-            raise ConfigError(f"strains.{name} must have shape {shape}, got {a.shape}")
+        a = _read(f"strains.{name}", strains[name], shape) if name in strains else np.zeros(shape)
         a.setflags(write=False)     # StrainPerturbations keeps it instead of a copy
         return a
 
@@ -193,16 +199,12 @@ def build_connectivity(doc: dict, P: int) -> ConnectivityMatrix:
     if has_matrix and has_volumes:
         raise ConfigError("connectivity: give either a matrix or volumes+weights, not both")
     if has_matrix:
-        entries = _array("connectivity.matrix", conn["matrix"])
-        if entries.shape != (P, P):
-            raise ConfigError(f"connectivity: expected {P}x{P} matrix, got {entries.shape}")
+        entries = _read("connectivity.matrix", conn["matrix"], (P, P))
     elif has_volumes:
         if "volumes" not in conn or "weights" not in conn:
             raise ConfigError("connectivity: volumes and weights must both be given")
-        V = _array("connectivity.volumes", conn["volumes"])
-        x = _array("connectivity.weights", conn["weights"])
-        if V.shape != (P,):
-            raise ConfigError(f"connectivity: expected {P} volumes, got shape {V.shape}")
+        V = _read("connectivity.volumes", conn["volumes"], (P,))
+        x = _read("connectivity.weights", conn["weights"], (P, P))
         try:
             entries = renormalize_to_density(volume_matrix(V, x), V)
         except ConfigError as exc:
@@ -239,7 +241,7 @@ def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
     for idx, p in enumerate(raw_patches):
         issues += [f"patch {idx}: {item}" for item in _unknown_keys("patch", p, PATCH_KEYS)]
         try:
-            r, beta, gamma, k = (_number(name, p[name]) for name in ("r", "beta", "gamma", "k"))
+            r, beta, gamma, k = (_read(name, p[name]) for name in ("r", "beta", "gamma", "k"))
         except (KeyError, TypeError, ConfigError) as exc:
             issues.append(f"patch {idx}: {exc}")
             continue
@@ -260,8 +262,8 @@ def _validate(doc: dict) -> tuple[FullModel | None, list[str]]:
         scale = _section(doc, "scale")
         model = FullModel(
             *np.array(rates).T, pert=_strain_arrays(doc, P),
-            eps=_number("scale.eps", scale.get("eps", 0.0)),
-            d=_number("scale.d", scale.get("d", 0.0)),
+            eps=_read("scale.eps", scale.get("eps", 0.0)),
+            d=_read("scale.d", scale.get("d", 0.0)),
             connectivity=connectivity)
         initial_frequencies(doc, P, model.n_strains)
         integrator_settings(doc)
@@ -292,13 +294,12 @@ def initial_frequencies(doc: dict, P: int, N: int) -> np.ndarray:
     draw, or uniform when the init section is absent."""
     init = _section(doc, "init")
     if "z0" in init:
-        z = _array("init.z0", init["z0"])
-        if z.shape != (P, N):
-            raise ConfigError(f"init.z0 must have shape {(P, N)}, got {z.shape}")
-        return require_simplex(z)
+        return require_simplex(_read("init.z0", init["z0"], (P, N)))
     if "seed" in init:
-        rng = _parsed("init.seed", _integer("init.seed", init["seed"]), np.random.default_rng)
-        return rng.dirichlet(np.ones(N), size=P)
+        seed = _read("init.seed", init["seed"], int)
+        if seed < 0:
+            raise ConfigError("init.seed must be >= 0")
+        return np.random.default_rng(seed).dirichlet(np.ones(N), size=P)
     return np.full((P, N), 1.0 / N)
 
 
@@ -312,6 +313,6 @@ def integrator_settings(doc: dict) -> IntegratorConfig:
     if unknown:
         raise ConfigError(unknown[0])
     settings = {"t_end": 200.0,
-                **{k: _number(f"integration.{k}", v) for k, v in integ.items()}}
+                **{k: _read(f"integration.{k}", v) for k, v in integ.items()}}
     settings.setdefault("monitor_period", settings["t_end"] / 200)
     return IntegratorConfig(**settings)

@@ -284,9 +284,7 @@ class _TermTable:
         P, N, B = stack.n_patches, stack.n_strains, len(stack.r)
         L = 1 + N + N * N
         dim = P * L
-        S = np.arange(P) * L                                  # flat indices of S, I, D
-        I = S[:, None] + 1 + np.arange(N)
-        D = S[:, None, None] + 1 + N + np.arange(N * N).reshape(N, N)
+        S, I, D = full_views(np.arange(dim), P, N)            # flat indices of S, I, D
         J = dim + np.arange(P * N).reshape(P, N)              # and of J and 1 in x
         ONE = dim + P * N
         # J[p, i] = I[p, i] + sum_j prob_first[p,i,j] D[p,i,j] + prob_second[p,j,i] D[p,j,i]

@@ -509,19 +509,19 @@ def test_non_finite_rates_and_scales_are_issues(tmp_path, capsys, dotted, value,
     assert where in captured.err and "Warning" not in captured.err
 
 
-@pytest.mark.parametrize("section, value", [
-    ("strains", {"N": 2.7, "b": [[1.0, 0.0], [0.5, -0.5]]}),
-    ("strains", {"N": True}),
-    ("init", {"seed": 1.5}),
-    ("init", {"seed": True}),
+@pytest.mark.parametrize("section, value, message", [
+    ("strains", {"N": 2.7, "b": [[1.0, 0.0], [0.5, -0.5]]}, "strains.N must be an integer, got 2.7"),
+    ("strains", {"N": True}, "strains.N must be a number, got True"),
+    ("init", {"seed": 1.5}, "init.seed must be an integer, got 1.5"),
+    ("init", {"seed": True}, "init.seed must be a number, got True"),
 ], ids=["N-2.7", "N-true", "seed-1.5", "seed-true"])
-def test_non_integral_integer_settings_are_issues(tmp_path, capsys, section, value):
+def test_non_integral_integer_settings_are_issues(tmp_path, capsys, section, value, message):
     cfg = write_config(tmp_path, with_section(section, value))
     assert main(["validate", cfg]) == 1
     out = capsys.readouterr().out
-    assert "INVALID: 1 issue(s)" in out and f"{section}." in out and "must be an integer" in out
+    assert "INVALID: 1 issue(s)" in out and f"  - {message}\n" in out
     assert main(["simulate", cfg, "--mode", "reduced", "--out", str(tmp_path / "out")]) == 1
-    assert "must be an integer" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_integral_floats_are_integer_settings(tmp_path, capsys):

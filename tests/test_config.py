@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from straingrid import ConfigError, ConfigParseError, FullModel
-from straingrid.config import (build_connectivity, build_model, collect_issues,
+from straingrid.config import (_read, build_connectivity, build_model, collect_issues,
                                config_hash, initial_frequencies,
                                integrator_settings, load_config)
 from straingrid.ode import IntegratorConfig
@@ -48,6 +48,17 @@ def test_load_config_non_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"a": ' + "1" * 5000 + "}"],
+                         ids=["deep-nesting", "long-integer"])
+def test_load_config_undecodable_json_is_a_parse_error(tmp_path, text):
+    """JSON that the decoder gives up on, past its recursion depth or
+    Python's digit limit for an integer, is a parse error too."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ConfigParseError):
         load_config(str(path))
 
 
@@ -277,15 +288,15 @@ def test_connectivity_issues_name_their_section_once(connectivity, message):
 @pytest.mark.parametrize("section, value, message", [
     ("scale", 3, "scale must be a JSON object"),
     ("strains", {"N": 0}, "strains.N must be >= 1"),
-    ("connectivity", {"matrix": [[-1.0, 1.0]]}, "connectivity: expected 2x2 matrix, got (1, 2)"),
+    ("connectivity", {"matrix": [[-1.0, 1.0]]}, "connectivity.matrix must have shape (2, 2), got (1, 2)"),
     ("connectivity", {"volumes": [1.0, 2.0, 3.0], "weights": np.triu(np.ones((3, 3)), 1).tolist()},
-     "connectivity: expected 2 volumes, got shape (3,)"),
+     "connectivity.volumes must have shape (2,), got (3,)"),
     ("connectivity", {"volumes": 3.0, "weights": [[0.0, 1.0], [0.0, 0.0]]},
-     "connectivity: expected 2 volumes, got shape ()"),
+     "connectivity.volumes must have shape (2,), got ()"),
     ("connectivity", {"volumes": [[1.0], [2.0]], "weights": [[0.0, 1.0], [0.0, 0.0]]},
-     "connectivity: expected 2 volumes, got shape (2, 1)"),
+     "connectivity.volumes must have shape (2,), got (2, 1)"),
     ("connectivity", {"volumes": [1.0, 2.0], "weights": [[0.0, 1.0]]},
-     "connectivity: weights must be a 2x2 array, got shape (1, 2)"),
+     "connectivity.weights must have shape (2, 2), got (1, 2)"),
     ("connectivity", {"volumes": [1.0, float("inf")], "weights": [[0.0, 1.0], [0.0, 0.0]]},
      "connectivity: volumes must be finite"),
     ("connectivity", {"volumes": [float("nan"), 2.0], "weights": [[0.0, 1.0], [0.0, 0.0]]},
@@ -310,27 +321,55 @@ def test_connectivity_issues_name_their_section_once(connectivity, message):
     ("integration", {"initial_step": -1e-3}, "initial_step and max_step must be positive"),
     ("integration", {"max_step": -1.0}, "initial_step and max_step must be positive"),
     ("strains", {"N": 2, "b": [[10**400, 0.0], [0.5, -0.5]]},
-     "strains.b: int too large to convert to float"),
+     "strains.b[0][0] is an integer beyond the float range"),
     ("strains", {"N": 2, "b": [[True, 0.0], [0.5, -0.5]]},
-     "strains.b must hold only numbers, got True"),
+     "strains.b[0][0] must be a number, got True"),
     ("strains", {"N": 2, "b": [["0.5", 0.0], [0.5, -0.5]]},
-     "strains.b must hold only numbers, got '0.5'"),
-    ("init", {"z0": [[True, False], [0.6, 0.4]]}, "init.z0 must hold only numbers, got True"),
+     "strains.b[0][0] must be a number, got '0.5'"),
+    ("init", {"z0": [[True, False], [0.6, 0.4]]}, "init.z0[0][0] must be a number, got True"),
     ("init", {"z0": [["0.5", "0.5"], [0.6, 0.4]]},
-     "init.z0 must hold only numbers, got '0.5'"),
+     "init.z0[0][0] must be a number, got '0.5'"),
     ("connectivity", {"matrix": [[-1.0, True], [1.0, -1.0]]},
-     "connectivity.matrix must hold only numbers, got True"),
+     "connectivity.matrix[0][1] must be a number, got True"),
+    ("connectivity", {"matrix": [[-1.0, 1.0], [{"x": 1}, -1.0]]},
+     "connectivity.matrix[1][0] must be a number, got {'x': 1}"),
+    ("connectivity", {"volumes": [1.0, None], "weights": [[0.0, 1.0], [0.0, 0.0]]},
+     "connectivity.volumes[1] must be a number, got None"),
+    ("connectivity", {"volumes": [1.0, 2.0], "weights": [[0.0, 10**400], [0.0, 0.0]]},
+     "connectivity.weights[0][1] is an integer beyond the float range"),
+    ("strains", {"N": 2, "b": None}, "strains.b must be a number, got None"),
+    ("strains", {"N": 2, "b": [[1.0, 0.0], [0.5]]}, "strains.b is a ragged array"),
+    ("init", {"z0": [[0.3, 0.7], 0.5]}, "init.z0 is a ragged array"),
+    ("scale", {"eps": [0.05], "d": 1.0}, "scale.eps must be a number, got [0.05]"),
+    ("strains", {"N": [2]}, "strains.N must be a number, got [2]"),
+    ("strains", {"N": 10**400}, "strains.N is an integer beyond the float range"),
+    ("init", {"seed": 10**400}, "init.seed is an integer beyond the float range"),
+    ("init", {"seed": None}, "init.seed must be a number, got None"),
+    ("init", {"seed": -1}, "init.seed must be >= 0"),
 ], ids=["section-not-an-object", "N-0", "matrix-shape", "three-volumes", "scalar-volumes",
         "2d-volumes", "weights-shape", "infinite-volume", "nan-volume", "infinite-weight",
         "overflowing-stencil", "overflowing-density", "overflowing-row-sums", "bool-eps",
         "string-eps", "bool-d", "string-d", "huge-integer-d", "bool-t_end",
         "zero-initial_step", "zero-steps", "negative-initial_step", "negative-max_step",
         "huge-integer-trait", "bool-trait", "string-trait", "bool-z0", "string-z0",
-        "bool-matrix"])
+        "bool-matrix", "object-matrix", "null-volume", "huge-integer-weight", "null-trait",
+        "ragged-trait", "mixed-z0", "list-eps", "list-N", "huge-integer-N",
+        "huge-integer-seed", "null-seed", "negative-seed"])
 def test_malformed_sections_are_issues(section, value, message):
     doc = base_doc()
     doc[section] = value
     assert collect_issues(doc) == [message]
+
+
+def test_read_gives_the_floats_numpy_gives():
+    """Valid values parse to numpy's floats, bit for bit: integers past
+    2**53, -0.0 and subnormal-range values included; a float subclass such
+    as np.float64 is a number, and an integral setting keeps its exact int."""
+    values = [[-0.0, 1e-300, 2**53 + 1], [-(2**64), 10**30, np.float64(1.5)]]
+    assert _read("x", values, (2, 3)).tobytes() == np.asarray(values, dtype=float).tobytes()
+    assert _read("x", [], (0,)).shape == (0,) and _read("x", 1, ()).shape == ()
+    assert _read("x", 2**53 + 1) == float(2**53 + 1) and _read("x", np.float64(0.5)) == 0.5
+    assert _read("x", 2.0, int) == 2 and _read("x", 2**70 + 1, int) == 2**70 + 1
 
 
 def test_rates_must_be_json_numbers():
