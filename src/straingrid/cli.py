@@ -282,23 +282,28 @@ def cmd_compare(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
-def _set_path(doc: dict, dotted: str, value: float):
-    """Assign a scalar at a dotted config path; numeric segments index
-    into arrays (e.g. patches.0.beta), and missing object keys are made."""
+def _set_path(doc: dict, dotted: str, value: float) -> dict:
+    """A copy of doc with a scalar assigned at a dotted config path;
+    numeric segments index into arrays (e.g. patches.0.beta), and missing
+    object keys are made. Only the dicts and lists on the path are
+    copied: the rest, however deep, is shared with doc."""
     *keys, last = dotted.split(".")
-    node = doc
+    root = node = copy.copy(doc)
     try:
         for key in keys:
-            node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+            key = int(key) if isinstance(node, list) else key
+            child = copy.copy(node[key] if isinstance(node, list) else node.setdefault(key, {}))
+            node[key] = child
+            node = child
         node[int(last) if isinstance(node, list) else last] = value
     except (AttributeError, IndexError, TypeError, ValueError):
         raise ConfigError(f"axis path {dotted!r} does not address a scalar") from None
+    return root
 
 
 def _sweep_worker(task):
     doc, value, axis, mode, rundir = task
-    doc = copy.deepcopy(doc)
-    _set_path(doc, axis, value)
+    doc = _set_path(doc, axis, value)
     try:
         run_simulation(doc, mode, Path(rundir), command=f"sweep {axis}={_fmt(value)}")
         return value, "ok", ""

@@ -47,11 +47,14 @@ EXTINCTION_THRESHOLD = 1e-300
 
 # Most terms per member, (4P + nnz(connectivity)) (1 + N + N^2) - 2P,
 # that simulate_full evaluates from a _TermTable. A table call costs a
-# gather, two products and a sum per term and member, rhs_full ~48 numpy
-# calls plus array passes. In a ladder at B = 1, 3 and 6 members (numpy
-# 2.4, one thread of a 2-core Xeon), the table was faster at every size
-# up to 1,527 terms (3x8) and broke even or lost at B = 6 from 1,816
-# terms (4x7) on.
+# gather, two products and a sum per term and member, rhs_full about 47
+# numpy calls, eleven of them passes over the (P, N, N) block. In a
+# ladder at B = 1, 3 and 6 members with full coupling (numpy 2.4, one
+# thread of a 2-core Xeon), the table took 0.34 / 0.58 / 0.84 of
+# rhs_full's time at 1,527 terms (3x8), 0.37 / 0.61 / 0.91 at 1,816
+# (4x7) and 0.38 / 0.62 / 0.87 at 2,472 (12x3), and lost at B = 6 from
+# 2,568 terms (6x6) on. The gate stays below 1,816 terms, where an
+# earlier ladder on the same host first lost at B = 6.
 TABLE_MAX_TERMS = 1600
 
 
@@ -142,14 +145,15 @@ class FullModel:
 
 # The arrays rhs_full reads, built by _rhs_arrays and stacked by ModelStack.
 _RHS_ARRAYS = ("r", "beta_i", "gamma_i", "gamma_ij", "prob_first", "prob_second", "co_rate",
-               "loss", "delta")
+               "loss", "migration")
 
 
 def _rhs_arrays(model: FullModel) -> dict:
     """The _RHS_ARRAYS of one model, its eps-level rates built anew: the
     (P, N, N) gamma_ij, prob_first = 1/2 + eps*w (an (i, j) host transmits
-    i), prob_second and co_rate = k_ij beta_i, and loss, the per-capita
-    loss rate at each entry of a flat state (0 at S_p)."""
+    i), prob_second and co_rate = k_ij beta_i, loss, the per-capita loss
+    rate at each entry of a flat state (0 at S_p), and the (P, P)
+    migration = delta * connectivity."""
     P, N, eps, pert = model.n_patches, model.n_strains, model.eps, model.pert
     gamma_ij = model.gamma[:, None, None] + eps * pert.c_pair
     prob_first = 0.5 + eps * pert.w
@@ -162,7 +166,8 @@ def _rhs_arrays(model: FullModel) -> dict:
     np.add(model.r[:, None, None], gamma_ij, out=loss_D)
     return {"r": model.r, "beta_i": model.beta_i, "gamma_i": model.gamma_i,
             "gamma_ij": gamma_ij, "prob_first": prob_first, "prob_second": 1.0 - prob_first,
-            "co_rate": co_rate, "loss": loss, "delta": model.delta}
+            "co_rate": co_rate, "loss": loss,
+            "migration": model.delta * model.connectivity.entries}
 
 
 def _check_layout(models):
@@ -178,7 +183,7 @@ class ModelStack:
     """The arrays rhs_full reads (_RHS_ARRAYS) of B models that share
     patches, strains and connectivity, each member's built by _rhs_arrays
     and stacked read-only on a leading member axis: r (B, P), ..., loss
-    (B, dim), and delta (B, 1) so that it scales one flat state per row.
+    (B, dim) and migration (B, P, P), which rhs_full and _TermTable read.
     The stack holds the only copy of its members' eps-level rates, so
     they live as long as the stack."""
 
@@ -190,7 +195,6 @@ class ModelStack:
         for name in _RHS_ARRAYS:
             setattr(self, name, _read_only(np.stack([r[name] for r in rates])
                                            if len(models) > 1 else rates[0][name][None]))
-        self.delta = self.delta[:, None]
         self.connectivity = models[0].connectivity
         self.n_patches, self.n_strains = models[0].n_patches, models[0].n_strains
 
@@ -217,7 +221,7 @@ def transmissible_load(model, I: np.ndarray, D: np.ndarray) -> np.ndarray:
     """
     if isinstance(model, FullModel):
         return transmissible_load(ModelStack([model]), I[None], D[None])[0]
-    return (I + np.einsum("...pij,...pij->...pi", model.prob_first, D)
+    return (I + np.vecdot(model.prob_first, D)
             + np.einsum("...pji,...pji->...pi", model.prob_second, D))
 
 
@@ -245,26 +249,24 @@ def rhs_full(t, y: np.ndarray, model, out=None, scratch=None) -> np.ndarray:
     work = np.empty_like(y) if scratch is None else scratch
     dS, dI, dD = full_views(dy, P, N)
     # co-colonization influx into D[p, i, j]: susceptible-to-j of i-singles,
-    # built in a contiguous block (numpy buffers products on strided views)
+    # built in a contiguous block (numpy buffers products on strided views);
+    # its sum over j, the co-colonization loss of I[p, i], is one mat-vec
     influx = work[..., :P * N * N].reshape(*y.shape[:-1], P, N, N)
     np.multiply(model.co_rate, I[..., None], out=influx)
     influx *= J[..., None, :]
-    co_colonized = influx.sum(axis=-1)
     dD[...] = influx
-    dI[...] = infection
-    dS[...] = 0.0           # set below; the flat subtraction must read numbers here
+    np.subtract(infection, I * (model.co_rate @ J[..., None])[..., 0], out=dI)
+    dS[...] = (model.r * (1.0 - S)
+               + np.vecdot(model.gamma_i, I)
+               + np.vecdot(model.gamma_ij.reshape(*y.shape[:-1], P, N * N),
+                           D.reshape(*y.shape[:-1], P, N * N))
+               - infection.sum(axis=-1))
     # every compartment's loss in one flat product (0 at S)
     np.multiply(model.loss, y, out=work)
     dy -= work
-    dI -= co_colonized
-    dS[...] = (model.r * (1.0 - S)
-               + np.einsum("...pi,...pi->...p", model.gamma_i, I)
-               + np.einsum("...pij,...pij->...p", model.gamma_ij, D)
-               - infection.sum(axis=-1))
-    if model.delta.any():   # migration acts on the patch index of every compartment at once
+    if model.migration.any():   # acts on the patch index of every compartment at once
         flow = work.reshape(*y.shape[:-1], P, -1)
-        np.matmul(model.connectivity.entries, y.reshape(flow.shape), out=flow)
-        flow *= model.delta[..., None]
+        np.matmul(model.migration, y.reshape(flow.shape), out=flow)
         dy += work
     return dy
 
@@ -295,7 +297,7 @@ class _TermTable:
         linear = -stack.loss                                  # losses and clearances, -r S at S
         linear[:, S] = -stack.r
         pq = np.nonzero(stack.connectivity.entries)
-        flow = stack.delta * stack.connectivity.entries[pq]   # (B, nnz)
+        flow = stack.migration[:, pq[0], pq[1]]               # (B, nnz)
         IJ = (I[..., None], J[:, None, :])
         terms = [  # (dy index, a, c, coef (B, ...)); indices broadcast to coef's trailing shape
             (S, ONE, ONE, stack.r),
@@ -399,7 +401,7 @@ def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory
     while their stacked states hold at most BATCH_VALUES values (ode's
     block budget), each from a _TermTable when a member has at most
     TABLE_MAX_TERMS terms (9 numpy calls per stage where rhs_full makes
-    about 48), else by rhs_full. Both gates read one member's size, so
+    about 47), else by rhs_full. Both gates read one member's size, so
     each Trajectory is bit-identical to its run alone."""
     if len(models) != len(cfgs):
         raise ConfigError(f"{len(models)} models with {len(cfgs)} integrator settings")

@@ -483,9 +483,7 @@ def test_non_finite_t_end_is_an_issue(tmp_path, capsys, t_end):
 
 def with_value(dotted, value):
     """WORKED_DOC with the value at a dotted path replaced."""
-    doc = json.loads(json.dumps(WORKED_DOC))
-    straingrid.cli._set_path(doc, dotted, value)
-    return doc
+    return straingrid.cli._set_path(WORKED_DOC, dotted, value)
 
 
 @pytest.mark.parametrize("dotted, value, where", [
@@ -787,3 +785,35 @@ def test_run_ends_on_a_t_end_its_last_step_rounds_short_of(tmp_path, capsys):
 def test_set_path_rejects_paths_to_no_scalar(dotted):
     with pytest.raises(ConfigError, match=f"axis path '{dotted}' does not address a scalar"):
         with_value(dotted, 1.0)
+
+
+def test_set_path_copies_only_the_path():
+    """The document is left as it was; the new one copies the dicts and
+    lists on the path, makes a missing key, and shares everything else."""
+    before = json.dumps(WORKED_DOC)
+    doc = straingrid.cli._set_path(WORKED_DOC, "patches.1.k", 2.5)
+    new = straingrid.cli._set_path(doc, "extra.x", 3)
+    assert json.dumps(WORKED_DOC) == before
+    assert doc["patches"][1]["k"] == 2.5 and new["extra"] == {"x": 3}
+    assert doc["patches"] is not WORKED_DOC["patches"]
+    assert doc["patches"][1] is not WORKED_DOC["patches"][1]
+    assert doc["patches"][0] is WORKED_DOC["patches"][0]
+    assert doc["strains"] is WORKED_DOC["strains"] and new["patches"] is doc["patches"]
+    assert "extra" not in doc
+
+
+def test_sweep_of_a_deeply_nested_document_exits_typed(tmp_path, capsys):
+    """A value nested 600 lists deep, under an unknown key, fails a sweep
+    row with the issue that validate reports, not a RecursionError."""
+    nested = 1.0
+    for _ in range(600):
+        nested = [nested]
+    cfg = write_config(tmp_path, {**WORKED_DOC, "extra": nested})
+    out = tmp_path / "sweep"
+    assert main(["validate", cfg]) == 1
+    assert main(["sweep", cfg, "--axis", "scale.d", "--values", "1", "--out", str(out)]) == 1
+    assert "Traceback" not in "".join(capsys.readouterr())
+    with open(out / "sweep.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "failed"
+    assert row["detail"] == "unknown top-level settings: ['extra']"

@@ -1,7 +1,7 @@
 """The command line under mutated config documents: whatever a document
-holds, validate, both simulate modes and compare exit 0, 1 or 2 with no
-traceback and no warning, and a document that validate accepts never
-makes a run exit 2."""
+holds, validate, both simulate modes, compare and sweep exit 0, 1 or 2
+with no traceback and no warning, and a document that validate accepts
+never makes a run exit 2."""
 
 import contextlib
 import copy
@@ -17,12 +17,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 import straingrid.ode  # noqa: E402
-from straingrid.cli import main  # noqa: E402
+from straingrid.cli import _set_path, main  # noqa: E402
+from straingrid.errors import ConfigError  # noqa: E402
 
 from test_cli import WORKED_DOC  # noqa: E402
 
+# The sweep's one row runs the document with scale.d = 0.5.
+SWEPT = ("scale.d", 0.5)
 RUNS = [["simulate", "--mode", "full"], ["simulate", "--mode", "reduced"],
-        ["compare", "--eps", "0.05,0.025,0.0125", "--tau-end", "0.05"]]
+        ["compare", "--eps", "0.05,0.025,0.0125", "--tau-end", "0.05"],
+        ["sweep", "--mode", "reduced", "--axis", SWEPT[0], "--values", str(SWEPT[1]),
+         "--jobs", "1"]]
 
 # What a mutation puts in place of a value or under a new key: the wrong
 # JSON types, numbers at and past the float range, and the non-finite
@@ -101,10 +106,12 @@ def _exit_code(argv):
 @given(MUTATIONS)
 def test_mutated_documents_exit_typed(monkeypatch, mutations):
     """validate exits 0 or 1; on a document it accepts every run exits 0
-    or 1, and on one it rejects every run exits 1. Unmutated, each run
-    takes under 100 steps; a budget of 5,000 ends a run whose scaled
-    t_end or rates are past what the integrator reaches in seconds with
-    the exit 1 that the default budget gives in minutes."""
+    or 1, and on one it rejects every run exits 1. The sweep is held to
+    the verdict on its row's document, which setting scale.d can mend
+    or break, and exits 1 where the axis addresses no scalar. Unmutated,
+    each run takes under 100 steps; a budget of 5,000 ends a run whose
+    scaled t_end or rates are past what the integrator reaches in seconds
+    with the exit 1 that the default budget gives in minutes."""
     monkeypatch.setattr(straingrid.ode, "MAX_STEPS", 5_000)
     doc = _mutated(mutations)
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,6 +119,14 @@ def test_mutated_documents_exit_typed(monkeypatch, mutations):
         cfg.write_text(json.dumps(doc))
         accepted = _exit_code(["validate", str(cfg)])
         assert accepted in (0, 1)
+        try:
+            swept = _set_path(doc, *SWEPT)
+        except ConfigError:
+            swept_accepted = 1
+        else:
+            (Path(tmp) / "swept.json").write_text(json.dumps(swept))
+            swept_accepted = _exit_code(["validate", str(Path(tmp) / "swept.json")])
         for n, run in enumerate(RUNS):
             code = _exit_code([run[0], str(cfg), *run[1:], "--out", str(Path(tmp) / str(n))])
-            assert code in ((0, 1) if accepted == 0 else (1,))
+            verdict = swept_accepted if run[0] == "sweep" else accepted
+            assert code in ((0, 1) if verdict == 0 else (1,))

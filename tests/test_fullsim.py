@@ -250,7 +250,7 @@ def test_stacked_rhs_is_each_models_rhs_row_by_row():
     for m, y, row in zip(models, ys, rows):
         assert np.array_equal(rhs_full(0.0, y, m), row)
     assert np.array_equal(rhs_full(0.0, ys[[2, 0]], stack.take((2, 0))), rows[[2, 0]])
-    assert not any(getattr(stack, name).flags.writeable for name in ("r", "co_rate", "delta"))
+    assert not any(getattr(stack, name).flags.writeable for name in ("r", "co_rate", "migration"))
 
 
 def test_rhs_constants_are_read_only_and_built_once(worked_patch):
@@ -387,7 +387,13 @@ TABLE_CASES = {   # (P, N, connectivity, eps of the three members, d)
     "4x2 volumes": (4, 2, volumes(4), (0.04, 0.02, 0.01), 2.0),
     "eps = 0": (3, 3, ring(3), (0.04, 0.0, 0.01), 1.0),
     "d = 0": (3, 2, ring(3), (0.04, 0.02, 0.01), 0.0),
+    # above TABLE_MAX_TERMS: simulate_full runs these with rhs_full
+    "6x8 ring": (6, 8, ring(6), (0.04, 0.02, 0.01), 1.0),
+    "5x7 volumes": (5, 7, volumes(5), (0.04, 0.02, 0.01), 2.0),
+    "6x8 eps = 0": (6, 8, ring(6), (0.04, 0.0, 0.01), 1.0),
+    "5x7 d = 0": (5, 7, volumes(5), (0.04, 0.02, 0.01), 0.0),
 }
+ABOVE_THE_GATE = ("6x8 ring", "5x7 volumes", "6x8 eps = 0", "5x7 d = 0")
 
 
 def table_case(name, seed=31):
@@ -407,9 +413,17 @@ def table_case(name, seed=31):
 def test_term_table_agrees_with_rhs_full(case):
     """Each member's row of a table call is its rhs_full within 1e-13 of
     the largest derivative; a subset of members, taken in another order,
-    and a member alone give their rows of the full call bit for bit."""
+    and a member alone give their rows of the full call bit for bit. The
+    stack's migration, which both read, is read-only and delta * C of
+    each member bit for bit, also in a taken subset."""
     models, ys = table_case(case)
-    table = _TermTable(ModelStack(models))
+    stack = ModelStack(models)
+    table = _TermTable(stack)
+    for m, row in zip(models, stack.migration):
+        assert np.array_equal(row, m.delta * m.connectivity.entries)
+    sub = stack.take((2, 0)).migration
+    assert np.array_equal(sub, stack.migration[[2, 0]])
+    assert not (stack.migration.flags.writeable or sub.flags.writeable)
     got = np.empty_like(ys)
     table(ys, got)
     for m, y, row in zip(models, ys, got):
@@ -422,6 +436,15 @@ def test_term_table_agrees_with_rhs_full(case):
     alone = np.empty((1, ys.shape[1]))
     _TermTable(ModelStack(models[1:2]))(ys[1:2], alone)
     assert np.array_equal(alone[0], got[1])
+
+
+def test_table_cases_lie_on_both_sides_of_the_gate():
+    """The table is checked against rhs_full at sizes that simulate_full
+    runs from the table and at sizes where it calls rhs_full."""
+    for case in TABLE_CASES:
+        models, _ = table_case(case)
+        terms = _TermTable(ModelStack(models[:1])).coef.shape[1]
+        assert (terms > straingrid.fullsim.TABLE_MAX_TERMS) == (case in ABOVE_THE_GATE)
 
 
 def counting_rhs_full(monkeypatch):
