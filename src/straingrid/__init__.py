@@ -8,7 +8,7 @@ from .connectivity import (renormalize_to_density, validate_connectivity,
 from .errors import (ConfigError, ConfigParseError, ExtinctPatch,
                      NumericalBlowup, StiffnessFailure, StrainGridError,
                      SubcriticalPatch)
-from .fullsim import (FullModel, extract_frequencies, init_on_manifold,
+from .fullsim import (FullModel, ModelStack, extract_frequencies, init_on_manifold,
                       rhs_full, simulate_full, transmissible_load)
 from .ode import IntegratorConfig, Trajectory, integrate
 from .reduction import (Background, drift_matrix, fitness_matrix,
@@ -23,7 +23,7 @@ from .validate import (ReductionReport, convergence_study, default_tau_horizon,
 
 __all__ = [
     "Background", "ConfigError", "ConfigParseError", "ConnectivityMatrix",
-    "ExtinctPatch", "FullModel", "IntegratorConfig", "NumericalBlowup",
+    "ExtinctPatch", "FullModel", "IntegratorConfig", "ModelStack", "NumericalBlowup",
     "ReductionReport", "ReplicatorSetup", "StiffnessFailure",
     "StrainGridError", "StrainPerturbations", "SubcriticalPatch",
     "Trajectory", "convergence_study", "default_tau_horizon",

@@ -19,11 +19,13 @@ import copy
 import csv
 import io
 import json
+import marshal
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -159,8 +161,8 @@ def cmd_fitness(args) -> int:
 
 def _csv(header: list[str], traj, P):
     """The lines of the CSV, one at a time: the header, then `time, patch,
-    *row p of the state, monitor 0` per sample and patch, each number
-    as _fmt writes it."""
+    *row p of the state, monitor 0` (types.run_monitors) per sample and
+    patch, each number as _fmt writes it."""
     yield ",".join(header) + "\n"
     for t, y, diag in zip(traj.times.tolist(), traj.states, traj.diagnostics[:, 0].tolist()):
         t_txt, mon = repr(t), repr(diag)
@@ -301,8 +303,8 @@ def _set_path(doc: dict, dotted: str, value: float) -> dict:
     return root
 
 
-def _sweep_worker(task):
-    doc, value, axis, mode, rundir = task
+def _sweep_worker(doc, task):
+    value, axis, mode, rundir = task
     doc = _set_path(doc, axis, value)
     try:
         run_simulation(doc, mode, Path(rundir), command=f"sweep {axis}={_fmt(value)}")
@@ -311,23 +313,27 @@ def _sweep_worker(task):
         return value, "failed", str(exc)
 
 
+def _pool_sweep_worker(data, task):
+    """_sweep_worker in a pool process, given the marshalled document: pickle,
+    and json.loads in a forked worker, recurse through deep nesting on the
+    Python stack; marshal counts its own depth and keeps every JSON value."""
+    return _sweep_worker(marshal.loads(data), task)
+
+
 def cmd_sweep(args) -> int:
     doc = load_config(args.config)
     outdir = _out_root(args.out)
-    values = args.values
-    tasks = []
-    for idx, value in enumerate(values):
-        rundir = outdir / f"run_{idx:03d}"
-        tasks.append((doc, value, args.axis, args.mode, str(rundir)))
+    tasks = [(value, args.axis, args.mode, str(outdir / f"run_{idx:03d}"))
+             for idx, value in enumerate(args.values)]
 
     # The pool starts all its workers at the first submit: never more
     # than there are tasks or CPUs.
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
+            results = list(pool.map(partial(_pool_sweep_worker, marshal.dumps(doc)), tasks))
     else:
-        results = [_sweep_worker(t) for t in tasks]
+        results = [_sweep_worker(doc, task) for task in tasks]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

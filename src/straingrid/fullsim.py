@@ -8,20 +8,20 @@ slow-manifold initialization, frequency extraction through the left
 kernel eigenvectors, and a simulation driver with mass and negativity
 monitors. States are plain arrays: the flat full state, and (P, N)
 frequencies. rhs_full takes a ModelStack (the rates of B models on a
-leading member axis) and one state per member, or one model and one
-state, and writes into a given out with a given scratch, so a run's
-calls allocate nothing of the state's size. simulate_full, the one
-planner of full runs, splits its models into ode.integrate ensembles of
-at most BATCH_VALUES stacked values, and evaluates a small system (up to
-TABLE_MAX_TERMS terms per member) from a term table: the field is
-quadratic, each term of dy a rate times two entries of x = (y, J, 1), J
-the transmissible load. A FullModel checks its assembled rates but holds
-only the (P, N) ones: each ModelStack builds the (P, N, N) rates it runs.
-Extraction is two maps, each taking a whole stack in one call:
-slow_observables projects flat states (..., dim) on the rows (S_p, u_p)
-(..., P, 1+N), and observed_frequencies renormalizes u_p to frequencies
-(..., P, N). A run can record, per block of consecutive samples, only
-what observe(first, states) makes of it (simulate_full(..., observe=...)).
+leading member axis), one state per member, and the out and scratch it
+writes into, so a run's calls allocate nothing of the state's size.
+simulate_full, the one planner of full runs, splits its models into
+ode.integrate ensembles of at most BATCH_VALUES stacked values, and
+evaluates a small system (up to TABLE_MAX_TERMS terms per member) from a
+term table: the field is quadratic, each term of dy a rate times two
+entries of x = (y, J, 1), J the transmissible load. A FullModel checks
+its assembled rates but holds only the (P, N) ones: each ModelStack
+builds the (P, N, N) rates it runs. Extraction is two maps, each taking
+a whole stack in one call: slow_observables projects flat states
+(..., dim) on the rows (S_p, u_p) (..., P, 1+N), and
+observed_frequencies renormalizes u_p to frequencies (..., P, N). A run
+can record, per block of consecutive samples, only what
+observe(first, states) makes of it (simulate_full(..., observe=...)).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .ode import BATCH_VALUES, Trajectory, check_budgets, integrate
 from .ode import IntegratorConfig as IntegratorConfig
 from .reduction import Background, build_background
 from .types import (ConnectivityMatrix, StrainPerturbations, full_state, full_views,
-                    rate_issue, require_simplex, row_sum_defect)
+                    rate_issue, require_simplex, run_monitors)
 
 # Below this total weighted strain mass in a patch, frequencies are
 # considered undefined.
@@ -211,64 +211,50 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def transmissible_load(model, I: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """J[..., p, i]: proportion of hosts transmitting strain i in patch p,
-    for a ModelStack and one (I, D) per member, or for a FullModel (as a
-    one-member stack) and one (I, D).
+def transmissible_load(stack: ModelStack, I: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """J[b, p, i]: proportion of hosts transmitting strain i in patch p,
+    for the views I (B, P, N) and D (B, P, N, N) of a ModelStack's members.
 
     Single-infected transmit their strain; co-infected (i then j) hosts
     transmit i with probability prob_first[p, i, j] and j otherwise.
     """
-    if isinstance(model, FullModel):
-        return transmissible_load(ModelStack([model]), I[None], D[None])[0]
-    return (I + np.vecdot(model.prob_first, D)
-            + np.einsum("...pji,...pji->...pi", model.prob_second, D))
+    return (I + np.vecdot(stack.prob_first, D)
+            + np.einsum("...pji,...pji->...pi", stack.prob_second, D))
 
 
-def rhs_full(t, y: np.ndarray, model, out=None, scratch=None) -> np.ndarray:
-    """Time derivative of the full system at the flat states y (B, dim) of
-    a ModelStack's members, one per row, or at the flat state y (dim,) of a
-    FullModel (the system is autonomous, so t is unused).
-
-    The derivative is written into out and returned; out and the work
-    array scratch, each shaped like y with contiguous rows, are allocated
-    when not given. With both given, a call allocates nothing of the
-    state's size. The bits do not depend on which are given. A FullModel
-    runs as a one-member stack, whose rates each call builds anew."""
-    if isinstance(model, FullModel):
-        dy = np.empty_like(y) if out is None else out
-        rhs_full(t, y[None], ModelStack([model]), dy[None],
-                 None if scratch is None else scratch[None])
-        return dy
-    P, N = model.n_patches, model.n_strains
+def rhs_full(t, y: np.ndarray, stack: ModelStack, out, scratch) -> np.ndarray:
+    """Time derivative of the full system at the flat states y (B, dim) of a
+    ModelStack's members, one per row (t is unused: the system is autonomous),
+    written into out and returned. out and the work array scratch are shaped
+    like y with contiguous rows, so a call allocates nothing of the state's
+    size; the bits do not depend on what scratch holds."""
+    P, N = stack.n_patches, stack.n_strains
     S, I, D = full_views(y, P, N)
-    J = transmissible_load(model, I, D)            # (..., P, N)
-    infection = model.beta_i * J * S[..., None]    # (..., P, N)
+    J = transmissible_load(stack, I, D)            # (B, P, N)
+    infection = stack.beta_i * J * S[..., None]    # (B, P, N)
 
-    dy = np.empty_like(y) if out is None else out
-    work = np.empty_like(y) if scratch is None else scratch
-    dS, dI, dD = full_views(dy, P, N)
+    dS, dI, dD = full_views(out, P, N)
     # co-colonization influx into D[p, i, j]: susceptible-to-j of i-singles,
     # built in a contiguous block (numpy buffers products on strided views);
     # its sum over j, the co-colonization loss of I[p, i], is one mat-vec
-    influx = work[..., :P * N * N].reshape(*y.shape[:-1], P, N, N)
-    np.multiply(model.co_rate, I[..., None], out=influx)
+    influx = scratch[..., :P * N * N].reshape(*y.shape[:-1], P, N, N)
+    np.multiply(stack.co_rate, I[..., None], out=influx)
     influx *= J[..., None, :]
     dD[...] = influx
-    np.subtract(infection, I * (model.co_rate @ J[..., None])[..., 0], out=dI)
-    dS[...] = (model.r * (1.0 - S)
-               + np.vecdot(model.gamma_i, I)
-               + np.vecdot(model.gamma_ij.reshape(*y.shape[:-1], P, N * N),
+    np.subtract(infection, I * (stack.co_rate @ J[..., None])[..., 0], out=dI)
+    dS[...] = (stack.r * (1.0 - S)
+               + np.vecdot(stack.gamma_i, I)
+               + np.vecdot(stack.gamma_ij.reshape(*y.shape[:-1], P, N * N),
                            D.reshape(*y.shape[:-1], P, N * N))
                - infection.sum(axis=-1))
     # every compartment's loss in one flat product (0 at S)
-    np.multiply(model.loss, y, out=work)
-    dy -= work
-    if model.migration.any():   # acts on the patch index of every compartment at once
-        flow = work.reshape(*y.shape[:-1], P, -1)
-        np.matmul(model.migration, y.reshape(flow.shape), out=flow)
-        dy += work
-    return dy
+    np.multiply(stack.loss, y, out=scratch)
+    out -= scratch
+    if stack.migration.any():   # acts on the patch index of every compartment at once
+        flow = scratch.reshape(*y.shape[:-1], P, -1)
+        np.matmul(stack.migration, y.reshape(flow.shape), out=flow)
+        out += scratch
+    return out
 
 
 class _TermTable:
@@ -416,11 +402,10 @@ def simulate_full(models, y0: np.ndarray, cfgs, observe=None) -> list[Trajectory
     check_budgets(cfgs, dim if observe is None else np.size(observe(0, y0[None])))
     terms = (4 * P + np.count_nonzero(models[0].connectivity.entries)) * L - 2 * P
     size = max(1, BATCH_VALUES // dim)
-    monitors = [partial(row_sum_defect, P=P), partial(np.minimum.reduce, axis=-1)]
     trajs = []
     for start in range(0, len(models), size):
         trajs += _run_ensemble(models[start:start + size], y0, cfgs[start:start + size],
-                               terms <= TABLE_MAX_TERMS, monitors, observe)
+                               terms <= TABLE_MAX_TERMS, run_monitors(P), observe)
     return trajs
 
 
@@ -438,7 +423,7 @@ def _run_ensemble(models, y0, cfgs, table, monitors, observe) -> list[Trajectory
         if table:
             subsets[members](y, out)
         else:
-            rhs_full(None, y, subsets[members], out=out, scratch=scratch[:len(y)])
+            rhs_full(None, y, subsets[members], out, scratch[:len(y)])
 
     return integrate(rhs, np.broadcast_to(y0, (len(models), y0.size)), cfgs, monitors=monitors,
                      observe=observe)

@@ -336,7 +336,8 @@ def integrate(rhs: Callable, y0, cfg, monitors: Sequence[Callable] = (),
                 # Only a step shrunk after a rejection meets the floor: a
                 # configured first step may lie below it when t_end is large.
                 if norm > 1.0 and m.h < 1e-14 * t_end:
-                    raise StiffnessFailure(f"step size underflow at t={m.t} (h={m.h})")
+                    raise StiffnessFailure(f"step size underflow at t={m.t}: h={m.h} is below "
+                                           f"the floor 1e-14 * t_end = {1e-14 * t_end}")
 
             if len(accepted) == len(runs):
                 Y, Y_new = Y_new, Y

@@ -11,7 +11,6 @@ ravel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .ode import IntegratorConfig, Trajectory, integrate
 from .reduction import (fitness_structure as fitness_structure,
                         left_eigenvector as left_eigenvector, migration_matrix as migration_matrix,
                         neutral_equilibrium as neutral_equilibrium)
-from .types import require_simplex, row_sum_defect
+from .types import require_simplex, run_monitors
 
 
 @dataclass(frozen=True)
@@ -82,5 +81,4 @@ def simulate_replicator(setup: ReplicatorSetup, z0: np.ndarray,
 
     def rhs(tau, z, members, out):
         out[0] = rhs_replicator(tau[0], z[0], setup)
-    monitors = [partial(row_sum_defect, P=P), partial(np.minimum.reduce, axis=-1)]
-    return integrate(rhs, require_simplex(z0).reshape(1, -1), [cfg], monitors=monitors)[0]
+    return integrate(rhs, require_simplex(z0).reshape(1, -1), [cfg], monitors=run_monitors(P))[0]

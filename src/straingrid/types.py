@@ -15,13 +15,14 @@ row p of y.reshape(P, -1) holds patch p's compartments, (S_p, I_p,
 D_p.ravel()) for the full system and z_p for the replicator, whose
 frequencies are a (P, N) array. full_state is the only packer and
 full_views the only slicer of the full layout; require_simplex guards
-frequencies and row_sum_defect is the monitor of both systems.
+frequencies, and run_monitors are the monitors of both systems' runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -159,6 +160,12 @@ def row_sum_defect(y: np.ndarray, P: int):
     (k, dim): the full system's mass defect and the replicator's simplex defect."""
     return np.maximum.reduce(np.abs(np.add.reduce(y.reshape(*y.shape[:-1], P, -1), axis=-1)
                                     - 1.0), axis=-1)
+
+
+def run_monitors(P: int) -> list:
+    """Both systems' run monitors on P patches, row functionals of stacked
+    flat states: row_sum_defect (monitor 0, in the CLI's CSVs), min entry."""
+    return [partial(row_sum_defect, P=P), partial(np.minimum.reduce, axis=-1)]
 
 
 def require_simplex(z) -> np.ndarray:

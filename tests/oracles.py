@@ -10,6 +10,9 @@
     of the fully neutral, migration-free full system.
   - one_shot_config_hash: the manifest's config hash from the whole
     canonical text at once (config_hash feeds it to SHA-256 in pieces).
+  - rhs_of: the full vector field of one FullModel at one flat state,
+    evaluated as a one-member ModelStack with buffers of its own (the
+    package's rhs_full takes only stacks and the buffers it writes into).
 """
 
 import hashlib
@@ -18,7 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from straingrid import extract_frequencies, full_state, rhs_replicator, simulate_full
+from straingrid import (ModelStack, extract_frequencies, full_state, rhs_full, rhs_replicator,
+                        simulate_full)
 from straingrid.types import full_views
 from straingrid.validate import _validation_cfg
 
@@ -65,3 +69,9 @@ def one_shot_config_hash(doc):
     built whole."""
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def rhs_of(model, y):
+    """rhs_full of the FullModel model at the flat state y (dim,)."""
+    out = np.empty((1, y.size))
+    return rhs_full(0.0, y[None], ModelStack([model]), out, np.empty_like(out))[0]

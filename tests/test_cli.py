@@ -670,6 +670,18 @@ def test_first_step_below_the_underflow_floor_runs(tmp_path, capsys):
         assert float(rows[-1][0]) == 1e11
 
 
+def test_step_size_underflow_names_the_floor_set_by_t_end(tmp_path, capsys):
+    """At t_end = 1e300 the step floor 1e-14 t_end is 1e286, which the
+    reduced run's steps meet after a rejection: the error says so."""
+    cfg = write_config(tmp_path, with_section("integration", {"t_end": 1e300}))
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    assert main(["simulate", cfg, "--mode", "reduced", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step size underflow at t=")
+    assert err.endswith(" is below the floor 1e-14 * t_end = 1e+286\n")
+
+
 def test_sample_table_budget_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, with_section(
         "integration", {"t_end": 1e300, "monitor_period": 1e-300}))
@@ -802,18 +814,50 @@ def test_set_path_copies_only_the_path():
     assert "extra" not in doc
 
 
-def test_sweep_of_a_deeply_nested_document_exits_typed(tmp_path, capsys):
-    """A value nested 600 lists deep, under an unknown key, fails a sweep
-    row with the issue that validate reports, not a RecursionError."""
+def test_sweep_of_a_deeply_nested_document_exits_typed(tmp_path, capsys, monkeypatch):
+    """A value nested 600 lists deep, under an unknown key, fails every
+    sweep row with the issue that validate reports, not a RecursionError,
+    in process and in a pool of two workers, which are sent the document
+    as text because pickle would recurse through it."""
     nested = 1.0
     for _ in range(600):
         nested = [nested]
     cfg = write_config(tmp_path, {**WORKED_DOC, "extra": nested})
-    out = tmp_path / "sweep"
     assert main(["validate", cfg]) == 1
-    assert main(["sweep", cfg, "--axis", "scale.d", "--values", "1", "--out", str(out)]) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"sweep_{jobs}"
+        assert main(["sweep", cfg, "--axis", "scale.d", "--values", "1,2", "--jobs", jobs,
+                     "--out", str(out)]) == 1
+        assert "Traceback" not in "".join(capsys.readouterr())
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == ["failed", "failed"]
+        assert {row["detail"] for row in rows} == {"unknown top-level settings: ['extra']"}
+
+
+def test_pool_sweep_of_the_deepest_parsed_document_exits_typed(tmp_path, capsys, monkeypatch):
+    """A forked pool worker runs deeper in the stack than the parent that
+    parsed the document, so it must not parse the document again: at the
+    deepest nesting load_config accepts here, both rows of a two-worker
+    sweep still fail with the issue that validate reports."""
+    path = tmp_path / "config.json"
+    head = json.dumps(WORKED_DOC)[:-1] + ', "extra": '
+
+    def parses(depth):
+        path.write_text(head + "[" * depth + "1" + "]" * depth + "}")
+        return main(["validate", str(path)]) == 1
+    low, high = 1, 5000                  # parses(low), not parses(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if parses(mid) else (low, mid)
+    assert parses(low)
+    capsys.readouterr()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--axis", "scale.d", "--values", "1,2", "--jobs", "2",
+                 "--out", str(out)]) == 1
     assert "Traceback" not in "".join(capsys.readouterr())
     with open(out / "sweep.csv") as fh:
-        (row,) = csv.DictReader(fh)
-    assert row["status"] == "failed"
-    assert row["detail"] == "unknown top-level settings: ['extra']"
+        assert {(row["status"], row["detail"]) for row in csv.DictReader(fh)} == {
+            ("failed", "unknown top-level settings: ['extra']")}

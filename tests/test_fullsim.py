@@ -10,16 +10,16 @@ import pytest
 
 import straingrid.fullsim
 from straingrid import (ConfigError, ConnectivityMatrix, ExtinctPatch,
-                        FullModel, IntegratorConfig, NumericalBlowup, StiffnessFailure,
-                        StrainPerturbations, extract_frequencies, full_state, init_on_manifold,
-                        neutral_equilibrium, rhs_full, simulate_full,
+                        FullModel, IntegratorConfig, ModelStack, NumericalBlowup,
+                        StiffnessFailure, StrainPerturbations, extract_frequencies, full_state,
+                        init_on_manifold, neutral_equilibrium, rhs_full, simulate_full,
                         transmissible_load)
 from straingrid.connectivity import renormalize_to_density, volume_matrix
-from straingrid.fullsim import ModelStack, _TermTable
+from straingrid.fullsim import _TermTable
 from straingrid.types import full_views, row_sum_defect
 
 from conftest import random_supercritical_patch, stacked
-from oracles import manifold_state
+from oracles import manifold_state, rhs_of
 
 ONE_PATCH = ConnectivityMatrix(entries=np.zeros((1, 1)))
 
@@ -178,7 +178,7 @@ def test_model_arrays_stay_out_of_init_eq_and_repr(worked_patch):
 
 def test_disease_free_state_stationary(worked_patch, second_patch):
     model = neutral_model([worked_patch, second_patch], N=2, d=1.0, eps=0.0)
-    deriv = rhs_full(0.0, full_state(np.ones(2), np.zeros((2, 2)), np.zeros((2, 2, 2))), model)
+    deriv = rhs_of(model, full_state(np.ones(2), np.zeros((2, 2)), np.zeros((2, 2, 2))))
     assert np.max(np.abs(deriv)) < 1e-15
 
 
@@ -186,7 +186,7 @@ def test_neutral_manifold_stationary(worked_patch, second_patch):
     rng = np.random.default_rng(5)
     model = neutral_model([worked_patch, second_patch], N=3, d=0.0, eps=0.0)
     z = rng.dirichlet(np.ones(3), size=2)
-    deriv = rhs_full(0.0, init_on_manifold(z, model.background), model)
+    deriv = rhs_of(model, init_on_manifold(z, model.background))
     assert np.max(np.abs(deriv)) < 1e-14
 
 
@@ -196,7 +196,7 @@ def test_transmissible_load_neutral_split(worked_patch):
     rng = np.random.default_rng(9)
     model = neutral_model([worked_patch], N=3, eps=0.0)
     _, I, D = full_views(random_state(rng, 1, 3), 1, 3)
-    J = transmissible_load(model, I, D)
+    J = transmissible_load(ModelStack([model]), I[None], D[None])[0]
     expected = I + 0.5 * (D.sum(axis=2) + D.sum(axis=1))
     assert np.allclose(J, expected, atol=1e-15)
     assert J.sum() == pytest.approx(I.sum() + D.sum(), abs=1e-14)
@@ -209,7 +209,7 @@ def test_mass_derivative_identity():
     for _ in range(10):
         model = random_model(rng, P=3, N=2, eps=0.03)
         y = random_state(rng, 3, 2)
-        dS, dI, dD = full_views(rhs_full(0.0, y, model), 3, 2)
+        dS, dI, dD = full_views(rhs_of(model, y), 3, 2)
         got = dS + dI.sum(axis=1) + dD.sum(axis=(1, 2))
         S, I, D = full_views(y, 3, 2)
         mass = S + I.sum(axis=1) + D.sum(axis=(1, 2))
@@ -231,7 +231,7 @@ def test_migration_is_one_product_on_the_patch_index(worked_patch, second_patch)
                         pert=pert)
         local = replace(model, d=0.0)
         y = random_state(rng, 4, 3)
-        got = full_views(rhs_full(0.0, y, model) - rhs_full(0.0, y, local), 4, 3)
+        got = full_views(rhs_of(model, y) - rhs_of(local, y), 4, 3)
         S, I, D = full_views(y, 4, 3)
         A, delta = model.connectivity.entries, model.eps * model.d
         for part, want in zip(got, (A @ S, A @ I, np.einsum("pk,kij->pij", A, D))):
@@ -239,17 +239,19 @@ def test_migration_is_one_product_on_the_patch_index(worked_patch, second_patch)
 
 
 def test_stacked_rhs_is_each_models_rhs_row_by_row():
-    """rhs_full on a ModelStack gives each member's rhs_full bit for bit,
+    """rhs_full on a ModelStack gives each member's rhs alone bit for bit,
     also for a subset of members taken in another order."""
     rng = np.random.default_rng(19)
     model = random_model(rng, P=3, N=3, eps=0.05)
     models = [model.with_eps(eps) for eps in (0.1, 0.05, 0.025)]
     ys = np.stack([random_state(rng, 3, 3) for _ in models])
     stack = ModelStack(models)
-    rows = rhs_full(0.0, ys, stack)
+    rows = rhs_full(0.0, ys, stack, np.empty_like(ys), np.empty_like(ys))
     for m, y, row in zip(models, ys, rows):
-        assert np.array_equal(rhs_full(0.0, y, m), row)
-    assert np.array_equal(rhs_full(0.0, ys[[2, 0]], stack.take((2, 0))), rows[[2, 0]])
+        assert np.array_equal(rhs_of(m, y), row)
+    sub = np.empty((2, ys.shape[1]))
+    assert np.array_equal(rhs_full(0.0, ys[[2, 0]], stack.take((2, 0)), sub, np.empty_like(sub)),
+                          rows[[2, 0]])
     assert not any(getattr(stack, name).flags.writeable for name in ("r", "co_rate", "migration"))
 
 
@@ -257,7 +259,7 @@ def test_rhs_constants_are_read_only_and_built_once(worked_patch):
     """A ModelStack builds its members' eps-level rates once, read-only,
     and no model keeps them, not even after rhs_full ran on it."""
     model = neutral_model([worked_patch], N=2, eps=0.1)
-    rhs_full(0.0, init_on_manifold(np.array([[0.3, 0.7]]), model.background), model)
+    rhs_of(model, init_on_manifold(np.array([[0.3, 0.7]]), model.background))
     assert not [name for name, value in vars(model).items() if np.ndim(value) == 3]
     rates = ModelStack([model])
     for name in ("prob_second", "co_rate", "loss"):
@@ -269,40 +271,39 @@ def test_rhs_constants_are_read_only_and_built_once(worked_patch):
 
 
 def test_rhs_writes_into_a_strided_stage_row():
-    """Given out and scratch, rhs_full writes what the allocating call
-    returns, bit for bit, into a stage row of a (B, 7, dim) array and
-    nowhere else: for one model into K[0, s], for a 3-member stack into
-    the strided rows K[:, s]."""
+    """rhs_full writes each member's rhs alone, bit for bit, into a stage
+    row of a (B, 7, dim) array and nowhere else: into K[:, s] of a
+    one-member stack and into the strided rows K[:, s] of a 3-member one.
+    What the scratch holds does not change the result."""
     rng = np.random.default_rng(23)
     model = random_model(rng, P=3, N=3, eps=0.05)
     models = [model.with_eps(eps) for eps in (0.1, 0.05, 0.025)]
     ys = np.stack([random_state(rng, 3, 3) for _ in models])
-    for target, y in ((model, ys[0]), (ModelStack(models), ys)):
-        K = np.full((len(np.atleast_2d(y)), 7, y.shape[-1]), np.nan)
-        out = K[:, 4] if y.ndim == 2 else K[0, 4]
-        scratch = np.empty_like(y)
-        assert rhs_full(0.0, y, target, out=out, scratch=scratch) is out
-        assert np.array_equal(out, rhs_full(0.0, y, target))
+    for members in (models[:1], models):
+        stack, y = ModelStack(members), ys[:len(members)]
+        K = np.full((len(members), 7, y.shape[1]), np.nan)
+        out, scratch = K[:, 4], np.empty_like(y)
+        assert rhs_full(0.0, y, stack, out, scratch) is out
+        for m, state, row in zip(members, y, out):
+            assert np.array_equal(row, rhs_of(m, state))
         assert np.isnan(np.delete(K, 4, axis=1)).all()
-        # the scratch may hold anything: the result does not depend on it
         scratch[...] = np.inf
-        assert np.array_equal(rhs_full(0.0, y, target, out=np.empty_like(y), scratch=scratch),
-                              out)
+        assert np.array_equal(rhs_full(0.0, y, stack, np.empty_like(y), scratch), out)
 
 
 def test_rhs_into_out_allocates_nothing_of_the_states_size():
-    """With out and scratch given, a call on a ModelStack at P = N = 40
-    peaks below one (P, N, N) array (512 KB; about 92 KB measured, most of
-    it numpy's own buffer for a broadcast product, at most 8192 values)."""
+    """A call on a one-member ModelStack at P = N = 40 peaks below one
+    (P, N, N) array (512 KB; about 92 KB measured, most of it numpy's own
+    buffer for a broadcast product, at most 8192 values)."""
     rng = np.random.default_rng(29)
     P = N = 40
     stack = ModelStack([random_model(rng, P, N, eps=0.01)])
     y = random_state(rng, P, N)[None]
     out, scratch = np.empty_like(y), np.empty_like(y)
-    rhs_full(0.0, y, stack, out=out, scratch=scratch)
+    rhs_full(0.0, y, stack, out, scratch)
     tracemalloc.start()
     try:
-        rhs_full(0.0, y, stack, out=out, scratch=scratch)
+        rhs_full(0.0, y, stack, out, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -427,7 +428,7 @@ def test_term_table_agrees_with_rhs_full(case):
     got = np.empty_like(ys)
     table(ys, got)
     for m, y, row in zip(models, ys, got):
-        want = rhs_full(0.0, y, m)
+        want = rhs_of(m, y)
         assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
     for members in ((2, 0), (1,)):
         sub = np.empty((len(members), ys.shape[1]))

@@ -21,10 +21,11 @@ from straingrid import (ConfigError, ConnectivityMatrix, FullModel,
                         StrainPerturbations, SubcriticalPatch, drift_matrix,
                         fitness_matrix, fitness_structure, init_on_manifold,
                         left_eigenvector, migration_matrix, neutral_equilibrium,
-                        rhs_full, setup_from_model, speed_and_weights)
+                        setup_from_model, speed_and_weights)
 from straingrid.reduction import build_background
 
 from conftest import random_supercritical_patch, stacked
+from oracles import rhs_of
 
 
 def forms(*patches):
@@ -263,14 +264,14 @@ def _slow_rate_oracle(patch, pert, zvec):
     h = 1e-6
     mp = FullModel(*stacked(patch), pert=pert, eps=h, d=0.0, connectivity=conn)
     y = manifold(np.asarray(zvec))
-    F1 = (rhs_full(0.0, y, mp) - rhs_full(0.0, y, m0)) / h
+    F1 = (rhs_of(mp, y) - rhs_of(m0, y)) / h
 
     n = y.size
     A = np.zeros((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1e-7
-        A[:, j] = (rhs_full(0.0, y + e, m0) - rhs_full(0.0, y - e, m0)) / 2e-7
+        A[:, j] = (rhs_of(m0, y + e) - rhs_of(m0, y - e)) / 2e-7
 
     tangents = []
     for i in range(1, N):
